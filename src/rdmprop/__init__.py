@@ -13,13 +13,13 @@ from .bath import BathModel, QuadratureError, SpectralSample, bose_einstein, \
 from .benchmarks import BENCHMARKS, builtin_benzene, builtin_three_level
 from .channels import ChannelBlock, ChannelSet, Cluster, FrequencyClusters, \
     cluster, decompose
-from .core import AuditReport, CouplingOperator, DimensionError, OneRdm, \
-    PhysicalityError, SystemHamiltonian, hermitize, spectral_audit
+from .core import AuditReport, CouplingOperator, DimensionError, \
+    NumericalError, OneRdm, PhysicalityError, SystemHamiltonian, hermitize, \
+    spectral_audit
 from .generators import GeneratorSpec, HoleSystem, MEKind, \
-    NonlinearGeneratorError, RateTable, TTensorTerm, build_generator, \
-    build_rate_table, dissipator_blocked, dissipator_rme, dissipator_ule, \
-    dissipator_ume, lamb_shift_hamiltonian, liouvillian_action, \
-    particle_hole_transform, superoperator_matrix, ttensor_terms, \
+    NonlinearGeneratorError, RateTable, build_generator, build_rate_table, \
+    dissipator, dissipator_blocked, dissipator_ule, lamb_shift_hamiltonian, \
+    liouvillian_action, particle_hole_transform, superoperator_matrix, \
     ule_jump_operators
 from .propagate import Schedule, StiffnessError, Trajectory, default_t_end, \
     expm_propagate, integrate, pack_hermitian, propagate_state, \
@@ -36,20 +36,19 @@ __all__ = [
     "ChannelBlock", "ChannelSet", "Cluster", "ConstraintReport",
     "CouplingOperator", "DimensionError", "FrequencyClusters",
     "GeneratorSpec", "HoleSystem", "MEKind", "NonlinearGeneratorError",
-    "OneRdm", "PhysicalityError", "QuadratureError", "RateTable",
-    "Scenario", "ScenarioError", "Schedule", "SpectralSample",
-    "StiffnessError", "SystemHamiltonian", "TTensorTerm", "Trajectory",
-    "TrajectoryAudit", "audit_trajectory", "bose_einstein",
-    "build_generator", "build_rate_table", "builtin_benzene",
-    "builtin_three_level", "cluster", "constraint_residual",
-    "copropagate_hole", "decompose", "default_t_end", "dissipator_blocked",
-    "dissipator_rme", "dissipator_ule", "dissipator_ume", "drude_lorentz",
+    "NumericalError", "OneRdm", "PhysicalityError", "QuadratureError",
+    "RateTable", "Scenario", "ScenarioError", "Schedule", "SpectralSample",
+    "StiffnessError", "SystemHamiltonian", "Trajectory", "TrajectoryAudit",
+    "audit_trajectory", "bose_einstein", "build_generator",
+    "build_rate_table", "builtin_benzene", "builtin_three_level", "cluster",
+    "constraint_residual", "copropagate_hole", "decompose", "default_t_end",
+    "dissipator", "dissipator_blocked", "dissipator_ule", "drude_lorentz",
     "expm_propagate", "hermitize", "integrate", "lamb_shift_hamiltonian",
     "liouvillian_action", "load_scenario", "pack_hermitian",
     "particle_hole_transform", "propagate_state", "rme_lamb", "rme_rates",
     "sample_spectra", "save_scenario", "spectral_audit",
     "spectral_function_redfield", "spectral_function_ule",
-    "superoperator_matrix", "ttensor_terms", "ule_jump_operators",
-    "ule_lamb_coefficient", "ule_rate", "unitality_residual",
-    "unpack_hermitian", "xi_integral", "__version__",
+    "superoperator_matrix", "ule_jump_operators", "ule_lamb_coefficient",
+    "ule_rate", "unitality_residual", "unpack_hermitian", "xi_integral",
+    "__version__",
 ]

@@ -1,10 +1,14 @@
 """Bohr-frequency channel decomposition and frequency clustering.
 
-A Hermitian coupling operator is split in the system eigenbasis into channel
-operators, one per Bohr frequency (difference of eigen-subspace energies).
-Summing all channels returns the operator. For the unified master equation,
-nearby Bohr frequencies are grouped into clusters that share one decay rate
-evaluated at the cluster center.
+A Hermitian coupling operator is split in the system eigenbasis into
+eigen-subspace blocks, and the blocks are grouped into channels, one per
+Bohr frequency (difference of eigen-subspace energies). A channel set holds
+the coupling once, together with a map from every level pair (i, j) to its
+channel: a channel operator is the coupling masked to the pairs of that
+channel, and summing all channels returns the operator. Generators read
+their rates off this map as arrays over level pairs. For the unified master
+equation, nearby Bohr frequencies are grouped into clusters that share one
+decay rate evaluated at the cluster center.
 """
 
 from __future__ import annotations
@@ -24,16 +28,14 @@ _CLUSTER_GAP_EPS = 1e-12
 class ChannelBlock:
     """One eigen-subspace block of a coupling operator.
 
-    ``op`` is a full-dimension matrix whose only nonzero entries connect the
-    target (row) and source (column) subspaces. The block moves population
-    from the source subspace into the target subspace, and its frequency is
-    e_source - e_target (positive for emission).
+    It moves population from the source subspace (columns) into the target
+    subspace (rows); its frequency is e_source - e_target (positive for
+    emission).
     """
 
     target: int
     source: int
     frequency: float
-    op: np.ndarray
 
     @property
     def is_diagonal(self) -> bool:
@@ -42,36 +44,36 @@ class ChannelBlock:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
-    """Channel operators of one coupling operator, in the eigenbasis."""
+    """Channels of one coupling operator, in the eigenbasis.
+
+    ``coupling`` is the eigenbasis coupling on the kept blocks; ``channel``
+    maps each level pair to the index of its channel in ``frequencies``
+    (-1 in dropped blocks).
+    """
 
     frequencies: tuple[float, ...]
-    operators: tuple[np.ndarray, ...]
     blocks: tuple[ChannelBlock, ...]
     subspaces: tuple[tuple[int, ...], ...]
     subspace_energies: np.ndarray
     dim: int
-    degeneracy_tol: float
+    coupling: np.ndarray
+    channel: np.ndarray
     label: str = ""
+
+    @property
+    def operators(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.operator(w) for w in self.frequencies)
 
     def operator(self, frequency: float) -> np.ndarray:
         try:
-            return self.operators[self.frequencies.index(frequency)]
+            k = self.frequencies.index(frequency)
         except ValueError:
             raise KeyError(f"no channel at frequency {frequency!r}") from None
+        return np.where(self.channel == k, self.coupling, 0.0)
 
     def coupling_sum(self) -> np.ndarray:
         """Sum of all channels; reconstructs the eigenbasis coupling operator."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for op in self.operators:
-            total = total + op
-        return total
-
-    @property
-    def zero_index(self) -> int | None:
-        for k, f in enumerate(self.frequencies):
-            if f == 0.0:
-                return k
-        return None
+        return self.coupling.copy()
 
 
 def decompose(h: SystemHamiltonian, a: CouplingOperator,
@@ -92,11 +94,9 @@ def decompose(h: SystemHamiltonian, a: CouplingOperator,
     raw: list[ChannelBlock] = []
     for i, gi in enumerate(groups):
         for j, gj in enumerate(groups):
-            block = np.zeros((h.dim, h.dim), dtype=complex)
-            block[np.ix_(gi, gj)] = a_eig[np.ix_(gi, gj)]
-            if max_norm(block) < drop_tol:
+            if max_norm(a_eig[np.ix_(gi, gj)]) < drop_tol:
                 continue
-            raw.append(ChannelBlock(i, j, float(energies[j] - energies[i]), block))
+            raw.append(ChannelBlock(i, j, float(energies[j] - energies[i])))
 
     raw.sort(key=lambda b: b.frequency)
     merged: list[list[ChannelBlock]] = []
@@ -107,27 +107,25 @@ def decompose(h: SystemHamiltonian, a: CouplingOperator,
             merged.append([blk])
 
     freqs: list[float] = []
-    ops: list[np.ndarray] = []
     blocks: list[ChannelBlock] = []
-    for group in merged:
+    channel = np.full((h.dim, h.dim), -1)
+    for k, group in enumerate(merged):
         f = float(np.mean([b.frequency for b in group]))
         if abs(f) <= h.degeneracy_tol:
             f = 0.0
         freqs.append(f)
-        op = np.zeros((h.dim, h.dim), dtype=complex)
         for b in group:
-            op += b.op
-            blocks.append(ChannelBlock(b.target, b.source, f, b.op))
-        ops.append(op)
+            channel[np.ix_(groups[b.target], groups[b.source])] = k
+            blocks.append(ChannelBlock(b.target, b.source, f))
 
     channels = ChannelSet(
         frequencies=tuple(freqs),
-        operators=tuple(ops),
         blocks=tuple(blocks),
         subspaces=groups,
         subspace_energies=energies,
         dim=h.dim,
-        degeneracy_tol=h.degeneracy_tol,
+        coupling=np.where(channel >= 0, a_eig, 0.0),
+        channel=channel,
         label=a.label,
     )
     # completeness can only be broken by the drop tolerance

@@ -8,7 +8,8 @@ Subcommands:
   sweep    rerun a scenario over a grid of one parameter, in parallel
 
 Exit codes: 0 on success (including runs whose audits flag violations),
-2 for configuration and parsing problems, 1 for runtime failures.
+2 for configuration and parsing problems, 1 for runtime failures, numerical
+ones (NumericalError) included.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .bath import BathModel, QuadratureError, sample_spectra
 from .benchmarks import BENCHMARKS
-from .core import PhysicalityError, spectral_audit
+from .core import NumericalError, PhysicalityError, spectral_audit
 from .generators import MEKind, NonlinearGeneratorError
 from .output import resolve_output_dir, write_channels_csv, \
     write_metadata_json, write_spectra_csv, write_sweep_csv, \
@@ -383,7 +384,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (StiffnessError, QuadratureError, PhysicalityError,
-            NonlinearGeneratorError, OSError) as err:
+            NonlinearGeneratorError, NumericalError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ValueError as err:

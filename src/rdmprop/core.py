@@ -26,6 +26,10 @@ class PhysicalityError(RuntimeError):
     """A state left the physically meaningful domain."""
 
 
+class NumericalError(ValueError):
+    """Valid inputs without a usable result: a runtime, not a usage, error."""
+
+
 def as_square_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

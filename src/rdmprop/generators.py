@@ -1,39 +1,40 @@
-"""Dissipator and Lamb-shift construction for the three master-equation kinds.
+"""One bilinear dissipator for the three master-equation kinds.
 
-Supported generators, all acting on a 1-electron reduced density matrix in
-the system eigenbasis:
+Every generator acts on a 1-electron reduced density matrix in the system
+eigenbasis through the coupling operators a_k (independent noise sources):
 
-* ``rme``: full second-order generator with a complex rate for every ordered
-  pair of Bohr frequencies.
-* ``ume``: frequency-clustered generator; cross terms survive only inside a
-  cluster and share one real rate evaluated at the cluster center. With
-  singleton clusters this is the secular (Lindblad) limit.
-* ``ule``: factorized-rate generator, equivalent to one jump operator per
-  coupling operator.
+    D(X, Y) rho = sum_k sum_(U, V) [ (U o X_k) rho (V o Y_k)^+
+                                     - 1/2 {(V o Y_k)^+ (U o X_k), rho} ]
 
-Multiple coupling operators are treated as statistically independent noise
-sources: each contributes its own double sum over channel pairs and the
-dissipators add. Cross terms between different coupling operators never
-appear.
+``o`` is the element-wise product, and the rate factors U, V are arrays over
+level pairs (i, j), holding a bath quantity at the frequency of the channel
+of (i, j). The linear dissipator is D(a, a), and the kinds differ only in
+their factors: rme has (Gamma, 1) and (1, Gamma) with the one-sided rate
+Gamma = pi Gamma_hat + i xi; ume has (rate_c 1_c, 1_c) for every frequency
+cluster c, where 1_c selects the pairs in c and rate_c = 2 pi Gamma_hat at
+its center; ule has (J, J) with J = sqrt(2 pi Gamma_hat), one jump J o a_k
+per coupling.
 
-Each kind also has a Pauli-blocked variant where every population-moving
-term is scaled by the hole occupancy of the subspaces it fills. Blocking
-factors are symmetrized over the two sides of each term so the generator
-stays trace-preserving and annihilates the fully filled state exactly.
+Pauli blocking replaces the coupling by M(rho) o a, where
+M_ij = sqrt(chi - n_sub(i)) on blocks between two different subspaces
+(outside the ume zero-frequency cluster) and 1 elsewhere. The mask scales
+rows, so the blocked generator stays trace- and Hermiticity-preserving and
+annihilates the filled state chi*1 exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .bath import BathModel, spectral_function_redfield, spectral_function_ule, \
-    ule_lamb_coefficient, ule_rate, xi_integral
+from .bath import BathModel, spectral_function_redfield, \
+    spectral_function_ule, ule_lamb_coefficient, ule_rate, xi_integral
 from .channels import ChannelSet, FrequencyClusters, cluster, decompose
-from .core import CouplingOperator, DimensionError, PhysicalityError, \
-    SystemHamiltonian, hermitize, max_norm
+from .core import CouplingOperator, DimensionError, NumericalError, \
+    PhysicalityError, SystemHamiltonian, hermitize, max_norm
 
 # Occupancies may leave [0, chi] by integration error before blocking factors
 # clamp; beyond this margin the state is treated as unphysical.
@@ -52,91 +53,52 @@ class NonlinearGeneratorError(RuntimeError):
 
 @dataclass(eq=False)
 class RateTable:
-    """Bath rates evaluated at the union of Bohr frequencies in play.
+    """Bath rates as level-pair arrays, one per coupling operator.
 
-    The table depends only on the bath and the frequency values, so all
-    coupling operators of a generator share one table. ``one_sided`` holds
-    the complex half-rate Gamma(w) (rme only); a pair rate is
-    Gamma(w) + conj(Gamma(w')). ``center_rate`` and ``center_lamb`` are
-    keyed by cluster centers (ume only). ``jump_amplitude`` holds the real
-    factorized amplitude sqrt(2 pi J_hat(w)) (ule only) and ``lamb_pairs``
-    its principal-value Lamb coefficients keyed by ordered frequency pairs
-    that occur in chained channel products.
+    ``rate`` holds Gamma (rme), 2 pi Gamma_hat at the cluster center (ume)
+    or sqrt(2 pi Gamma_hat) (ule) at the frequency of each pair's channel,
+    0 outside every channel. ``cluster`` holds ume cluster labels (-1
+    outside). ``lamb`` holds the Lamb coefficients when requested: xi at
+    the cluster center per pair (ume), or S_hat(w_ij, w_jk) per level
+    triple (i, j, k) (ule); rme needs none beyond Gamma.
     """
 
     kind: MEKind
     bath: BathModel
-    gamma_hat: dict[float, float] = field(default_factory=dict)
-    one_sided: dict[float, complex] = field(default_factory=dict)
-    center_rate: dict[float, float] = field(default_factory=dict)
-    center_lamb: dict[float, float] = field(default_factory=dict)
-    jump_amplitude: dict[float, float] = field(default_factory=dict)
-    lamb_pairs: dict[tuple[float, float], float] = field(default_factory=dict)
-
-    def pair_rate(self, w: float, wp: float,
-                  clusters: FrequencyClusters | None = None) -> complex:
-        """Coefficient of A_w rho A_wp^dagger in the dissipator."""
-        if self.kind is MEKind.RME:
-            return self.one_sided[w] + self.one_sided[wp].conjugate()
-        if self.kind is MEKind.UME:
-            if clusters is None:
-                raise ValueError("ume pair rates need frequency clusters")
-            ci, cj = clusters.index_of(w), clusters.index_of(wp)
-            if ci != cj:
-                return 0.0 + 0.0j
-            return complex(self.center_rate[clusters.clusters[ci].center])
-        return complex(self.jump_amplitude[w] * self.jump_amplitude[wp])
-
-    def diagonal_rate(self, w: float,
-                      clusters: FrequencyClusters | None = None) -> float:
-        return self.pair_rate(w, w, clusters).real
+    rate: tuple[np.ndarray, ...]
+    cluster: tuple[np.ndarray, ...] | None = None
+    lamb: tuple[np.ndarray, ...] | None = None
 
     def symmetrized(self) -> "RateTable":
-        """Table with rates averaged between each frequency and its mirror.
+        """Rates averaged with their mirror-frequency partners.
 
-        The even part of the decay rate and the odd part of the level shift
-        are kept: Gamma_s(w) = (Gamma(w) + conj(Gamma(-w))) / 2. The result
-        satisfies Gamma_s(-w) = conj(Gamma_s(w)) exactly in floating point,
-        which makes every pair rate swap-symmetric and the constraint
-        residual of the dissipator vanish identically. Lamb pair
-        coefficients are copied unchanged; they only enter the commutator
-        part of the generator, which preserves the identity regardless.
+        The mirror of pair (i, j) is (j, i): Gamma_s = (Gamma + Gamma^+) / 2
+        keeps the even decay rate and the odd level shift, which makes the
+        constraint residual vanish identically. ule averages squared
+        amplitudes; ume Lamb coefficients keep their odd part; ule Lamb
+        coefficients only enter the commutator and are copied.
         """
-        table = RateTable(kind=self.kind, bath=self.bath)
-        for w in self.gamma_hat:
-            m = _mirror_frequency(self.gamma_hat, w)
-            table.gamma_hat[w] = 0.5 * (self.gamma_hat[w] + self.gamma_hat[m])
-        for w in self.one_sided:
-            m = _mirror_frequency(self.one_sided, w)
-            table.one_sided[w] = 0.5 * (
-                self.one_sided[w] + self.one_sided[m].conjugate())
-        for c in self.center_rate:
-            m = _mirror_frequency(self.center_rate, c)
-            table.center_rate[c] = 0.5 * (
-                self.center_rate[c] + self.center_rate[m])
-        for c in self.center_lamb:
-            m = _mirror_frequency(self.center_lamb, c)
-            table.center_lamb[c] = 0.5 * (
-                self.center_lamb[c] - self.center_lamb[m])
-        for w in self.jump_amplitude:
-            m = _mirror_frequency(self.jump_amplitude, w)
-            table.jump_amplitude[w] = np.sqrt(0.5 * (
-                self.jump_amplitude[w] ** 2 + self.jump_amplitude[m] ** 2))
-        table.lamb_pairs = dict(self.lamb_pairs)
-        return table
-
-
-def _mirror_frequency(keys, w: float, tol: float = 1e-9) -> float:
-    """Key closest to -w; the value sets come in mirror pairs by construction."""
-    best = min(keys, key=lambda k: abs(k + w))
-    if abs(best + w) > tol:
-        raise ValueError(
-            f"no mirror of frequency {w!r} in the rate table within {tol}")
-    return best
+        lamb = self.lamb
+        if self.kind is MEKind.RME:
+            rate = tuple(0.5 * (g + g.conj().T) for g in self.rate)
+        elif self.kind is MEKind.UME:
+            rate = tuple(0.5 * (r + r.T) for r in self.rate)
+            if lamb is not None:
+                lamb = tuple(0.5 * (s - s.T) for s in lamb)
+        else:
+            rate = tuple(np.sqrt(0.5 * (j ** 2 + (j ** 2).T))
+                         for j in self.rate)
+        return RateTable(kind=self.kind, bath=self.bath, rate=rate,
+                         cluster=self.cluster, lamb=lamb)
 
 
 def _union_frequencies(channel_sets) -> tuple[float, ...]:
     return tuple(sorted({w for ch in channel_sets for w in ch.frequencies}))
+
+
+def _scatter(values, index: np.ndarray, fill=0.0) -> np.ndarray:
+    """values[index] with ``fill`` wherever index is -1."""
+    return np.append(np.asarray(values), fill)[index]
 
 
 def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
@@ -144,43 +106,54 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
                      lamb_shift: bool = False) -> RateTable:
     """Evaluate every bath quantity the chosen generator kind needs.
 
-    ``channel_sets`` is a sequence of ChannelSet; the table covers the union
-    of their frequencies. Principal-value integrals are only run where the
-    generator actually uses them: rme half-rates always carry one, ume needs
-    them at cluster centers only when the Lamb shift is requested, and ule
-    only for Lamb pairs.
+    The bath is evaluated once per distinct frequency of the channel sets
+    and scattered onto their level pairs. Principal-value integrals run
+    only where used: in every rme rate, at ume cluster centers for the Lamb
+    shift, and for ule at the frequency pairs (w_ij, w_jk) of chained
+    channel products a_ij a_jk.
     """
     if isinstance(channel_sets, ChannelSet):
         channel_sets = (channel_sets,)
-    table = RateTable(kind=kind, bath=bath)
+    kind = MEKind(kind)
     freqs = _union_frequencies(channel_sets)
-    for w in freqs:
-        table.gamma_hat[w] = spectral_function_ule(w, bath)
-
+    n = len(freqs)
+    # position in the union of the channel of every level pair, -1 outside
+    where = [_scatter(np.searchsorted(freqs, ch.frequencies), ch.channel, -1)
+             for ch in channel_sets]
+    cluster_of = lamb = None
     if kind is MEKind.RME:
-        for w in freqs:
-            table.one_sided[w] = spectral_function_redfield(w, bath)
-    elif kind is MEKind.UME:
+        values = np.array([spectral_function_redfield(w, bath)
+                           for w in freqs], dtype=complex)
+    elif kind is MEKind.ULE:
+        values = [ule_rate(w, bath) for w in freqs]
+        if lamb_shift:
+            # union positions (w_ij, w_jk) of every chained product a_ij a_jk
+            codes = [np.where((p[:, :, None] >= 0) & (p >= 0),
+                              p[:, :, None] * n + p, -1) for p in where]
+            unique = np.unique(np.concatenate([c.ravel() for c in codes]))
+            unique = unique[unique >= 0]
+            coeff = [ule_lamb_coefficient(freqs[u // n], freqs[u % n], bath)
+                     for u in unique]
+            lamb = tuple(_scatter(coeff, np.where(
+                c >= 0, np.searchsorted(unique, c), -1)) for c in codes)
+    else:
         if clusters is None:
             raise ValueError("ume rate table needs frequency clusters")
-        for c in clusters.clusters:
-            table.center_rate[c.center] = 2.0 * np.pi * spectral_function_ule(
-                c.center, bath)
-            if lamb_shift:
-                table.center_lamb[c.center] = xi_integral(c.center, bath)
-    else:
-        for w in freqs:
-            table.jump_amplitude[w] = ule_rate(w, bath)
+        members = np.array([m for c in clusters.clusters for m in c.members])
+        if not np.isin(freqs, members).all():
+            raise KeyError("a frequency is not in any cluster")
+        label = np.repeat(np.arange(len(clusters.clusters)),
+                          [len(c.members) for c in clusters.clusters])
+        label = label[np.searchsorted(members, freqs)]
+        centers = [c.center for c in clusters.clusters]
+        values = np.array([2.0 * np.pi * spectral_function_ule(c, bath)
+                           for c in centers])[label]
+        cluster_of = tuple(_scatter(label, p, -1) for p in where)
         if lamb_shift:
-            pairs = set()
-            for ch in channel_sets:
-                for b1 in ch.blocks:
-                    for b2 in ch.blocks:
-                        if b1.source == b2.target:
-                            pairs.add((b1.frequency, b2.frequency))
-            for (w1, w2) in sorted(pairs):
-                table.lamb_pairs[(w1, w2)] = ule_lamb_coefficient(w1, w2, bath)
-    return table
+            xi = np.array([xi_integral(c, bath) for c in centers])[label]
+            lamb = tuple(_scatter(xi, p) for p in where)
+    return RateTable(kind, bath, tuple(_scatter(values, p) for p in where),
+                     cluster=cluster_of, lamb=lamb)
 
 
 @dataclass(eq=False)
@@ -214,14 +187,10 @@ class GeneratorSpec:
         self.chi = float(self.chi)
         if self.kind is MEKind.UME and self.clusters is None:
             raise ValueError("ume generators need frequency clusters")
-        for d in (self.rates.gamma_hat, self.rates.one_sided,
-                  self.rates.center_rate, self.rates.center_lamb,
-                  self.rates.jump_amplitude, self.rates.lamb_pairs):
-            for v in d.values():
-                if not np.all(np.isfinite([np.real(v), np.imag(v)])):
-                    raise ValueError("rate table contains non-finite entries")
-        self._lamb_cache: np.ndarray | None = None
-        self._terms_cache: tuple[TTensorTerm, ...] | None = None
+        for arr in (*self.rates.rate, *(self.rates.lamb or ())):
+            if not np.all(np.isfinite(arr)):
+                raise NumericalError("rate table contains non-finite entries")
+        self._lamb = None
 
     @property
     def dim(self) -> int:
@@ -232,27 +201,76 @@ class GeneratorSpec:
         return self.channel_sets[0].subspaces
 
     @property
+    def level_subspace(self) -> np.ndarray:
+        """Index of the eigen-subspace of every level."""
+        return np.repeat(np.arange(len(self.subspaces)),
+                         [len(idx) for idx in self.subspaces])
+
+    @property
     def frequencies(self) -> tuple[float, ...]:
         """Sorted union of the Bohr frequencies of all coupling operators."""
         return _union_frequencies(self.channel_sets)
 
+    @property
+    def couplings(self) -> tuple[np.ndarray, ...]:
+        return tuple(ch.coupling for ch in self.channel_sets)
+
     def coupling_sum(self) -> np.ndarray:
         """Sum of all coupling operators in the eigenbasis."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for ch in self.channel_sets:
-            total = total + ch.coupling_sum()
-        return total
+        return sum(self.couplings)
 
     def operator(self, frequency: float) -> np.ndarray:
         """Sum over coupling operators of their channel at one frequency."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for ch in self.channel_sets:
-            if frequency in ch.frequencies:
-                out = out + ch.operator(frequency)
-        return out
+        return sum((ch.operator(frequency) for ch in self.channel_sets
+                    if frequency in ch.frequencies),
+                   np.zeros((self.dim, self.dim), complex))
+
+    @cached_property
+    def rate_factors(self) -> tuple[tuple[tuple, ...], ...]:
+        """Rate factors (U, V) of the dissipator, per coupling operator."""
+        if self.kind is MEKind.RME:
+            return tuple(((g, 1.0), (1.0, g)) for g in self.rates.rate)
+        if self.kind is MEKind.ULE:
+            return tuple(((j, j),) for j in self.rates.rate)
+        return tuple(tuple((rate * (label == c), 1.0 * (label == c))
+                           for c in np.unique(label[label >= 0]))
+                     for rate, label in zip(self.rates.rate,
+                                            self.rates.cluster))
+
+    @cached_property
+    def blocking_split(self):
+        """Couplings split as a = a_free + a_blk, where a_blk holds the blocks
+        between two different subspaces (outside the ume zero-frequency
+        cluster) whose rows Pauli blocking scales."""
+        sub = self.level_subspace
+        masks = [sub[:, None] != sub] * len(self.channel_sets)
+        zero = self.clusters.zero_cluster_index if self.clusters else None
+        if zero is not None:
+            masks = [m & (c != zero) for m, c in zip(masks, self.rates.cluster)]
+        return (tuple(np.where(m, 0.0, a) for m, a in zip(masks, self.couplings)),
+                tuple(np.where(m, a, 0.0) for m, a in zip(masks, self.couplings)))
 
     def pair_rate(self, w: float, wp: float) -> complex:
-        return self.rates.pair_rate(w, wp, self.clusters)
+        """Coefficient of A_w rho A_wp^dagger in the dissipator."""
+        (r, c), (rp, cp) = self._rate_at(w), self._rate_at(wp)
+        if self.kind is MEKind.RME:
+            return complex(r + np.conj(rp))
+        return complex(r * rp if self.kind is MEKind.ULE else r * (c == cp))
+
+    def _rate_at(self, w: float):
+        """Rate and cluster label at the first level pair of channel w."""
+        for k, ch in enumerate(self.channel_sets):
+            if w in ch.frequencies:
+                pair = np.argmax(ch.channel == ch.frequencies.index(w))
+                labels = self.rates.cluster or self.rates.rate
+                return self.rates.rate[k].flat[pair], labels[k].flat[pair]
+        raise KeyError(f"no channel at frequency {w!r}")
+
+    def diagonal_rates(self) -> tuple[np.ndarray, ...]:
+        """Decay rate of every channel, per coupling operator."""
+        return tuple(np.array([self.pair_rate(w, w).real
+                               for w in ch.frequencies])
+                     for ch in self.channel_sets)
 
     def symmetrized(self) -> "GeneratorSpec":
         """Same channels and flags, mirror-symmetrized rate table."""
@@ -263,14 +281,9 @@ class GeneratorSpec:
             clusters=self.clusters)
 
     def lamb_hamiltonian(self) -> np.ndarray:
-        if self._lamb_cache is None:
-            self._lamb_cache = lamb_shift_hamiltonian(self)
-        return self._lamb_cache
-
-    def ttensor_terms(self) -> tuple["TTensorTerm", ...]:
-        if self._terms_cache is None:
-            self._terms_cache = ttensor_terms(self)
-        return self._terms_cache
+        if self._lamb is None:
+            self._lamb = lamb_shift_hamiltonian(self)
+        return self._lamb
 
 
 def build_generator(h: SystemHamiltonian, coupling, bath: BathModel,
@@ -346,71 +359,46 @@ def particle_hole_transform(h: SystemHamiltonian,
 
 def _check_state(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
+    if rho.shape[-2:] != (dim, dim):
         raise DimensionError(f"state shape {rho.shape} does not match dim {dim}")
     return rho
 
 
-def _double_sum(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
-    """Sum rate(w, w') (A_w rho A_w'^+ - 1/2 {A_w'^+ A_w, rho}) over the
-    channel pairs of each coupling operator in turn."""
-    out = np.zeros_like(rho)
-    for ch in spec.channel_sets:
-        for wp, ap in zip(ch.frequencies, ch.operators):
-            apd = ap.conj().T
-            for w, aw in zip(ch.frequencies, ch.operators):
-                r = spec.pair_rate(w, wp)
-                if r == 0:
-                    continue
-                sandwich = aw @ rho @ apd
-                anti = apd @ aw
-                out += r * (sandwich - 0.5 * (anti @ rho + rho @ anti))
-    return out
+def dissipator(rho: np.ndarray, spec: GeneratorSpec, x=None,
+               y=None) -> np.ndarray:
+    """D(X, Y) rho of the module docstring; X and Y hold one matrix per
+    coupling and default to the couplings. ``rho`` may be a stack."""
+    x = spec.couplings if x is None else x
+    y = x if y is None else y
+    out = np.zeros(np.shape(rho), dtype=complex)
+    anti = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for left, right in weighted_pairs(spec, x, y):
+        out += left @ rho @ right
+        anti += right @ left
+    return out - 0.5 * (anti @ rho + rho @ anti)
 
 
-def dissipator_rme(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
-    """Full pair-summed dissipator with complex Redfield rates."""
-    if spec.kind is not MEKind.RME:
-        raise ValueError("generator kind is not rme")
-    return _double_sum(_check_state(rho, spec.dim), spec)
-
-
-def dissipator_ume(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
-    """Cluster-secular dissipator; cross terms only inside a cluster."""
-    if spec.kind is not MEKind.UME:
-        raise ValueError("generator kind is not ume")
-    return _double_sum(_check_state(rho, spec.dim), spec)
+def weighted_pairs(spec: GeneratorSpec, x, y):
+    """(U o X_k, (V o Y_k)^+) for every coupling k and rate factor (U, V),
+    except those that vanish."""
+    for xk, yk, factors in zip(x, y, spec.rate_factors):
+        for u, v in factors:
+            left = u * xk
+            right = (v * yk).conj().T
+            if left.any() and right.any():
+                yield left, right
 
 
 def ule_jump_operators(spec: GeneratorSpec) -> tuple[np.ndarray, ...]:
-    """One jump operator L = sum_w sqrt(2 pi J_hat(w)) A_w per coupling."""
+    """One jump operator L = J o a = sum_w sqrt(2 pi J_hat(w)) A_w per coupling."""
     if spec.kind is not MEKind.ULE:
         raise ValueError("generator kind is not ule")
-    jumps = []
-    for ch in spec.channel_sets:
-        out = np.zeros((spec.dim, spec.dim), dtype=complex)
-        for w, aw in zip(ch.frequencies, ch.operators):
-            out += spec.rates.jump_amplitude[w] * aw
-        jumps.append(out)
-    return tuple(jumps)
+    return tuple(j * a for j, a in zip(spec.rates.rate, spec.couplings))
 
 
-def dissipator_ule(rho: np.ndarray, spec: GeneratorSpec,
-                   form: str = "jump") -> np.ndarray:
-    """Factorized-rate dissipator.
-
-    ``form="jump"`` applies one Lindblad jump operator per coupling
-    operator; ``form="double"`` evaluates the equivalent pair sums term by
-    term. Both agree to rounding and exist as independent routes for
-    cross-checks.
-    """
-    if spec.kind is not MEKind.ULE:
-        raise ValueError("generator kind is not ule")
+def dissipator_ule(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
+    """Factorized-rate dissipator in Lindblad form, one jump per coupling."""
     rho = _check_state(rho, spec.dim)
-    if form == "double":
-        return _double_sum(rho, spec)
-    if form != "jump":
-        raise ValueError(f"unknown ule dissipator form {form!r}")
     out = np.zeros_like(rho)
     for jump in ule_jump_operators(spec):
         jd = jump.conj().T
@@ -419,70 +407,14 @@ def dissipator_ule(rho: np.ndarray, spec: GeneratorSpec,
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class TTensorTerm:
-    """One sandwich term B_left rho B_right^+ with its blocking assignment.
-
-    ``i, j`` are the target and source subspaces of the left block and
-    ``l, k`` of the right block. ``blocked_by`` names the subspaces whose
-    hole occupancy scales this term, one entry per side (None for a side
-    that is exempt: diagonal blocks never block, and for the unified kind
-    any block in the zero-frequency cluster is exempt).
-    """
-
-    i: int
-    j: int
-    l: int
-    k: int
-    coefficient: complex
-    blocked_by: tuple[int | None, int | None]
-    left: np.ndarray
-    right: np.ndarray
-
-
-def _blockable(block, spec: GeneratorSpec) -> bool:
-    if block.is_diagonal:
-        return False
-    if spec.kind is MEKind.UME:
-        zc = spec.clusters.zero_cluster_index
-        if zc is not None and spec.clusters.index_of(block.frequency) == zc:
-            return False
-    return True
-
-
-def ttensor_terms(spec: GeneratorSpec) -> tuple[TTensorTerm, ...]:
-    """Expand the dissipator into per-block sandwich terms.
-
-    Terms with an exactly zero rate are dropped. The expansion is over
-    eigen-subspace blocks rather than whole channels so each term has a
-    well-defined pair of target subspaces for Pauli blocking.
-    """
-    terms = []
-    for ch in spec.channel_sets:
-        for p in ch.blocks:
-            for q in ch.blocks:
-                r = spec.pair_rate(p.frequency, q.frequency)
-                if r == 0:
-                    continue
-                key = (p.target if _blockable(p, spec) else None,
-                       q.target if _blockable(q, spec) else None)
-                terms.append(TTensorTerm(i=p.target, j=p.source, l=q.target,
-                                         k=q.source, coefficient=r,
-                                         blocked_by=key, left=p.op,
-                                         right=q.op))
-    return tuple(terms)
-
-
 def subspace_occupancies(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
     """Per-subspace occupancy: trace over the subspace divided by its size.
 
     Degenerate levels share a single occupancy so the blocking factor cannot
     split a degenerate multiplet.
     """
-    occ = np.empty(len(spec.subspaces))
-    for s, idx in enumerate(spec.subspaces):
-        occ[s] = np.real(np.trace(rho[np.ix_(idx, idx)])) / len(idx)
-    return occ
+    sub = spec.level_subspace
+    return np.bincount(sub, np.real(np.diagonal(rho))) / np.bincount(sub)
 
 
 def blocking_factors(rho: np.ndarray, spec: GeneratorSpec,
@@ -501,83 +433,48 @@ def blocking_factors(rho: np.ndarray, spec: GeneratorSpec,
 
 def dissipator_blocked(rho: np.ndarray, spec: GeneratorSpec,
                        occupancy_tol: float = OCCUPANCY_TOL) -> np.ndarray:
-    """Pauli-blocked dissipator.
+    """Pauli-blocked dissipator D(M o a, M o a).
 
-    Every sandwich term is scaled by sqrt(f_i * f_l) where f is the hole
-    occupancy of the subspace each side fills (factor 1 for exempt sides).
-    The square-root split keeps the generator Hermiticity-preserving and
-    trace-preserving and makes it annihilate rho = chi * identity exactly.
+    A term filling subspaces s and t (one per side) carries sqrt(f_s f_t),
+    with f the hole occupancy and 1 for exempt sides, which keeps the
+    generator trace- and Hermiticity-preserving and unital.
     """
     rho = _check_state(rho, spec.dim)
-    f = blocking_factors(rho, spec, occupancy_tol)
-    # each side contributes sqrt(f) of its own target, so the factor is
-    # symmetric under swapping the two sides and the diagonal-rate terms
-    # (both sides the same block) carry one full power of f
-    root = np.sqrt(f)
-    out = np.zeros_like(rho)
-    for t in spec.ttensor_terms():
-        bi, bl = t.blocked_by
-        factor = (root[bi] if bi is not None else 1.0) \
-            * (root[bl] if bl is not None else 1.0)
-        rd = t.right.conj().T
-        anti = rd @ t.left
-        out += (t.coefficient * factor) * (
-            t.left @ rho @ rd - 0.5 * (anti @ rho + rho @ anti))
-    return out
+    root = np.sqrt(blocking_factors(rho, spec, occupancy_tol))
+    rows = root[spec.level_subspace][:, None]
+    free, blk = spec.blocking_split
+    return dissipator(rho, spec, [f + rows * b for f, b in zip(free, blk)])
 
 
 def dissipator_action(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
-    """Dispatch to the dissipator matching the generator spec."""
+    """Blocked or unblocked dissipator, as the generator spec asks."""
     if spec.pauli_blocked:
         return dissipator_blocked(rho, spec)
-    if spec.kind is MEKind.RME:
-        return dissipator_rme(rho, spec)
-    if spec.kind is MEKind.UME:
-        return dissipator_ume(rho, spec)
-    return dissipator_ule(rho, spec)
+    return dissipator(_check_state(rho, spec.dim), spec)
 
 
 def lamb_shift_hamiltonian(spec: GeneratorSpec) -> np.ndarray:
-    """Hermitian level-shift operator for the generator kind.
+    """Hermitian level shift, summed over coupling operators.
 
-    rme: sum over frequency pairs of S(w, w') A_w'^+ A_w with the
-    principal-value coefficient S = (Gamma(w) - Gamma(w')^*) / 2i.
-    ume: the same restricted to pairs inside one cluster, with S evaluated
-    at the cluster center. ule: chained block products weighted by the
-    factorized principal-value coefficient. Coupling operators contribute
-    independently; no cross products between different couplings appear.
+    rme: (a^+ Lambda - Lambda^+ a) / 2i with Lambda = Gamma o a. ume: sum
+    over clusters of xi(center) A_c^+ A_c with A_c = 1_c o a. ule:
+    H_ik = sum_j S_hat(w_ij, w_jk) a_ij a_jk.
     """
     d = spec.dim
     out = np.zeros((d, d), dtype=complex)
-    if spec.kind is MEKind.RME:
-        for ch in spec.channel_sets:
-            for wp, ap in zip(ch.frequencies, ch.operators):
-                gp = spec.rates.one_sided[wp].conjugate()
-                for w, aw in zip(ch.frequencies, ch.operators):
-                    s = (spec.rates.one_sided[w] - gp) / 2j
-                    out += s * (ap.conj().T @ aw)
-    elif spec.kind is MEKind.UME:
-        if not spec.rates.center_lamb and spec.frequencies:
-            raise ValueError("rate table was built without Lamb coefficients")
-        for ch in spec.channel_sets:
-            for c in spec.clusters.clusters:
-                s = spec.rates.center_lamb[c.center]
-                members = [w for w in c.members if w in ch.frequencies]
-                for wp in members:
-                    ap = ch.operator(wp)
-                    for w in members:
-                        out += s * (ap.conj().T @ ch.operator(w))
-    else:
-        if not spec.rates.lamb_pairs and any(
-                ch.blocks for ch in spec.channel_sets):
-            raise ValueError("rate table was built without Lamb coefficients")
-        for ch in spec.channel_sets:
-            for b1 in ch.blocks:
-                for b2 in ch.blocks:
-                    if b1.source != b2.target:
-                        continue
-                    s = spec.rates.lamb_pairs[(b1.frequency, b2.frequency)]
-                    out += s * (b1.op @ b2.op)
+    if spec.kind is not MEKind.RME and spec.rates.lamb is None:
+        raise ValueError("rate table was built without Lamb coefficients")
+    for k, a in enumerate(spec.couplings):
+        if spec.kind is MEKind.RME:
+            lam = spec.rates.rate[k] * a
+            out += (a.conj().T @ lam - lam.conj().T @ a) / 2j
+        elif spec.kind is MEKind.UME:
+            s = spec.rates.lamb[k]
+            for _, m in spec.rate_factors[k]:
+                ac = m * a
+                out += ac.conj().T @ (s * ac)
+        else:
+            out += np.einsum("ij,ijk,jk->ik", a, spec.rates.lamb[k], a)
     if max_norm(out - out.conj().T) > 1e-10:
         raise RuntimeError("Lamb-shift construction lost Hermiticity")
     return hermitize(out)
@@ -587,17 +484,22 @@ def liouvillian_action(rho: np.ndarray, h: SystemHamiltonian,
                        spec: GeneratorSpec) -> np.ndarray:
     """Right-hand side of the master equation in the eigenbasis.
 
-    -i [H + H_LS, rho] + dissipator(rho), with H diagonal. The Lamb shift is
-    included only when the spec was built with lamb_shift=True.
+    -i [H + H_LS, rho] + dissipator(rho), with H diagonal and the Lamb shift
+    only for specs built with lamb_shift=True. Linear generators accept a
+    stack of states.
     """
     if h.dim != spec.dim:
         raise DimensionError("Hamiltonian and generator dimensions differ")
     rho = _check_state(rho, spec.dim)
+    heff = effective_hamiltonian(h, spec)
+    return -1j * (heff @ rho - rho @ heff) + dissipator_action(rho, spec)
+
+
+def effective_hamiltonian(h: SystemHamiltonian,
+                          spec: GeneratorSpec) -> np.ndarray:
+    """diag(E), plus the Lamb shift when the spec asks for it."""
     heff = np.diag(h.energies).astype(complex)
-    if spec.lamb_shift:
-        heff = heff + spec.lamb_hamiltonian()
-    out = -1j * (heff @ rho - rho @ heff)
-    return out + dissipator_action(rho, spec)
+    return heff + spec.lamb_hamiltonian() if spec.lamb_shift else heff
 
 
 def superoperator_matrix(h: SystemHamiltonian, spec: GeneratorSpec) -> np.ndarray:
@@ -610,21 +512,11 @@ def superoperator_matrix(h: SystemHamiltonian, spec: GeneratorSpec) -> np.ndarra
     if spec.pauli_blocked:
         raise NonlinearGeneratorError(
             "Pauli-blocked generators have no superoperator matrix")
-    d = spec.dim
-    eye = np.eye(d)
-    heff = np.diag(h.energies).astype(complex)
-    if spec.lamb_shift:
-        heff = heff + spec.lamb_hamiltonian()
+    eye = np.eye(spec.dim)
+    heff = effective_hamiltonian(h, spec)
     sup = -1j * (np.kron(eye, heff) - np.kron(heff.T, eye))
-    for ch in spec.channel_sets:
-        for wp, ap in zip(ch.frequencies, ch.operators):
-            apd = ap.conj().T
-            for w, aw in zip(ch.frequencies, ch.operators):
-                r = spec.pair_rate(w, wp)
-                if r == 0:
-                    continue
-                anti = apd @ aw
-                sup = sup + r * (np.kron(apd.T, aw)
-                                 - 0.5 * (np.kron(eye, anti)
-                                          + np.kron(anti.T, eye)))
-    return sup
+    anti = np.zeros_like(heff)
+    for left, right in weighted_pairs(spec, spec.couplings, spec.couplings):
+        sup += np.kron(right.T, left)
+        anti += right @ left
+    return sup - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))

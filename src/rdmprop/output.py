@@ -99,9 +99,8 @@ def write_channels_csv(spec, path) -> Path:
     path = Path(path)
     lines = [f"# format: {CHANNELS_FORMAT}",
              "coupling,frequency,op_max_norm,diagonal_rate"]
-    for ch in spec.channel_sets:
-        for w, op in zip(ch.frequencies, ch.operators):
-            rate = spec.rates.diagonal_rate(w, spec.clusters)
+    for ch, rates in zip(spec.channel_sets, spec.diagonal_rates()):
+        for w, op, rate in zip(ch.frequencies, ch.operators, rates):
             norm = float(np.max(np.abs(op)))
             lines.append(",".join([ch.label, _fmt(w), _fmt(norm), _fmt(rate)]))
     path.write_text("\n".join(lines) + "\n")

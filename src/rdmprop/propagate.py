@@ -3,8 +3,8 @@
 States are packed into a real vector (diagonal, then scaled real and
 imaginary upper-triangle parts) so the integrator works on a real ODE whose
 flow preserves Hermiticity exactly. Linear generators become a single dense
-real matrix; Pauli-blocked generators become a short sum of such matrices
-weighted by state-dependent blocking factors.
+real matrix; Pauli-blocked generators become a short stack of such matrices
+weighted by products of state-dependent blocking factors.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .core import DimensionError, OneRdm, PhysicalityError, SystemHamiltonian
+from .core import DimensionError, NumericalError, OneRdm, PhysicalityError, \
+    SystemHamiltonian
 from .generators import GeneratorSpec, NonlinearGeneratorError, \
-    liouvillian_action, superoperator_matrix
+    effective_hamiltonian, liouvillian_action, superoperator_matrix, \
+    weighted_pairs
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -32,41 +34,37 @@ def pack_hermitian(m: np.ndarray) -> np.ndarray:
 
     Layout: d diagonal entries, then sqrt(2) * real upper triangle, then
     sqrt(2) * imaginary upper triangle (row-major order of the triangle).
-    The scaling makes the map preserve the Frobenius inner product.
+    The scaling makes the map preserve the Frobenius inner product. Leading
+    batch axes are kept.
     """
     m = np.asarray(m)
-    d = m.shape[0]
-    iu = np.triu_indices(d, 1)
-    upper = m[iu]
-    return np.concatenate([np.real(np.diag(m)),
+    iu = np.triu_indices(m.shape[-1], 1)
+    upper = m[..., iu[0], iu[1]]
+    return np.concatenate([np.real(np.diagonal(m, axis1=-2, axis2=-1)),
                            _SQRT2 * np.real(upper),
-                           _SQRT2 * np.imag(upper)])
+                           _SQRT2 * np.imag(upper)], axis=-1)
 
 
 def unpack_hermitian(y: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of pack_hermitian."""
+    """Inverse of pack_hermitian, over the last axis."""
     y = np.asarray(y, dtype=float)
-    if y.size != dim * dim:
-        raise DimensionError(f"packed length {y.size} does not match "
+    if y.shape[-1:] != (dim * dim,):
+        raise DimensionError(f"packed length {y.shape[-1:]} does not match "
                              f"dimension {dim}")
     iu = np.triu_indices(dim, 1)
     k = iu[0].size
-    upper = (y[dim:dim + k] + 1j * y[dim + k:]) / _SQRT2
-    m = np.diag(y[:dim].astype(complex))
-    m[iu] = upper
-    m[(iu[1], iu[0])] = np.conj(upper)
+    upper = (y[..., dim:dim + k] + 1j * y[..., dim + k:]) / _SQRT2
+    m = np.zeros(y.shape[:-1] + (dim, dim), dtype=complex)
+    m[..., range(dim), range(dim)] = y[..., :dim]
+    m[..., iu[0], iu[1]] = upper
+    m[..., iu[1], iu[0]] = np.conj(upper)
     return m
 
 
 def _packed_matrix(action, dim: int) -> np.ndarray:
-    """Real matrix of a Hermiticity-preserving linear map in the packed basis."""
-    n = dim * dim
-    g = np.empty((n, n))
-    for col in range(n):
-        e = np.zeros(n)
-        e[col] = 1.0
-        g[:, col] = pack_hermitian(action(unpack_hermitian(e, dim)))
-    return g
+    """Real matrix of a Hermiticity-preserving linear map in the packed
+    basis, from one application to the stack of all basis states."""
+    return pack_hermitian(action(unpack_hermitian(np.eye(dim * dim), dim))).T
 
 
 def build_packed_generator(h: SystemHamiltonian,
@@ -79,64 +77,67 @@ def build_packed_generator(h: SystemHamiltonian,
     return _packed_matrix(lambda rho: liouvillian_action(rho, h, spec), h.dim)
 
 
-def _sandwich_action(terms):
-    def action(rho):
-        out = np.zeros_like(rho)
-        for t in terms:
-            rd = t.right.conj().T
-            anti = rd @ t.left
-            out += t.coefficient * (
-                t.left @ rho @ rd - 0.5 * (anti @ rho + rho @ anti))
-        return out
-    return action
-
-
 def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     """Right-hand side of a Pauli-blocked equation on packed vectors.
 
-    Terms are grouped by their blocking assignment; each group is a fixed
-    real matrix whose weight sqrt(f_i) * sqrt(f_l) is recomputed from the
-    subspace occupancies carried in the first d packed components. Factors
-    are clamped at zero instead of raising, so the integrator can survive
-    harmless rounding excursions; physicality is audited on the stored
-    trajectory afterwards.
+    With M o a = a_free + sum_s r_s P_s a_blk, where P_s keeps the rows of
+    subspace s and r_s = sqrt(chi - n_s), bilinearity makes the generator
+    sum_(p <= q) r_p r_q G_pq over the free part (p = 0, r_0 = 1) and the
+    subspaces, with (p, q) and (q, p) merged. One product with the stack of
+    the fixed real matrices G_pq evaluates them all. As P_s P_t = 0 for
+    s != t, every sandwich term is a row and column mask of four shared
+    products, and only pairs with a shared index carry anticommutators.
+    Factors are clamped at zero instead of raising, so the integrator
+    survives harmless rounding excursions; the stored trajectory is audited
+    afterwards.
     """
     if not spec.pauli_blocked:
         raise ValueError("generator spec is not Pauli-blocked")
-    d = h.dim
+    d, n = h.dim, h.dim * h.dim
+    free, blk = spec.blocking_split
+    sub = spec.level_subspace
+    rows = [(sub == s)[:, None] for s in range(len(spec.subspaces))]
+    basis = unpack_hermitian(np.eye(n), d)
+    # at most the pairs (0, 0), (0, s) and (s, t >= s)
+    stack = np.empty((1 + len(rows) * (len(rows) + 3) // 2, n, n))
+    keys = []
 
-    groups: dict[tuple, list] = {}
-    for t in spec.ttensor_terms():
-        groups.setdefault(t.blocked_by, []).append(t)
+    def sandwich(x, y):
+        return sum((left @ basis @ right for left, right
+                    in weighted_pairs(spec, x, y)), np.zeros_like(basis))
 
-    heff = np.diag(h.energies).astype(complex)
-    if spec.lamb_shift:
-        heff = heff + spec.lamb_hamiltonian()
+    def anti(*pairs):
+        a = sum((right @ left for x, y in pairs for left, right
+                 in weighted_pairs(spec, x, y)), np.zeros((d, d)))
+        return -0.5 * (a @ basis + basis @ a)
 
-    def unitary_action(rho):
-        return -1j * (heff @ rho - rho @ heff)
+    def add(key, image):
+        if key == (0, 0) or image.any():
+            stack[len(keys)] = pack_hermitian(image).T
+            keys.append(key)
 
-    g0 = _packed_matrix(unitary_action, d)
-    free = groups.pop((None, None), None)
-    if free is not None:
-        g0 = g0 + _packed_matrix(_sandwich_action(free), d)
+    heff = effective_hamiltonian(h, spec)
+    add((0, 0), -1j * (heff @ basis - basis @ heff) + sandwich(free, free)
+        + anti((free, free)))
+    fb, bf, bb = sandwich(free, blk), sandwich(blk, free), sandwich(blk, blk)
+    for s, row in enumerate(rows, start=1):
+        part = tuple(np.where(row, b, 0.0) for b in blk)
+        add((0, s), np.where(row.T, fb, 0.0) + np.where(row, bf, 0.0)
+            + anti((free, part), (part, free)))
+        add((s, s), np.where(row & row.T, bb, 0.0) + anti((part, part)))
+        for t, other in enumerate(rows[s:], start=s + 1):
+            add((s, t), np.where((row & other.T) | (other & row.T), bb, 0.0))
 
-    keys = list(groups)
-    mats = [_packed_matrix(_sandwich_action(groups[k]), d) for k in keys]
-    subspace_index = [np.asarray(idx) for idx in spec.subspaces]
+    first, second = np.array(keys).T
+    stack = stack[:len(keys)].reshape(-1, n)
+    average = np.zeros((len(rows), d))
+    average[sub, range(d)] = 1.0 / np.bincount(sub)[sub]
+    root = np.ones(len(rows) + 1)
     chi = spec.chi
 
     def rhs(t, y):
-        occ = np.array([y[idx].sum() / idx.size for idx in subspace_index])
-        root = np.sqrt(np.clip(chi - occ, 0.0, None))
-        dy = g0 @ y
-        for key, mat in zip(keys, mats):
-            bi, bl = key
-            factor = (root[bi] if bi is not None else 1.0) \
-                * (root[bl] if bl is not None else 1.0)
-            if factor != 0.0:
-                dy += factor * (mat @ y)
-        return dy
+        root[1:] = np.sqrt(np.maximum(chi - average @ y[:d], 0.0))
+        return (root[first] * root[second]) @ (stack @ y).reshape(-1, n)
 
     return rhs
 
@@ -198,17 +199,16 @@ def default_t_end(spec: GeneratorSpec) -> float:
 
     Channels whose diagonal decay rate is below 1e-6 of the fastest one
     (typically frozen uphill transitions) do not count as relevant. Raises
-    ValueError when no channel decays, in which case an explicit t_end is
-    required.
+    NumericalError (a ValueError) when no channel decays, in which case an
+    explicit t_end is required.
     """
-    rates = [spec.rates.diagonal_rate(w, spec.clusters)
-             for w in spec.frequencies]
-    rates = [r for r in rates if r > 0.0]
-    if not rates:
-        raise ValueError("no decaying channel; an explicit t_end is required")
-    floor = 1e-6 * max(rates)
-    slowest = min(r for r in rates if r >= floor)
-    return 20.0 / slowest
+    rates = np.concatenate(spec.diagonal_rates())
+    rates = rates[rates > 0.0]
+    if not rates.size:
+        raise NumericalError(
+            "no decaying channel; an explicit t_end is required")
+    floor = 1e-6 * rates.max()
+    return 20.0 / float(rates[rates >= floor].min())
 
 
 def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
@@ -262,7 +262,7 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         raise StiffnessError(f"integration stopped early: {sol.message}")
     elapsed = time.perf_counter() - started
 
-    states_eig = np.array([unpack_hermitian(col, h.dim) for col in sol.y.T])
+    states_eig = unpack_hermitian(sol.y.T, h.dim)
     populations = np.real(np.einsum("tii->ti", states_eig))
     states = np.einsum("ij,tjk,lk->til", h.eigenvectors, states_eig,
                        np.conj(h.eigenvectors))

@@ -64,24 +64,16 @@ def constraint_residual(h: SystemHamiltonian, spec: GeneratorSpec,
     entries = []
     pair_sum = np.zeros((spec.dim, spec.dim), dtype=complex)
     freqs = spec.frequencies
-    for w in freqs:
-        if w <= 0:
-            continue
-        comm = np.zeros((spec.dim, spec.dim), dtype=complex)
-        for ch in spec.channel_sets:
-            if w not in ch.frequencies:
-                continue
-            aw = ch.operator(w)
-            comm += aw @ aw.conj().T - aw.conj().T @ aw
-        down = spec.pair_rate(w, w)
-        up = spec.pair_rate(-w, -w) if -w in freqs else 0.0
-        asym = down - up
-        contribution = asym * comm
-        pair_sum += contribution
+    for w in (w for w in freqs if w > 0):
+        comm = sum(a @ a.conj().T - a.conj().T @ a
+                   for a in (ch.operator(w) for ch in spec.channel_sets
+                             if w in ch.frequencies))
+        asym = spec.pair_rate(w, w) - (spec.pair_rate(-w, -w)
+                                       if -w in freqs else 0.0)
+        pair_sum += asym * comm
         entries.append(ChannelAsymmetry(
-            frequency=w,
-            rate_asymmetry=complex(asym),
-            contribution_norm=max_norm(contribution)))
+            frequency=w, rate_asymmetry=complex(asym),
+            contribution_norm=max_norm(asym * comm)))
 
     norm = max_norm(residual)
     return ConstraintReport(

@@ -138,6 +138,45 @@ def test_run_surfaces_unphysical_states_as_runtime_failures(tmp_path,
     assert "violate" in capsys.readouterr().err
 
 
+def _write_scenario(tmp_path, coupling, schedule):
+    scenario = Scenario.from_dict({
+        "name": "numerical",
+        "chi": 1.0,
+        "hamiltonian": {"energies": [-0.5, 0.5]},
+        "coupling_operators": [{"label": "c", "matrix": coupling}],
+        "initial_state": {"occupations": [0.0, 1.0]},
+        "bath": {"lambda": 0.01, "temperature": 50.0},
+        "generator": {"kind": "ule"},
+        "schedule": schedule,
+    })
+    path = tmp_path / "numerical.json"
+    save_scenario(scenario, path)
+    return str(path)
+
+
+def test_run_without_a_decaying_channel_exits_one(tmp_path, capsys):
+    path = _write_scenario(tmp_path, [[0.0, 0.0], [0.0, 0.0]],
+                           {"samples": 3})
+    code = main(["run", "--scenario", path, "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert "no decaying channel" in capsys.readouterr().err
+
+
+def test_run_with_non_finite_rates_exits_one(tmp_path, capsys):
+    # an infinite temperature makes the zero-frequency rate kT infinite
+    path = _write_scenario(tmp_path, [[1.0, 1.0], [1.0, 0.0]],
+                           {"t_end": 10.0, "samples": 3})
+    code = main(["run", "--scenario", path, "--temperature", "inf",
+                 "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_bad_option_value_exits_two(capsys):
+    assert main(["run", *ladder_args(), "--samples", "many"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert main(["polish"]) == 2
     assert main(["--help"]) == 0

@@ -1,0 +1,17 @@
+"""The package namespace exports exactly what it imports."""
+
+import types
+
+import rdmprop
+
+
+def test_every_exported_name_imports():
+    namespace = {}
+    exec(f"from rdmprop import {', '.join(rdmprop.__all__)}", namespace)
+    assert all(name in namespace for name in rdmprop.__all__)
+    assert len(set(rdmprop.__all__)) == len(rdmprop.__all__)
+    # the names __init__ binds, submodules aside, are the exported ones
+    bound = {name for name, value in vars(rdmprop).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert bound | {"__version__"} == set(rdmprop.__all__)
