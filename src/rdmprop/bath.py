@@ -11,6 +11,7 @@ Units: energies in Hartree, temperature in Kelvin, time in atomic units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,9 +31,15 @@ class QuadratureError(RuntimeError):
 
 
 def drude_lorentz(omega, lam: float):
-    """Drude-Lorentz spectral density J(w) = w lam^2 / (w^2 + lam^2); odd in w."""
-    omega = np.asarray(omega, dtype=float)
-    out = omega * lam**2 / (omega**2 + lam**2)
+    """Drude-Lorentz spectral density J(w) = w lam^2 / (w^2 + lam^2); odd in w.
+
+    J is homogeneous of degree one, so it is evaluated on w and lam divided
+    by the power of two just above lam: the division is exact, the rounding is
+    that of the plain formula, and lam^2 stays finite for any finite lam.
+    """
+    scale = 2.0 ** math.frexp(lam)[1]
+    omega, lam = np.asarray(omega, dtype=float) / scale, lam / scale
+    out = scale * (omega * lam**2 / (omega**2 + lam**2))
     return out if out.ndim else float(out)
 
 

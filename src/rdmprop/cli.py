@@ -237,7 +237,7 @@ def _cmd_bench(args) -> int:
         blocked = scenario.pauli_blocked
         print(f"{name:12s} kind={scenario.kind.value} blocked={blocked} "
               f"t_end={traj.metadata['t_end']:.6g} wall={wall:.3f}s "
-              f"nfev={nfev}")
+              f"method={traj.metadata['method']} nfev={nfev}")
         print(f"{'':12s} final populations "
               f"{np.array2string(traj.populations[-1], precision=6)}")
         rows.append([name, scenario.kind.value, int(blocked),

@@ -1,10 +1,14 @@
 """Time propagation of 1-RDM master equations.
 
 States are packed into a real vector (diagonal, then scaled real and
-imaginary upper-triangle parts) so the integrator works on a real ODE whose
-flow preserves Hermiticity exactly. Linear generators become a single dense
-real matrix; Pauli-blocked generators become a short stack of such matrices
-weighted by products of state-dependent blocking factors.
+imaginary upper-triangle parts) so every route works on a real equation
+whose flow preserves Hermiticity exactly. Linear generators become a single
+dense real matrix G and are stepped exactly on the sample grid with
+exp(G dt), one exponential per distinct sample interval. Pauli-blocked
+generators become a short stack of such matrices weighted by products of
+state-dependent blocking factors, and are integrated adaptively (DOP853 by
+default). ``Schedule.method`` names a solve_ivp method to force adaptive
+integration for linear generators too.
 """
 
 from __future__ import annotations
@@ -142,17 +146,30 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     return rhs
 
 
+ADAPTIVE_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
+
+
 @dataclass
 class Schedule:
-    """Integration window and solver settings."""
+    """Integration window and solver settings.
+
+    ``method`` None takes the route the generator's structure allows: exact
+    stepping on the sample grid for linear generators, DOP853 for blocked
+    ones. A solve_ivp method name forces adaptive integration for both.
+    ``rtol`` and ``atol`` apply to adaptive integration only.
+    """
 
     t_end: float | None = None
     samples: int = 400
     rtol: float = 1e-9
     atol: float = 1e-11
-    method: str = "DOP853"
+    method: str | None = None
 
     def __post_init__(self):
+        if self.method is not None and self.method not in ADAPTIVE_METHODS:
+            raise ValueError(f"method must be one of "
+                             f"{', '.join(ADAPTIVE_METHODS)} or omitted, "
+                             f"got {self.method!r}")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
         if self.rtol <= 0 or self.atol <= 0:
@@ -215,12 +232,14 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
                     schedule: Schedule | None = None,
                     t_eval: np.ndarray | None = None,
                     verify_expm: bool = False) -> Trajectory:
-    """Integrate one initial state and sample it on a uniform grid.
+    """Propagate one initial state and sample it on a uniform grid.
 
-    ``rho0`` is given in the original basis (a matrix or OneRdm). With
-    ``verify_expm`` the linear generator is also stepped with dense matrix
-    exponentials and the maximum population deviation is recorded in the
-    metadata.
+    ``rho0`` is given in the original basis (a matrix or OneRdm). The
+    metadata records the route taken as ``method``: "expm" for exact
+    stepping, else the solve_ivp method. With ``verify_expm`` the linear
+    generator is also propagated through its Kronecker superoperator
+    (``expm_propagate``) and the maximum population deviation is recorded
+    in the metadata.
     """
     if schedule is None:
         schedule = Schedule()
@@ -243,10 +262,11 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
     else:
         t_eval = np.asarray(t_eval, dtype=float)
         t_end = float(t_eval[-1])
+        if t_eval[0] < 0.0 or np.any(np.diff(t_eval) < 0.0):
+            raise ValueError("t_eval must be non-negative and sorted")
 
-    rho0_eig = h.to_eigenbasis(rho0)
-    y0 = pack_hermitian(rho0_eig)
-
+    y0 = pack_hermitian(h.to_eigenbasis(rho0))
+    method = schedule.method or ("DOP853" if spec.pauli_blocked else "expm")
     if spec.pauli_blocked:
         fun = build_blocked_rhs(h, spec)
     else:
@@ -256,13 +276,17 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
             return gmat @ y
 
     started = time.perf_counter()
-    sol = solve_ivp(fun, (0.0, t_end), y0, method=schedule.method,
-                    t_eval=t_eval, rtol=schedule.rtol, atol=schedule.atol)
-    if not sol.success:
-        raise StiffnessError(f"integration stopped early: {sol.message}")
+    if method == "expm":
+        ys, nfev = _step_on_grid(gmat, y0, t_eval), 0
+    else:
+        sol = solve_ivp(fun, (0.0, t_end), y0, method=method, t_eval=t_eval,
+                        rtol=schedule.rtol, atol=schedule.atol)
+        if not sol.success:
+            raise StiffnessError(f"integration stopped early: {sol.message}")
+        ys, nfev = sol.y.T, sol.nfev
     elapsed = time.perf_counter() - started
 
-    states_eig = unpack_hermitian(sol.y.T, h.dim)
+    states_eig = unpack_hermitian(ys, h.dim)
     populations = np.real(np.einsum("tii->ti", states_eig))
     states = np.einsum("ij,tjk,lk->til", h.eigenvectors, states_eig,
                        np.conj(h.eigenvectors))
@@ -274,10 +298,10 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         "chi": spec.chi,
         "t_end": t_end,
         "samples": int(len(t_eval)),
-        "method": schedule.method,
+        "method": method,
         "rtol": schedule.rtol,
         "atol": schedule.atol,
-        "rhs_evaluations": int(sol.nfev),
+        "rhs_evaluations": int(nfev),
         "wall_time_s": elapsed,
     }
     traj = Trajectory(times=t_eval.copy(), states=states,
@@ -294,34 +318,40 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
     return traj
 
 
+def _step_on_grid(generator: np.ndarray, y0: np.ndarray,
+                 times: np.ndarray) -> np.ndarray:
+    """Exact samples y(t) = exp(generator t) y0 of a linear equation.
+
+    ``y0`` is the state at t = 0; a grid starting at t_0 > 0 first applies
+    exp(generator t_0). A uniform grid reuses one exponential; otherwise
+    each interval gets its own. Returns shape (len(times), len(y0)).
+    """
+    out = np.empty((times.size, y0.size), dtype=np.result_type(generator, y0))
+    out[0] = y0 if times[0] == 0.0 else expm(generator * times[0]) @ y0
+    steps = np.diff(times)
+    uniform = steps.size and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+    step = expm(generator * steps[0]) if uniform else None
+    for k, dt in enumerate(steps, start=1):
+        out[k] = (step if uniform else expm(generator * dt)) @ out[k - 1]
+    return out
+
+
 def expm_propagate(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
                    times: np.ndarray) -> np.ndarray:
-    """Independent propagation route through dense matrix exponentials.
+    """Independent propagation route through the Kronecker superoperator.
 
-    Raises for Pauli-blocked specs (no linear superoperator exists). On a
-    uniform grid one exponential is reused; otherwise each time gets its
-    own. Returns states in the original basis, shaped (n, d, d).
+    Raises for Pauli-blocked specs (no linear superoperator exists). Steps
+    the column-major vectorised eigenbasis state with ``_step_on_grid``.
+    Returns states in the original basis, shaped (n, d, d).
     """
     if isinstance(rho0, OneRdm):
         rho0 = rho0.data
     sup = superoperator_matrix(h, spec)
     d = h.dim
-    rho_eig = h.to_eigenbasis(np.asarray(rho0, dtype=complex))
-    vec = rho_eig.flatten(order="F")
-    times = np.asarray(times, dtype=float)
-
-    diffs = np.diff(times)
-    out_eig = np.empty((times.size, d, d), dtype=complex)
-    if diffs.size and np.allclose(diffs, diffs[0], rtol=1e-9, atol=0.0):
-        step = expm(sup * diffs[0])
-        cur = vec if times[0] == 0.0 else expm(sup * times[0]) @ vec
-        out_eig[0] = cur.reshape((d, d), order="F")
-        for k in range(1, times.size):
-            cur = step @ cur
-            out_eig[k] = cur.reshape((d, d), order="F")
-    else:
-        for k, t in enumerate(times):
-            out_eig[k] = (expm(sup * t) @ vec).reshape((d, d), order="F")
+    vec = h.to_eigenbasis(np.asarray(rho0, dtype=complex)).flatten(order="F")
+    vecs = _step_on_grid(sup, vec, np.asarray(times, dtype=float))
+    # row-major reshape of a column-major vector gives the transpose
+    out_eig = vecs.reshape(-1, d, d).transpose(0, 2, 1)
     return np.einsum("ij,tjk,lk->til", h.eigenvectors, out_eig,
                      np.conj(h.eigenvectors))
 

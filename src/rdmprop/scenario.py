@@ -149,7 +149,7 @@ class Scenario:
         if self.schedule.t_end is not None:
             sched["t_end"] = self.schedule.t_end
         for key, default in (("samples", 400), ("rtol", 1e-9),
-                             ("atol", 1e-11), ("method", "DOP853")):
+                             ("atol", 1e-11), ("method", None)):
             value = getattr(self.schedule, key)
             if value != default:
                 sched[key] = value
@@ -307,7 +307,7 @@ class Scenario:
                 samples=int(sched_d.get("samples", 400)),
                 rtol=float(sched_d.get("rtol", 1e-9)),
                 atol=float(sched_d.get("atol", 1e-11)),
-                method=str(sched_d.get("method", "DOP853")))
+                method=sched_d.get("method"))
         except (TypeError, ValueError) as err:
             raise ScenarioError(f"scenario.schedule: {err}") from err
 

@@ -218,6 +218,7 @@ def test_criterion_7_adaptive_rk_matches_matrix_exponential(
         scenario = builtin_benzene(kind=kind,
                                    clustering_threshold=threshold,
                                    t_end=16000.0, samples=9)
+    scenario.schedule = Schedule(t_end=16000.0, samples=9, method="DOP853")
     traj = integrate(scenario, verify_expm=True)
     assert traj.metadata["expm_max_population_deviation"] < 1e-8
 

@@ -120,6 +120,13 @@ def test_drude_lorentz_shape():
                         grid * LAM**2 / (grid**2 + LAM**2), rtol=1e-15)
 
 
+def test_drude_lorentz_survives_huge_widths():
+    # lam^2 overflows a float here; for |w| << lam the density is J = w
+    assert drude_lorentz(0.5, 1e200) == 0.5
+    npt.assert_allclose(drude_lorentz(np.array([-0.5, 0.0, 3.0]), 1e200),
+                        [-0.5, 0.0, 3.0], rtol=1e-15)
+
+
 def test_bose_einstein_basics():
     with pytest.raises(ValueError):
         bose_einstein(0.0, 300.0)

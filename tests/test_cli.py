@@ -172,6 +172,43 @@ def test_run_with_non_finite_rates_exits_one(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def _two_level_file(tmp_path, bath, schedule):
+    path = tmp_path / "two-level.json"
+    path.write_text(json.dumps({
+        "name": "two-level",
+        "chi": 1.0,
+        "hamiltonian": {"energies": [-0.25, 0.25]},
+        "coupling_operators": [{"label": "x",
+                                "matrix": [[0.0, 1.0], [1.0, 0.0]]}],
+        "initial_state": {"occupations": [0.0, 1.0]},
+        "bath": bath,
+        "generator": {"kind": "ule"},
+        "schedule": schedule,
+    }))
+    return str(path)
+
+
+def test_run_with_a_huge_bath_width_exits_zero(tmp_path):
+    # lam^2 overflows a float at this width
+    path = _two_level_file(tmp_path, {"lambda": 1e200, "temperature": 300.0},
+                           {"t_end": 100.0, "samples": 5})
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdmprop.cli", "run", "--scenario", path,
+         "--output-dir", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "two-level.csv").exists()
+
+
+def test_run_with_an_unknown_schedule_method_exits_two(tmp_path, capsys):
+    path = _two_level_file(tmp_path, {"lambda": 0.01, "temperature": 50.0},
+                           {"method": "DOP835"})
+    code = main(["run", "--scenario", path, "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "DOP835" in capsys.readouterr().err
+
+
 def test_bad_option_value_exits_two(capsys):
     assert main(["run", *ladder_args(), "--samples", "many"]) == 2
     assert "invalid int value" in capsys.readouterr().err

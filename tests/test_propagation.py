@@ -67,6 +67,9 @@ def test_schedule_validation():
         Schedule(atol=-1e-12)
     with pytest.raises(ValueError):
         Schedule(t_end=0.0)
+    with pytest.raises(ValueError, match="rk45"):
+        Schedule(method="rk45")
+    assert Schedule().method is None
 
 
 def test_default_t_end_is_twenty_slowest_lifetimes():
@@ -133,7 +136,8 @@ def test_blocked_rhs_survives_overfull_rounding_excursions():
 def test_adaptive_and_exponential_routes_agree():
     setup = builtin_three_level(kind="ule", temperature=50.0).build()
     traj = propagate_state(setup.hamiltonian, setup.spec, setup.rho0,
-                           Schedule(t_end=16000.0, samples=17),
+                           Schedule(t_end=16000.0, samples=17,
+                                    method="DOP853"),
                            verify_expm=True)
     assert traj.metadata["expm_max_population_deviation"] < 1e-8
 
@@ -170,9 +174,10 @@ def test_trace_is_conserved_along_trajectories(
 
 def test_halving_tolerances_barely_moves_final_populations():
     base = builtin_benzene(kind="ule", t_end=16000.0, samples=9)
+    base.schedule = Schedule(t_end=16000.0, samples=9, method="DOP853")
     tight = builtin_benzene(kind="ule", t_end=16000.0, samples=9)
     tight.schedule = Schedule(t_end=16000.0, samples=9,
-                              rtol=0.5e-9, atol=0.5e-11)
+                              rtol=0.5e-9, atol=0.5e-11, method="DOP853")
     a, b = integrate(base), integrate(tight)
     dev = float(np.max(np.abs(a.populations[-1] - b.populations[-1])))
     assert dev < 10.0 * base.schedule.rtol
@@ -251,3 +256,90 @@ def test_propagate_state_validates_inputs():
         propagate_state(setup.hamiltonian, setup.spec, wrong_chi)
     with pytest.raises(DimensionError):
         propagate_state(setup.hamiltonian, setup.spec, np.eye(4))
+
+
+def _unblocked(system, kind, **kwargs):
+    build = builtin_three_level if system == "three-level" \
+        else builtin_benzene
+    return build(kind=kind, t_end=16000.0, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["rme", "ume", "ule"])
+@pytest.mark.parametrize("system", ["three-level", "benzene"])
+def test_exact_route_matches_tight_adaptive_integration(system, kind):
+    exact = integrate(_unblocked(system, kind, samples=41))
+    adaptive = _unblocked(system, kind)
+    adaptive.schedule = Schedule(t_end=16000.0, samples=41, rtol=1e-11,
+                                 atol=1e-13, method="DOP853")
+    reference = integrate(adaptive)
+    assert exact.metadata["method"] == "expm"
+    assert reference.metadata["method"] == "DOP853"
+    deviation = float(np.max(np.abs(exact.states - reference.states)))
+    assert deviation < 1e-8, deviation
+    traces = np.real(np.einsum("tii->t", exact.states))
+    assert float(np.max(np.abs(traces - traces[0]))) < 1e-12
+
+
+@pytest.mark.parametrize("times", [[0.0, 700.0, 1000.0, 5000.0],
+                                   [1000.0, 2000.0, 3000.0],
+                                   [300.0, 700.0, 5000.0],
+                                   [2500.0]])
+def test_exact_route_matches_kronecker_route_on_any_grid(times):
+    setup = builtin_benzene(kind="rme").build()
+    times = np.array(times)
+    states = expm_propagate(setup.hamiltonian, setup.spec, setup.rho0, times)
+    traj = propagate_state(setup.hamiltonian, setup.spec, setup.rho0,
+                           t_eval=times)
+    assert traj.metadata["method"] == "expm"
+    npt.assert_allclose(traj.states, states, atol=1e-12)
+
+
+def test_propagation_rejects_unsorted_or_negative_grids():
+    setup = builtin_three_level(kind="ule").build()
+    for times in ([0.0, 200.0, 100.0], [-1.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="t_eval"):
+            propagate_state(setup.hamiltonian, setup.spec, setup.rho0,
+                            t_eval=np.array(times))
+
+
+def test_metadata_records_the_route_taken():
+    linear = integrate(_unblocked("three-level", "ule", samples=5))
+    assert linear.metadata["method"] == "expm"
+    assert linear.metadata["rhs_evaluations"] == 0
+    blocked = integrate(builtin_three_level(kind="ume", pauli_blocked=True,
+                                            t_end=400.0, samples=5))
+    assert blocked.metadata["method"] == "DOP853"
+    assert blocked.metadata["rhs_evaluations"] > 0
+    forced = _unblocked("three-level", "ume")
+    forced.schedule = Schedule(t_end=400.0, samples=5, method="RK45")
+    forced = integrate(forced)
+    assert forced.metadata["method"] == "RK45"
+    assert forced.metadata["rhs_evaluations"] > 0
+
+
+def test_hole_copropagation_takes_the_exact_route():
+    exact = integrate(_unblocked("benzene", "rme", samples=9,
+                                 copropagate_hole=True))
+    assert exact.hole.metadata["method"] == "expm"
+    assert exact.hole.metadata["rhs_evaluations"] == 0
+    adaptive = _unblocked("benzene", "rme", copropagate_hole=True)
+    adaptive.schedule = Schedule(t_end=16000.0, samples=9, rtol=1e-11,
+                                 atol=1e-13, method="DOP853")
+    adaptive = integrate(adaptive)
+    assert adaptive.hole.metadata["method"] == "DOP853"
+    npt.assert_allclose(exact.hole.states, adaptive.hole.states, atol=1e-8)
+    npt.assert_allclose(exact.defect, adaptive.defect, atol=1e-8)
+
+
+def test_scenario_roundtrip_keeps_default_and_explicit_method_apart():
+    from rdmprop.scenario import Scenario
+
+    default = builtin_three_level(kind="ule", t_end=400.0, samples=5)
+    explicit = builtin_three_level(kind="ule", t_end=400.0, samples=5)
+    explicit.schedule = Schedule(t_end=400.0, samples=5, method="DOP853")
+    assert "method" not in default.to_dict()["schedule"]
+    assert explicit.to_dict()["schedule"]["method"] == "DOP853"
+    assert Scenario.from_dict(default.to_dict()).schedule.method is None
+    assert Scenario.from_dict(explicit.to_dict()).schedule.method == "DOP853"
+    assert integrate(Scenario.from_dict(explicit.to_dict())) \
+        .metadata["method"] == "DOP853"

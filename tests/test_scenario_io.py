@@ -193,6 +193,13 @@ def test_schedule_and_flags_parse():
     assert out["schedule"]["method"] == "RK45"
 
 
+def test_unknown_schedule_method_is_rejected():
+    d = minimal_dict()
+    d["schedule"] = {"method": "DOP835"}
+    with pytest.raises(ScenarioError, match="scenario.schedule.*DOP835"):
+        Scenario.from_dict(d)
+
+
 def test_integer_chi_is_accepted():
     d = minimal_dict()
     d["chi"] = 2
