@@ -1,16 +1,21 @@
-"""Bosonic bath model and spectral functions.
+"""Drude-Lorentz bath: spectral functions and principal-value integrals.
 
-Implements the Drude-Lorentz spectral density, Bose-Einstein occupancy, the
-full-Fourier-transform spectral function (used by the universal Lindblad
-equation), the one-sided spectral function with its Cauchy principal-value
-integral (Redfield and unified equations), and the principal-value Lamb-shift
-coefficients of the universal Lindblad equation.
+The bath is the Drude-Lorentz spectral density J(w) = w lam^2/(w^2 + lam^2)
+with Bose-Einstein occupancy at a temperature. From it come the
+full-Fourier-transform spectral function Gamma_hat (universal Lindblad
+equation), the one-sided spectral function pi Gamma_hat + i xi with its
+Cauchy principal-value integral xi (Redfield and unified equations), and the
+principal-value Lamb-shift coefficient S_hat of the universal Lindblad
+equation. Each has one evaluation path: one occupancy, one Gamma_hat for a
+frequency or an array of them, and one composite Gauss-Legendre rule whose
+integrals must agree under node doubling.
 
 Units: energies in Hartree, temperature in Kelvin, time in atomic units.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -43,35 +48,35 @@ def drude_lorentz(omega, lam: float):
     return out if out.ndim else float(out)
 
 
-def bose_einstein(omega: float, temperature: float, k_b: float = K_B) -> float:
+def _occupancy(omega, kt: float) -> np.ndarray:
+    """Bose-Einstein N(w) at w > 0; 0.0 where w/kT overflows, and at kT = 0."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n = 1.0 / np.expm1(np.asarray(omega, dtype=float) / kt)
+    return np.where(np.isfinite(n), n, 0.0)
+
+
+def bose_einstein(omega: float, temperature: float) -> float:
     """Bose-Einstein occupancy at omega > 0. Underflows to 0.0 at large w/kT."""
     if omega <= 0:
         raise ValueError("occupancy is defined for strictly positive frequency")
-    if temperature == 0:
-        return 0.0
-    x = omega / (k_b * temperature)
-    # np.expm1 saturates to inf instead of raising, so 1/inf -> 0.0.
-    return float(1.0 / np.expm1(x))
+    return float(_occupancy(omega, K_B * temperature))
 
 
 @dataclass(eq=False)
 class BathModel:
-    """Bath parameters plus quadrature configuration.
+    """Drude-Lorentz bath at a temperature, plus quadrature configuration.
 
     ``lam`` is the Drude-Lorentz width (the conventional symbol lambda is a
     Python keyword). ``pv_cutoff=None`` selects an automatic cutoff of
     100 * max(lam, |w0|, kT) per integral; explicit cutoffs below
-    50 * max(lam, |w0|) are rejected. ``density`` may override the spectral
-    density with any odd function vanishing at 0; the closed-form integral
-    tail is only applied for the built-in Drude-Lorentz density.
+    50 * max(lam, |w0|) are rejected. ``pv_points`` is the node budget of the
+    coarse pass of each principal-value integral.
     """
 
     lam: float
     temperature: float
-    k_b: float = K_B
     pv_cutoff: float | None = None
     pv_points: int = 2048
-    density: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -81,17 +86,9 @@ class BathModel:
         if self.pv_points < 64:
             raise ValueError("pv_points below 64 cannot resolve the integrands")
 
-    def spectral_density(self, omega):
-        if self.density is not None:
-            return self.density(np.asarray(omega, dtype=float))
-        return drude_lorentz(omega, self.lam)
-
     @property
     def thermal_energy(self) -> float:
-        return self.k_b * self.temperature
-
-    def occupancy(self, omega: float) -> float:
-        return bose_einstein(omega, self.temperature, self.k_b)
+        return K_B * self.temperature
 
     def cutoff_for(self, *frequencies: float) -> float:
         fmax = max((abs(f) for f in frequencies), default=0.0)
@@ -104,81 +101,68 @@ class BathModel:
         return float(self.pv_cutoff)
 
 
-def _gamma_hat_array(omega: np.ndarray, bath: BathModel) -> np.ndarray:
-    """Vectorized full-FT spectral function over an array of frequencies."""
-    omega = np.asarray(omega, dtype=float)
-    j_abs = np.asarray(bath.spectral_density(np.abs(omega)), dtype=float)
-    if bath.temperature == 0:
-        return np.where(omega > 0, j_abs, 0.0)
-    kt = bath.thermal_energy
-    with np.errstate(over="ignore", divide="ignore"):
-        occ = 1.0 / np.expm1(np.abs(omega) / kt)
-    occ = np.where(np.isfinite(occ), occ, 0.0)
-    pos = j_abs * (occ + 1.0)
-    neg = j_abs * occ
-    return np.where(omega > 0, pos, np.where(omega < 0, neg, kt))
-
-
-def spectral_function_ule(omega: float, bath: BathModel) -> float:
-    """Full-FT bath spectral function.
+def spectral_function_ule(omega, bath: BathModel):
+    """Full-FT bath spectral function Gamma_hat at a frequency or an array.
 
     J(w)(N(w)+1) for w > 0 and J(-w)N(-w) for w < 0. Both one-sided limits at
-    w = 0 equal kT for a density with J(w) ~ w, and that limit is returned
-    there (0 at zero temperature). Nonnegative everywhere.
+    w = 0 equal kT, and that is returned there (0 at zero temperature).
+    Nonnegative everywhere.
     """
-    if omega == 0.0:
-        if bath.temperature == 0:
-            return 0.0
-        if bath.density is None:
-            return bath.thermal_energy
-        # slope of a custom density at the origin sets the w -> 0 limit
-        h = 1e-6 * bath.lam
-        slope = float(bath.spectral_density(h)) / h
-        return slope * bath.thermal_energy
-    return float(_gamma_hat_array(np.array(omega), bath))
+    omega = np.asarray(omega, dtype=float)
+    j = drude_lorentz(np.abs(omega), bath.lam)
+    n = _occupancy(np.abs(omega), bath.thermal_energy)
+    out = np.where(omega > 0, j * (n + 1.0),
+                   np.where(omega < 0, j * n, bath.thermal_energy))
+    return out if out.ndim else float(out)
 
 
-def ule_rate(omega: float, bath: BathModel) -> float:
+def ule_rate(omega, bath: BathModel):
     """Jump-operator amplitude sqrt(2 pi Gamma_hat(w)); real and nonnegative."""
-    g = spectral_function_ule(omega, bath)
-    if g < 0:
-        raise RuntimeError("spectral function went negative; invalid bath")
-    return float(np.sqrt(2.0 * np.pi * g))
+    out = np.sqrt(2.0 * np.pi * spectral_function_ule(omega, bath))
+    return out if np.ndim(out) else float(out)
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_nodes(order: int):
-    # cached Gauss-Legendre rules; order is bounded by _panel_order
-    rule = _gauss_nodes._cache.get(order)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(order)
-        _gauss_nodes._cache[order] = rule
-    return rule
+    # order is at most 512, so the cache stays small
+    return np.polynomial.legendre.leggauss(order)
 
 
-_gauss_nodes._cache = {}
-
-
-def _panel_order(points: int, n_panels: int) -> int:
-    return int(min(max(points // max(n_panels, 1), 8), 512))
-
-
-def _integrate_panels(f, edges: np.ndarray, order: int, skip=None) -> float:
+def _integrate_panels(f, edges: np.ndarray, points: int, skip=None) -> float:
     """Composite Gauss-Legendre over consecutive edge pairs.
 
-    ``skip`` is an (a, b) interval whose interior panels are excluded (the
-    principal-value excision window).
+    The node budget ``points`` is shared evenly by the panels (8 to 512
+    nodes each). Empty panels are dropped, and so are panels whose midpoint
+    lies inside ``skip``, an (a, b) principal-value excision window. ``f`` is
+    called once, on the nodes of every kept panel (one row per panel).
     """
-    x, w = _gauss_nodes(order)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 0:
-            continue
-        mid = 0.5 * (a + b)
-        if skip is not None and skip[0] < mid < skip[1]:
-            continue
-        half = 0.5 * (b - a)
-        total += half * float(np.sum(w * f(mid + half * x)))
-    return total
+    x, w = _gauss_nodes(int(min(max(points // max(len(edges) - 1, 1), 8), 512)))
+    a, b = edges[:-1], edges[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    keep = b - a > 0
+    if skip is not None:
+        keep &= ~((skip[0] < mid) & (mid < skip[1]))
+    mid, half = mid[keep], half[keep]
+    panels = np.sum(w * f(mid[:, None] + half[:, None] * x), axis=1)
+    return float(np.sum(half * panels))
+
+
+def _self_converged(quadrature: Callable[[int], float], points: int,
+                    label: str) -> float:
+    """Fine value of ``quadrature`` at 2 * points, checked against points.
+
+    Raises QuadratureError if either value is not finite, or if the two
+    differ by more than 1e-6 relative and 1e-14 absolute.
+    """
+    coarse, fine = quadrature(points), quadrature(2 * points)
+    if not (np.isfinite(coarse) and np.isfinite(fine)):
+        raise QuadratureError(
+            f"{label} is not finite: {coarse:.3e} vs {fine:.3e}")
+    diff = abs(fine - coarse)
+    if diff > 1e-6 * max(abs(fine), abs(coarse), 1e-300) and diff > 1e-14:
+        raise QuadratureError(
+            f"{label} did not converge: {coarse:.3e} vs {fine:.3e}")
+    return fine
 
 
 def _geometric_edges(start: float, stop: float, factor: float = 2.0) -> list[float]:
@@ -220,60 +204,43 @@ def _xi_edges(bath: BathModel, cutoff: float, pole: float | None,
 
 
 def _xi_quadrature(omega0: float, bath: BathModel, points: int, cutoff: float) -> float:
-    kt = bath.thermal_energy
-    lam = bath.lam
-
-    def occ(w):
-        if bath.temperature == 0:
-            return np.zeros_like(w)
-        with np.errstate(over="ignore", divide="ignore"):
-            n = 1.0 / np.expm1(w / kt)
-        return np.where(np.isfinite(n), n, 0.0)
+    kt, lam = bath.thermal_energy, bath.lam
 
     if abs(omega0) < _ZERO_FREQ:
         # the occupancies cancel exactly at w0 = 0: integrand is -J(w)/w
-        def f(w):
-            return -np.asarray(bath.spectral_density(w)) / w
-
         edges, _ = _xi_edges(bath, cutoff, None, 0.0)
-        order = _panel_order(points, len(edges) - 1)
-        total = _integrate_panels(f, edges, order)
-        tail = -lam**2 / cutoff if bath.density is None else 0.0
-        return total + tail
+        total = _integrate_panels(lambda w: -drude_lorentz(w, lam) / w, edges,
+                                  points)
+        return total - lam * (lam / cutoff)
 
     pole = abs(omega0)
     delta = min(1e-4 * max(lam, pole), 0.5 * pole)
 
     def f(w):
-        j = np.asarray(bath.spectral_density(w))
-        n = occ(w)
-        return j * (n / (omega0 + w) + (n + 1.0) / (omega0 - w))
+        n = _occupancy(w, kt)
+        return drude_lorentz(w, lam) * (n / (omega0 + w) + (n + 1.0) / (omega0 - w))
 
     edges, window = _xi_edges(bath, cutoff, pole, delta)
-    order = _panel_order(points, len(edges) - 1)
-    total = _integrate_panels(f, edges, order, skip=window)
+    total = _integrate_panels(f, edges, points, skip=window)
 
-    # analytic window: odd part of the singular factor cancels, leaving the
-    # first-order term of the regular factor, plus the nonsingular term's area
+    # analytic window. The pole sits in (N+1)/(w0-w) for w0 > 0 and in
+    # N/(w0+w) for w0 < 0: the odd part of that singular factor cancels,
+    # leaving the first-order term of its numerator g. The other term is
+    # regular there (denominator w0 + w0) and adds its area.
+    upper = float(omega0 > 0)
+
+    def g(w):
+        return drude_lorentz(w, lam) * (_occupancy(w, kt) + upper)
+
     h = delta / 16.0
-    if omega0 > 0:
-        def u(w):
-            return np.asarray(bath.spectral_density(w)) * (occ(np.asarray(w)) + 1.0)
-        du = float(u(pole + h) - u(pole - h)) / (2.0 * h)
-        regular = float(bath.spectral_density(pole)) * float(occ(np.array(pole))) / (omega0 + pole)
-        total += -2.0 * delta * du + 2.0 * delta * regular
-    else:
-        def v(w):
-            return np.asarray(bath.spectral_density(w)) * occ(np.asarray(w))
-        dv = float(v(pole + h) - v(pole - h)) / (2.0 * h)
-        regular = float(bath.spectral_density(pole)) * (float(occ(np.array(pole))) + 1.0) / (omega0 - pole)
-        total += 2.0 * delta * dv + 2.0 * delta * regular
+    dg = float(g(pole + h) - g(pole - h)) / (2.0 * h)
+    regular = (drude_lorentz(pole, lam) * float(_occupancy(pole, kt) + (1.0 - upper))
+               / (omega0 + omega0))
+    total += -math.copysign(2.0, omega0) * delta * dg + 2.0 * delta * regular
 
-    if bath.density is None:
-        # closed-form Drude-Lorentz tail of the (N+1)/(w0-w) term past the
-        # cutoff; the occupancy tail is exponentially negligible there
-        total += lam**2 * np.log1p(-omega0 / cutoff) / omega0
-    return total
+    # closed-form Drude-Lorentz tail of the (N+1)/(w0-w) term past the
+    # cutoff; the occupancy tail is exponentially negligible there
+    return total + lam * (lam / omega0) * np.log1p(-omega0 / cutoff)
 
 
 def xi_integral(omega0: float, bath: BathModel) -> float:
@@ -282,17 +249,13 @@ def xi_integral(omega0: float, bath: BathModel) -> float:
     Evaluates the principal-value integral
     P int_0^cutoff dw J(w) [N(w)/(w0+w) + (N(w)+1)/(w0-w)]
     by symmetric excision of the pole plus composite Gauss-Legendre panels.
-    The result is checked by doubling the node budget; disagreement beyond
-    1e-6 relative raises QuadratureError.
+    The result is checked by doubling the node budget; a non-finite result
+    or disagreement beyond 1e-6 relative raises QuadratureError.
     """
     cutoff = bath.cutoff_for(omega0)
-    coarse = _xi_quadrature(omega0, bath, bath.pv_points, cutoff)
-    fine = _xi_quadrature(omega0, bath, 2 * bath.pv_points, cutoff)
-    scale = max(abs(fine), abs(coarse), 1e-300)
-    if abs(fine - coarse) > 1e-6 * scale and abs(fine - coarse) > 1e-14:
-        raise QuadratureError(
-            f"xi({omega0:g}) did not converge: {coarse:.3e} vs {fine:.3e}")
-    return fine
+    return _self_converged(
+        lambda points: _xi_quadrature(omega0, bath, points, cutoff),
+        bath.pv_points, f"xi({omega0:g})")
 
 
 def spectral_function_redfield(omega0: float, bath: BathModel) -> complex:
@@ -315,13 +278,13 @@ def rme_lamb(omega: float, omega_prime: float, bath: BathModel) -> complex:
 
 def _ule_lamb_quadrature(a: float, b: float, bath: BathModel, points: int,
                          cutoff: float) -> float:
-    kt = bath.thermal_energy
+    def g(w):
+        # a product that overflows (huge lam) gives an S_hat that is rejected
+        with np.errstate(over="ignore"):
+            return np.sqrt(spectral_function_ule(w - a, bath)
+                           * spectral_function_ule(w + b, bath))
 
-    def w_func(w):
-        prod = _gamma_hat_array(w - a, bath) * _gamma_hat_array(w + b, bath)
-        return np.sqrt(np.maximum(prod, 0.0))
-
-    scales = [s for s in (bath.lam, kt) if s > 0]
+    scales = [s for s in (bath.lam, bath.thermal_energy) if s > 0]
     delta = 1e-4 * min(scales)
     smin = min(scales + [x for x in (abs(a), abs(b)) if x > 0]) / 128.0
 
@@ -332,15 +295,13 @@ def _ule_lamb_quadrature(a: float, b: float, bath: BathModel, points: int,
     pos = sorted(half | {abs(x) for x in anchors} | {delta})
     edges = np.array([-e for e in reversed(pos)] + pos)
 
-    order = _panel_order(points, len(edges) - 1)
-    total = _integrate_panels(lambda w: w_func(w) / w, edges, order,
+    total = _integrate_panels(lambda w: g(w) / w, edges, points,
                               skip=(-delta, delta))
     h = delta / 16.0
-    dw = float(w_func(np.array(h)) - w_func(np.array(-h))) / (2.0 * h)
-    total += 2.0 * delta * dw
-    if bath.density is None:
-        # positive-side Drude-Lorentz tail; the negative side is thermally damped
-        total += bath.lam**2 / cutoff
+    dg = float(g(h) - g(-h)) / (2.0 * h)
+    total += 2.0 * delta * dg
+    # positive-side Drude-Lorentz tail; the negative side is thermally damped
+    total += bath.lam * (bath.lam / cutoff)
     return -2.0 * np.pi * total
 
 
@@ -355,16 +316,10 @@ def ule_lamb_coefficient(omega_ml: float, omega_ln: float, bath: BathModel) -> f
     # the domain spans both half-axes and the integrand has square-root
     # kinks where a shifted argument changes sign, so the node budget
     # starts at twice the one-sided xi budget
-    coarse = _ule_lamb_quadrature(omega_ml, omega_ln, bath,
-                                  2 * bath.pv_points, cutoff)
-    fine = _ule_lamb_quadrature(omega_ml, omega_ln, bath,
-                                4 * bath.pv_points, cutoff)
-    scale = max(abs(fine), abs(coarse), 1e-300)
-    if abs(fine - coarse) > 1e-6 * scale and abs(fine - coarse) > 1e-14:
-        raise QuadratureError(
-            f"S_hat({omega_ml:g}, {omega_ln:g}) did not converge: "
-            f"{coarse:.3e} vs {fine:.3e}")
-    return fine
+    return _self_converged(
+        lambda points: _ule_lamb_quadrature(omega_ml, omega_ln, bath, points,
+                                            cutoff),
+        2 * bath.pv_points, f"S_hat({omega_ml:g}, {omega_ln:g})")
 
 
 @dataclass(frozen=True)
@@ -379,9 +334,7 @@ class SpectralSample:
 
 def sample_spectra(bath: BathModel, omegas) -> list[SpectralSample]:
     """Evaluate Gamma_hat and Gamma over a frequency grid (for CSV dumps)."""
-    rows = []
-    for w in np.asarray(omegas, dtype=float):
-        gh = spectral_function_ule(float(w), bath)
-        xi = xi_integral(float(w), bath)
-        rows.append(SpectralSample(float(w), gh, np.pi * gh, xi))
-    return rows
+    omegas = np.asarray(omegas, dtype=float)
+    return [SpectralSample(float(w), float(g), np.pi * float(g),
+                           xi_integral(float(w), bath))
+            for w, g in zip(omegas, spectral_function_ule(omegas, bath))]

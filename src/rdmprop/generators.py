@@ -30,8 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import BathModel, spectral_function_redfield, \
-    spectral_function_ule, ule_lamb_coefficient, ule_rate, xi_integral
+from .bath import BathModel, spectral_function_ule, ule_lamb_coefficient, \
+    ule_rate, xi_integral
 from .channels import ChannelSet, FrequencyClusters, cluster, decompose
 from .core import CouplingOperator, DimensionError, NumericalError, \
     PhysicalityError, SystemHamiltonian, hermitize, max_norm
@@ -106,11 +106,11 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
                      lamb_shift: bool = False) -> RateTable:
     """Evaluate every bath quantity the chosen generator kind needs.
 
-    The bath is evaluated once per distinct frequency of the channel sets
-    and scattered onto their level pairs. Principal-value integrals run
-    only where used: in every rme rate, at ume cluster centers for the Lamb
-    shift, and for ule at the frequency pairs (w_ij, w_jk) of chained
-    channel products a_ij a_jk.
+    Gamma_hat is evaluated in one call on the distinct frequencies of the
+    channel sets, and every bath quantity is scattered onto their level
+    pairs. Principal-value integrals run only where used: in every rme
+    rate, at ume cluster centers for the Lamb shift, and for ule at the
+    frequency pairs (w_ij, w_jk) of chained channel products a_ij a_jk.
     """
     if isinstance(channel_sets, ChannelSet):
         channel_sets = (channel_sets,)
@@ -122,10 +122,10 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
              for ch in channel_sets]
     cluster_of = lamb = None
     if kind is MEKind.RME:
-        values = np.array([spectral_function_redfield(w, bath)
-                           for w in freqs], dtype=complex)
+        values = (np.pi * spectral_function_ule(np.array(freqs), bath)
+                  + 1j * np.array([xi_integral(w, bath) for w in freqs]))
     elif kind is MEKind.ULE:
-        values = [ule_rate(w, bath) for w in freqs]
+        values = ule_rate(np.array(freqs), bath)
         if lamb_shift:
             # union positions (w_ij, w_jk) of every chained product a_ij a_jk
             codes = [np.where((p[:, :, None] >= 0) & (p >= 0),
@@ -146,8 +146,8 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
                           [len(c.members) for c in clusters.clusters])
         label = label[np.searchsorted(members, freqs)]
         centers = [c.center for c in clusters.clusters]
-        values = np.array([2.0 * np.pi * spectral_function_ule(c, bath)
-                           for c in centers])[label]
+        values = (2.0 * np.pi * spectral_function_ule(np.array(centers),
+                                                      bath))[label]
         cluster_of = tuple(_scatter(label, p, -1) for p in where)
         if lamb_shift:
             xi = np.array([xi_integral(c, bath) for c in centers])[label]

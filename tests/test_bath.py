@@ -177,6 +177,19 @@ def test_full_ft_zero_frequency_is_thermal_energy():
     assert spectral_function_ule(0.0, make_bath(0.0)) == 0.0
 
 
+def test_full_ft_array_form_equals_scalar_calls_bitwise():
+    omegas = np.array([-0.5, -0.169, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.169,
+                       0.5])
+    for temperature in (0.0, 50.0, 300.0):
+        bath = make_bath(temperature)
+        gammas = spectral_function_ule(omegas, bath)
+        rates = ule_rate(omegas, bath)
+        assert gammas.shape == rates.shape == omegas.shape
+        for w, g, r in zip(omegas, gammas, rates):
+            assert g == spectral_function_ule(float(w), bath)
+            assert r == ule_rate(float(w), bath)
+
+
 def test_full_ft_continuous_at_zero():
     for temperature in (10.0, 50.0, 300.0):
         bath = make_bath(temperature)
@@ -261,16 +274,27 @@ def test_xi_self_converges_under_node_doubling():
         assert abs(a - b) < 1e-8 * abs(b)
 
 
-def test_unresolvable_density_raises_quadrature_error():
+def test_unresolvable_density_raises_quadrature_error(monkeypatch):
     # the node budget must exceed the per-panel order floor, otherwise
     # the doubled budget clamps to the same rule and cannot disagree
-    def wiggly(w):
-        return drude_lorentz(w, LAM) * (1.0 + 0.9 * np.sin(w / 1e-4))
+    def wiggly(w, lam):
+        return drude_lorentz(w, lam) * (1.0 + 0.9 * np.sin(w / 1e-4))
 
-    bath = BathModel(lam=LAM, temperature=50.0, pv_points=2048,
-                     density=wiggly)
+    monkeypatch.setattr("rdmprop.bath.drude_lorentz", wiggly)
+    bath = BathModel(lam=LAM, temperature=50.0, pv_points=2048)
     with pytest.raises(QuadratureError):
         xi_integral(0.5, bath)
+
+
+def test_non_finite_quadrature_raises_quadrature_error():
+    # at this width the closed-form xi tail overflows to -inf, and so does
+    # the product of spectral functions in the Lamb integrand
+    bath = BathModel(lam=1e200, temperature=300.0)
+    for w in (-0.5, 0.5):
+        with pytest.raises(QuadratureError, match="not finite"):
+            xi_integral(w, bath)
+    with pytest.raises(QuadratureError, match="not finite"):
+        ule_lamb_coefficient(-0.5, 0.5, bath)
 
 
 def test_pair_rate_composition():

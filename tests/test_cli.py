@@ -201,6 +201,32 @@ def test_run_with_a_huge_bath_width_exits_zero(tmp_path):
     assert (tmp_path / "two-level.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--kind", "rme"],
+    ["run", "--kind", "ume", "--threshold", "0", "--lamb-shift"],
+    ["run", "--kind", "ule", "--lamb-shift"],
+    ["spectra", "--lambda", "1e200", "--temperature", "300"],
+])
+def test_non_finite_quadrature_at_a_huge_bath_width_exits_one(tmp_path,
+                                                              command):
+    # xi and S_hat overflow to -inf at this width; no CSV may carry them
+    if command[0] == "run":
+        path = _two_level_file(tmp_path,
+                               {"lambda": 1e200, "temperature": 300.0},
+                               {"t_end": 100.0, "samples": 5})
+        command = [*command, "--scenario", path]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdmprop.cli", *command,
+         "--output-dir", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1, proc.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_run_with_an_unknown_schedule_method_exits_two(tmp_path, capsys):
     path = _two_level_file(tmp_path, {"lambda": 0.01, "temperature": 50.0},
                            {"method": "DOP835"})
