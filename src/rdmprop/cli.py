@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -108,14 +109,8 @@ def _cmd_run(args) -> int:
     audit = audit_trajectory(traj)
     setup = traj.setup
     meta = dict(traj.metadata)
-    meta["audit"] = {
-        "min_eigenvalue": audit.min_eigenvalue,
-        "max_eigenvalue": audit.max_eigenvalue,
-        "max_trace_drift": audit.max_trace_drift,
-        "max_hermiticity_defect": audit.max_hermiticity_defect,
-        "first_violation_time": audit.first_violation_time,
-        "violation": audit.violation,
-    }
+    meta["audit"] = {key: value for key, value in asdict(audit).items()
+                     if key not in ("chi", "tol")}
     meta["unitality_residual"] = unitality_residual(setup.hamiltonian,
                                                     setup.spec)
     if traj.defect is not None:
@@ -294,6 +289,8 @@ def _parse_sweep_values(args) -> list:
 def _cmd_sweep(args) -> int:
     scenario = _resolve_scenario(args)
     values = _parse_sweep_values(args)
+    if not values:
+        raise ScenarioError("the sweep grid is empty")
     outdir = resolve_output_dir(args.output_dir)
     prefix = args.prefix or f"{scenario.name}.sweep"
     base = json.dumps(scenario.to_dict())

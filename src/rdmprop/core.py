@@ -37,6 +37,14 @@ def as_square_matrix(m) -> np.ndarray:
     return m
 
 
+def as_matrices(m, dim: int) -> np.ndarray:
+    """Complex array of one (dim, dim) matrix or a stack (..., dim, dim)."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (dim, dim):
+        raise DimensionError(f"shape {m.shape} does not match dim {dim}")
+    return m
+
+
 def max_norm(m) -> float:
     """Largest absolute entry of a matrix or vector."""
     m = np.asarray(m)
@@ -159,7 +167,8 @@ def _degenerate_groups(energies: np.ndarray, tol: float) -> tuple[tuple[int, ...
 
 @dataclass(frozen=True, eq=False)
 class SystemHamiltonian:
-    """System Hamiltonian as (ascending energies, unitary eigenvectors)."""
+    """System Hamiltonian as (ascending energies, unitary eigenvectors).
+    Basis changes act on one matrix or on a stack (..., d, d)."""
 
     energies: np.ndarray
     eigenvectors: np.ndarray
@@ -198,8 +207,7 @@ class SystemHamiltonian:
 
     @property
     def matrix(self) -> np.ndarray:
-        v = self.eigenvectors
-        return v @ np.diag(self.energies.astype(complex)) @ v.conj().T
+        return self.from_eigenbasis(np.diag(self.energies))
 
     @property
     def degenerate_groups(self) -> tuple[tuple[int, ...], ...]:
@@ -212,11 +220,11 @@ class SystemHamiltonian:
 
     def to_eigenbasis(self, m) -> np.ndarray:
         v = self.eigenvectors
-        return v.conj().T @ as_square_matrix(m) @ v
+        return v.conj().T @ as_matrices(m, self.dim) @ v
 
     def from_eigenbasis(self, m) -> np.ndarray:
         v = self.eigenvectors
-        return v @ as_square_matrix(m) @ v.conj().T
+        return v @ as_matrices(m, self.dim) @ v.conj().T
 
 
 @dataclass(frozen=True, eq=False)

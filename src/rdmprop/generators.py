@@ -34,7 +34,7 @@ from .bath import BathModel, spectral_function_ule, ule_lamb_coefficient, \
     ule_rate, xi_integral
 from .channels import ChannelSet, FrequencyClusters, cluster, decompose
 from .core import CouplingOperator, DimensionError, NumericalError, \
-    PhysicalityError, SystemHamiltonian, hermitize, max_norm
+    PhysicalityError, SystemHamiltonian, as_matrices, hermitize, max_norm
 
 # Occupancies may leave [0, chi] by integration error before blocking factors
 # clamp; beyond this margin the state is treated as unphysical.
@@ -357,13 +357,6 @@ def particle_hole_transform(h: SystemHamiltonian,
     return HoleSystem(hamiltonian=h_hole, spec=spec_hole)
 
 
-def _check_state(rho: np.ndarray, dim: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (dim, dim):
-        raise DimensionError(f"state shape {rho.shape} does not match dim {dim}")
-    return rho
-
-
 def dissipator(rho: np.ndarray, spec: GeneratorSpec, x=None,
                y=None) -> np.ndarray:
     """D(X, Y) rho of the module docstring; X and Y hold one matrix per
@@ -398,7 +391,7 @@ def ule_jump_operators(spec: GeneratorSpec) -> tuple[np.ndarray, ...]:
 
 def dissipator_ule(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
     """Factorized-rate dissipator in Lindblad form, one jump per coupling."""
-    rho = _check_state(rho, spec.dim)
+    rho = as_matrices(rho, spec.dim)
     out = np.zeros_like(rho)
     for jump in ule_jump_operators(spec):
         jd = jump.conj().T
@@ -439,7 +432,7 @@ def dissipator_blocked(rho: np.ndarray, spec: GeneratorSpec,
     with f the hole occupancy and 1 for exempt sides, which keeps the
     generator trace- and Hermiticity-preserving and unital.
     """
-    rho = _check_state(rho, spec.dim)
+    rho = as_matrices(rho, spec.dim)
     root = np.sqrt(blocking_factors(rho, spec, occupancy_tol))
     rows = root[spec.level_subspace][:, None]
     free, blk = spec.blocking_split
@@ -450,7 +443,7 @@ def dissipator_action(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
     """Blocked or unblocked dissipator, as the generator spec asks."""
     if spec.pauli_blocked:
         return dissipator_blocked(rho, spec)
-    return dissipator(_check_state(rho, spec.dim), spec)
+    return dissipator(as_matrices(rho, spec.dim), spec)
 
 
 def lamb_shift_hamiltonian(spec: GeneratorSpec) -> np.ndarray:
@@ -490,7 +483,7 @@ def liouvillian_action(rho: np.ndarray, h: SystemHamiltonian,
     """
     if h.dim != spec.dim:
         raise DimensionError("Hamiltonian and generator dimensions differ")
-    rho = _check_state(rho, spec.dim)
+    rho = as_matrices(rho, spec.dim)
     heff = effective_hamiltonian(h, spec)
     return -1j * (heff @ rho - rho @ heff) + dissipator_action(rho, spec)
 

@@ -44,19 +44,14 @@ def write_trajectory_csv(traj, path) -> Path:
     d = traj.dim
     header = ["time"] + [f"pop_{k}" for k in range(d)] + ["min_eigenvalue",
                                                           "trace"]
+    columns = [traj.times[:, None], traj.populations,
+               traj.occupations[:, :1], traj.traces[:, None]]
     if traj.defect is not None:
         header.append("hole_defect")
+        columns.append(traj.defect[:, None])
     lines = [f"# format: {TRAJECTORY_FORMAT}", ",".join(header)]
-    for k in range(len(traj)):
-        state = traj.states[k]
-        eigs = np.linalg.eigvalsh(0.5 * (state + state.conj().T))
-        row = [_fmt(traj.times[k])]
-        row += [_fmt(p) for p in traj.populations[k]]
-        row.append(_fmt(eigs[0]))
-        row.append(_fmt(np.real(np.trace(state))))
-        if traj.defect is not None:
-            row.append(_fmt(traj.defect[k]))
-        lines.append(",".join(row))
+    lines += [",".join(map(repr, row.tolist()))
+              for row in np.hstack(columns)]
     path.write_text("\n".join(lines) + "\n")
     return path
 

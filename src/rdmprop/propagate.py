@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -91,9 +92,9 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     the fixed real matrices G_pq evaluates them all. As P_s P_t = 0 for
     s != t, every sandwich term is a row and column mask of four shared
     products, and only pairs with a shared index carry anticommutators.
-    Factors are clamped at zero instead of raising, so the integrator
-    survives harmless rounding excursions; the stored trajectory is audited
-    afterwards.
+    Factors are clamped at zero instead of raising. Populations pass chi by
+    rounding, and for rme also for real; ule can keep them in bounds while
+    natural occupations pass chi. Trajectories are audited for both.
     """
     if not spec.pauli_blocked:
         raise ValueError("generator spec is not Pauli-blocked")
@@ -203,6 +204,20 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """Natural occupations per sample, ascending: the eigenvalues of the
+        Hermitian part of each state, from one batched eigvalsh."""
+        herm = np.conj(np.swapaxes(self.states, -1, -2))
+        herm += self.states
+        herm *= 0.5
+        return np.linalg.eigvalsh(herm)
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """Real part of the trace of each state."""
+        return np.real(np.trace(self.states, axis1=-2, axis2=-1))
+
     def state(self, k: int) -> OneRdm:
         return OneRdm(self.states[k], self.chi)
 
@@ -286,10 +301,9 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         ys, nfev = sol.y.T, sol.nfev
     elapsed = time.perf_counter() - started
 
-    states_eig = unpack_hermitian(ys, h.dim)
-    populations = np.real(np.einsum("tii->ti", states_eig))
-    states = np.einsum("ij,tjk,lk->til", h.eigenvectors, states_eig,
-                       np.conj(h.eigenvectors))
+    # the packed layout starts with the eigenbasis diagonal
+    populations = ys[:, :h.dim].copy()
+    states = h.from_eigenbasis(unpack_hermitian(ys, h.dim))
 
     metadata = {
         "kind": spec.kind.value,
@@ -310,9 +324,7 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
 
     if verify_expm:
         reference = expm_propagate(h, spec, rho0, t_eval)
-        ref_pops = np.real(np.einsum("ij,tjk,ki->ti",
-                                     np.conj(h.eigenvectors).T, reference,
-                                     h.eigenvectors))
+        ref_pops = np.real(np.einsum("tii->ti", h.to_eigenbasis(reference)))
         deviation = float(np.max(np.abs(ref_pops - populations)))
         metadata["expm_max_population_deviation"] = deviation
     return traj
@@ -352,8 +364,7 @@ def expm_propagate(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
     vecs = _step_on_grid(sup, vec, np.asarray(times, dtype=float))
     # row-major reshape of a column-major vector gives the transpose
     out_eig = vecs.reshape(-1, d, d).transpose(0, 2, 1)
-    return np.einsum("ij,tjk,lk->til", h.eigenvectors, out_eig,
-                     np.conj(h.eigenvectors))
+    return h.from_eigenbasis(out_eig)
 
 
 def integrate(scenario, verify_expm: bool = False) -> Trajectory:

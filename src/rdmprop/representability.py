@@ -122,19 +122,19 @@ def copropagate_hole(q0, h: SystemHamiltonian, spec: GeneratorSpec,
     times = particle_trajectory.times
 
     hole = particle_hole_transform(h, spec)
-    v = h.eigenvectors
-    sigma0 = (v.conj().T @ q0 @ v).T.copy()
+    sigma0 = h.to_eigenbasis(q0).T.copy()
     hole_traj = _prop.propagate_state(hole.hamiltonian, hole.spec, sigma0,
                                       schedule, t_eval=times)
 
     # hole states come back in particle-eigenbasis coordinates
     q_eig = np.transpose(hole_traj.states, (0, 2, 1))
-    q_states = np.einsum("ij,tjk,lk->til", v, q_eig, v.conj())
-    populations = np.real(np.einsum("tii->ti", q_eig))
+    q_states = h.from_eigenbasis(q_eig)
+    populations = np.real(np.einsum("tii->ti", q_eig)).copy()
 
-    complement = spec.chi * np.eye(h.dim) - particle_trajectory.states
-    defect = np.array([max_norm(q_states[k] - complement[k])
-                       for k in range(len(times))])
+    # q - (chi*1 - rho), formed in place to hold one extra stack at a time
+    mismatch = spec.chi * np.eye(h.dim) - particle_trajectory.states
+    defect = np.abs(np.subtract(q_states, mismatch, out=mismatch)).max(
+        axis=(-2, -1))
 
     metadata = dict(hole_traj.metadata)
     metadata.update({"picture": "hole", "kind": spec.kind.value,
@@ -146,10 +146,13 @@ def copropagate_hole(q0, h: SystemHamiltonian, spec: GeneratorSpec,
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryAudit:
-    """Physicality summary of a propagated trajectory."""
+    """Physicality summary of a propagated trajectory: extrema of the natural
+    occupations (eigenvalues) and of the eigenbasis populations."""
 
     min_eigenvalue: float
     max_eigenvalue: float
+    min_population: float
+    max_population: float
     max_trace_drift: float
     max_hermiticity_defect: float
     first_violation_time: float | None
@@ -159,34 +162,26 @@ class TrajectoryAudit:
 
 
 def audit_trajectory(traj, tol: float = 1e-6) -> TrajectoryAudit:
-    """Scan every stored state for spectrum, trace, and Hermiticity drift.
+    """Reduce a trajectory's spectrum, traces, and Hermiticity drift.
 
-    A state violates when an eigenvalue leaves [-tol, chi + tol]. Trace
-    drift is measured against the initial state.
+    A state violates when a natural occupation leaves [-tol, chi + tol].
+    Trace drift is measured against the initial state. The spectrum is the
+    trajectory's cached ``occupations``.
     """
-    chi = traj.chi
-    lo = np.inf
-    hi = -np.inf
-    first_violation = None
-    trace0 = np.real(np.trace(traj.states[0]))
-    max_drift = 0.0
-    max_herm = 0.0
-    for k, state in enumerate(traj.states):
-        herm = max_norm(state - state.conj().T)
-        max_herm = max(max_herm, herm)
-        eigs = np.linalg.eigvalsh(0.5 * (state + state.conj().T))
-        lo = min(lo, eigs[0])
-        hi = max(hi, eigs[-1])
-        max_drift = max(max_drift, abs(np.real(np.trace(state)) - trace0))
-        if first_violation is None and (eigs[0] < -tol or eigs[-1] > chi + tol):
-            first_violation = float(traj.times[k])
+    occ = traj.occupations
+    bad = (occ[:, 0] < -tol) | (occ[:, -1] > traj.chi + tol)
+    first_violation = float(traj.times[bad.argmax()]) if bad.any() else None
+    skew = np.conj(np.swapaxes(traj.states, -1, -2))
+    np.subtract(traj.states, skew, out=skew)
     return TrajectoryAudit(
-        min_eigenvalue=float(lo),
-        max_eigenvalue=float(hi),
-        max_trace_drift=float(max_drift),
-        max_hermiticity_defect=float(max_herm),
+        min_eigenvalue=float(occ[:, 0].min()),
+        max_eigenvalue=float(occ[:, -1].max()),
+        min_population=float(traj.populations.min()),
+        max_population=float(traj.populations.max()),
+        max_trace_drift=float(np.abs(traj.traces - traj.traces[0]).max()),
+        max_hermiticity_defect=max_norm(skew),
         first_violation_time=first_violation,
         violation=first_violation is not None,
-        chi=chi,
+        chi=traj.chi,
         tol=tol,
     )

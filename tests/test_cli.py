@@ -374,6 +374,16 @@ def test_sweep_rejects_malformed_linspace(capsys):
     assert "START:STOP:COUNT" in capsys.readouterr().err
 
 
+def test_sweep_rejects_an_empty_grid(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdmprop.cli", "sweep", "--benchmark",
+         "three-level", "--param", "bath.temperature", "--linspace",
+         "100:300:0", "--output-dir", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: the sweep grid is empty"]
+
+
 def test_output_dir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("RDMPROP_OUTPUT_DIR", str(tmp_path / "envout"))
     code = main(["run", *ladder_args("--prefix", "envrun")])

@@ -154,6 +154,21 @@ def test_hamiltonian_basis_roundtrip():
     npt.assert_allclose(diag, np.diag(h.energies), atol=1e-12)
 
 
+def test_eigenbasis_rotations_act_on_stacks():
+    rng = np.random.default_rng(5)
+    h = SystemHamiltonian.from_matrix(random_hermitian(rng, 4))
+    assert max_norm(h.eigenvectors - np.eye(4)) > 0.1
+    stack = np.array([[random_hermitian(rng, 4) for _ in range(3)]
+                      for _ in range(2)])
+    for rotate in (h.to_eigenbasis, h.from_eigenbasis):
+        rotated = rotate(stack)
+        assert rotated.shape == stack.shape
+        for idx in np.ndindex(stack.shape[:2]):
+            assert max_norm(rotated[idx] - rotate(stack[idx])) <= 1e-15
+    with pytest.raises(DimensionError):
+        h.to_eigenbasis(np.zeros((2, 3, 3)))
+
+
 def test_degenerate_groups_chain_within_tolerance():
     h = SystemHamiltonian.from_energies([0.0, 1e-10, 2e-10, 1.0],
                                         degeneracy_tol=1e-9)

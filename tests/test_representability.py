@@ -6,7 +6,9 @@ import pytest
 
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.core import DimensionError, OneRdm, max_norm
-from rdmprop.propagate import Schedule, propagate_state
+from rdmprop.output import TRAJECTORY_FORMAT, write_trajectory_csv
+from rdmprop.propagate import Schedule, integrate, propagate_state
+from rdmprop.scenario import Scenario
 from rdmprop.representability import (
     audit_trajectory,
     constraint_residual,
@@ -154,8 +156,6 @@ def test_audit_flags_unblocked_overfilling(benzene_unblocked_trajectories):
 def test_audit_passes_blocked_run():
     scenario = builtin_benzene(kind="ule", pauli_blocked=True,
                                t_end=16000.0, samples=17)
-    from rdmprop.propagate import integrate
-
     traj = integrate(scenario)
     report = audit_trajectory(traj)
     assert not report.violation
@@ -179,3 +179,132 @@ def test_audit_reports_spectrum_extrema():
     assert report.first_violation_time == 1.0
     assert report.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
     assert report.max_eigenvalue == pytest.approx(1.2, abs=1e-12)
+
+
+def _audit_per_sample(traj, tol=1e-6):
+    """Reference audit: one eigvalsh per stored state, scanned in order."""
+    lo, hi = np.inf, -np.inf
+    pop_lo, pop_hi = np.inf, -np.inf
+    first_violation = None
+    trace0 = np.real(np.trace(traj.states[0]))
+    max_drift = max_herm = 0.0
+    for k, state in enumerate(traj.states):
+        max_herm = max(max_herm, max_norm(state - state.conj().T))
+        eigs = np.linalg.eigvalsh(0.5 * (state + state.conj().T))
+        lo, hi = min(lo, eigs[0]), max(hi, eigs[-1])
+        pop_lo = min(pop_lo, traj.populations[k].min())
+        pop_hi = max(pop_hi, traj.populations[k].max())
+        max_drift = max(max_drift, abs(np.real(np.trace(state)) - trace0))
+        if first_violation is None and (eigs[0] < -tol
+                                        or eigs[-1] > traj.chi + tol):
+            first_violation = float(traj.times[k])
+    return {"min_eigenvalue": float(lo), "max_eigenvalue": float(hi),
+            "min_population": float(pop_lo), "max_population": float(pop_hi),
+            "max_trace_drift": float(max_drift),
+            "max_hermiticity_defect": float(max_herm),
+            "first_violation_time": first_violation,
+            "violation": first_violation is not None}
+
+
+def _csv_per_row(traj):
+    """Reference trajectory CSV text: one eigvalsh and one trace per row."""
+    d = traj.dim
+    header = ["time"] + [f"pop_{k}" for k in range(d)] + ["min_eigenvalue",
+                                                          "trace"]
+    if traj.defect is not None:
+        header.append("hole_defect")
+    lines = [f"# format: {TRAJECTORY_FORMAT}", ",".join(header)]
+    for k in range(len(traj)):
+        state = traj.states[k]
+        eigs = np.linalg.eigvalsh(0.5 * (state + state.conj().T))
+        row = [traj.times[k], *traj.populations[k], eigs[0],
+               np.real(np.trace(state))]
+        if traj.defect is not None:
+            row.append(traj.defect[k])
+        lines.append(",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_audit_equals_per_sample_scan(benzene_unblocked_trajectories):
+    traj = benzene_unblocked_trajectories["ule"]
+    report = audit_trajectory(traj)
+    expected = _audit_per_sample(traj)
+    assert expected["violation"]
+    assert {key: getattr(report, key) for key in expected} == expected
+
+
+def test_trajectory_csv_equals_per_row_writer(tmp_path):
+    # a Hamiltonian given as a matrix has non-identity eigenvectors
+    scenario = Scenario.from_dict({
+        "name": "chain",
+        "chi": 1.0,
+        "hamiltonian": {"matrix": [[-0.3, 0.1, 0.0], [0.1, 0.0, 0.08],
+                                   [0.0, 0.08, 0.3]]},
+        "coupling_operators": [{"label": "x", "matrix": [
+            [1.0, 0.3, 0.1], [0.3, -0.5, 0.2], [0.1, 0.2, 0.4]]}],
+        "initial_state": {"occupations": [0.0, 1.0, 1.0]},
+        "bath": {"lambda": 0.01, "temperature": 300.0},
+        "generator": {"kind": "rme"},
+        "schedule": {"t_end": 2000.0, "samples": 41},
+        "copropagate_hole": True,
+    })
+    traj = integrate(scenario)
+    assert traj.defect is not None and traj.hole.defect is not None
+    for name, t in (("particle", traj), ("hole", traj.hole)):
+        path = write_trajectory_csv(t, tmp_path / f"{name}.csv")
+        assert path.read_text() == _csv_per_row(t)
+
+
+# perfbench's random_system(4, 1): seeded non-degenerate levels and one
+# random real-symmetric coupling, upper half of the levels filled.
+RANDOM_D4 = {
+    "name": "random-d4",
+    "chi": 1.0,
+    "hamiltonian": {"energies": [-0.2009130603459952, -0.05790567544372138,
+                                 -0.013926948876686107,
+                                 -0.000172829608325209]},
+    "coupling_operators": [{"label": "random", "matrix": [
+        [-0.29540155725483636, 0.1828385975698063, -0.13101760329626377,
+         0.05929419389868128],
+        [0.1828385975698063, 0.9782889025805155, 0.05505866923289507,
+         -0.2364704816803532],
+        [-0.13101760329626377, 0.05505866923289507, -1.4147806669991245,
+         -1.1089866336442578],
+        [0.05929419389868128, -0.2364704816803532, -1.1089866336442578,
+         0.3143086309437129]]}],
+    "initial_state": {"occupations": [0.0, 0.0, 1.0, 1.0]},
+    "bath": {"lambda": 0.01, "temperature": 300.0},
+    "schedule": {"t_end": 200.0, "samples": 50},
+}
+
+
+def _blocked_random_d4_audit(kind):
+    d = dict(RANDOM_D4, generator={"kind": kind, "pauli_blocked": True,
+                                   "clustering_threshold": 0.0})
+    return audit_trajectory(integrate(Scenario.from_dict(d)))
+
+
+def test_blocked_ume_keeps_populations_and_occupations_in_bounds():
+    report = _blocked_random_d4_audit("ume")
+    assert not report.violation
+    assert -report.tol <= report.min_population
+    assert report.max_population <= 1.0 + report.tol
+    assert -report.tol <= report.min_eigenvalue
+    assert report.max_eigenvalue <= 1.0 + report.tol
+
+
+def test_blocked_ule_keeps_populations_but_not_occupations_in_bounds():
+    # the mask reads the eigenbasis diagonal while non-secular terms build
+    # coherences, so natural occupations can pass chi
+    report = _blocked_random_d4_audit("ule")
+    assert -report.tol <= report.min_population
+    assert report.max_population <= 1.0 + report.tol
+    assert report.violation
+    assert report.max_eigenvalue == pytest.approx(1.0649, abs=1e-3)
+
+
+def test_blocked_rme_pushes_populations_and_occupations_past_chi():
+    report = _blocked_random_d4_audit("rme")
+    assert report.violation
+    assert report.max_population == pytest.approx(1.02499, abs=1e-4)
+    assert report.max_eigenvalue == pytest.approx(1.3531, abs=1e-3)
