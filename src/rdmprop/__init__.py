@@ -18,9 +18,8 @@ from .core import AuditReport, CouplingOperator, DimensionError, \
     spectral_audit
 from .generators import GeneratorSpec, HoleSystem, MEKind, \
     NonlinearGeneratorError, RateTable, build_generator, build_rate_table, \
-    dissipator, dissipator_blocked, dissipator_ule, lamb_shift_hamiltonian, \
-    liouvillian_action, particle_hole_transform, superoperator_matrix, \
-    ule_jump_operators
+    dissipator, dissipator_blocked, lamb_shift_hamiltonian, \
+    liouvillian_action, particle_hole_transform, superoperator_matrix
 from .propagate import Schedule, StiffnessError, Trajectory, default_t_end, \
     expm_propagate, integrate, pack_hermitian, propagate_state, \
     unpack_hermitian
@@ -42,13 +41,13 @@ __all__ = [
     "audit_trajectory", "bose_einstein", "build_generator",
     "build_rate_table", "builtin_benzene", "builtin_three_level", "cluster",
     "constraint_residual", "copropagate_hole", "decompose", "default_t_end",
-    "dissipator", "dissipator_blocked", "dissipator_ule", "drude_lorentz",
+    "dissipator", "dissipator_blocked", "drude_lorentz",
     "expm_propagate", "hermitize", "integrate", "lamb_shift_hamiltonian",
     "liouvillian_action", "load_scenario", "pack_hermitian",
     "particle_hole_transform", "propagate_state", "rme_lamb", "rme_rates",
     "sample_spectra", "save_scenario", "spectral_audit",
     "spectral_function_redfield", "spectral_function_ule",
-    "superoperator_matrix", "ule_jump_operators", "ule_lamb_coefficient",
+    "superoperator_matrix", "ule_lamb_coefficient",
     "ule_rate", "unitality_residual", "unpack_hermitian", "xi_integral",
     "__version__",
 ]

@@ -60,10 +60,6 @@ class ChannelSet:
     channel: np.ndarray
     label: str = ""
 
-    @property
-    def operators(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.operator(w) for w in self.frequencies)
-
     def operator(self, frequency: float) -> np.ndarray:
         try:
             k = self.frequencies.index(frequency)

@@ -65,6 +65,26 @@ def _add_source_options(p: argparse.ArgumentParser, benchmark_default=None):
                    help="output file stem (default: scenario name)")
 
 
+def _override_generator(scenario: Scenario, args) -> None:
+    """Apply the overrides every command shares: kind, blocking, clustering
+    threshold (ume without one takes 0, the secular limit), t_end and
+    samples."""
+    if args.kind is not None:
+        scenario.kind = MEKind(args.kind)
+    if args.blocked is not None:
+        scenario.pauli_blocked = args.blocked
+    if args.threshold is not None:
+        scenario.clustering_threshold = args.threshold
+    if scenario.kind is MEKind.UME and scenario.clustering_threshold is None:
+        scenario.clustering_threshold = 0.0
+    if args.t_end is not None or args.samples is not None:
+        s = scenario.schedule
+        scenario.schedule = Schedule(
+            t_end=args.t_end if args.t_end is not None else s.t_end,
+            samples=args.samples if args.samples is not None else s.samples,
+            rtol=s.rtol, atol=s.atol, method=s.method)
+
+
 def _resolve_scenario(args) -> Scenario:
     if args.scenario:
         scenario = load_scenario(args.scenario)
@@ -73,27 +93,14 @@ def _resolve_scenario(args) -> Scenario:
         if name is None:
             raise ScenarioError("give either --scenario or --benchmark")
         scenario = BENCHMARKS[name]()
-    if args.kind is not None:
-        scenario.kind = MEKind(args.kind)
-    if args.blocked is not None:
-        scenario.pauli_blocked = args.blocked
+    _override_generator(scenario, args)
     if args.lamb_shift is not None:
         scenario.lamb_shift = args.lamb_shift
-    if args.threshold is not None:
-        scenario.clustering_threshold = args.threshold
-    if scenario.kind is MEKind.UME and scenario.clustering_threshold is None:
-        scenario.clustering_threshold = 0.0
     if args.temperature is not None:
         b = scenario.bath
         scenario.bath = BathModel(lam=b.lam, temperature=args.temperature,
                                   pv_cutoff=b.pv_cutoff,
                                   pv_points=b.pv_points)
-    if args.t_end is not None or args.samples is not None:
-        s = scenario.schedule
-        scenario.schedule = Schedule(
-            t_end=args.t_end if args.t_end is not None else s.t_end,
-            samples=args.samples if args.samples is not None else s.samples,
-            rtol=s.rtol, atol=s.atol, method=s.method)
     if args.copropagate_hole is not None:
         scenario.copropagate_hole = args.copropagate_hole
     return scenario
@@ -211,21 +218,8 @@ def _cmd_bench(args) -> int:
     names = [args.benchmark] if args.benchmark else sorted(BENCHMARKS)
     rows = []
     for name in names:
-        scenario = BENCHMARKS[name](samples=args.samples)
-        if args.me is not None:
-            scenario.kind = MEKind(args.me)
-        if args.blocked:
-            scenario.pauli_blocked = True
-        if args.threshold is not None:
-            scenario.clustering_threshold = args.threshold
-        if scenario.kind is MEKind.UME \
-                and scenario.clustering_threshold is None:
-            scenario.clustering_threshold = 0.0
-        if args.t_end is not None:
-            s = scenario.schedule
-            scenario.schedule = Schedule(t_end=args.t_end, samples=s.samples,
-                                         rtol=s.rtol, atol=s.atol,
-                                         method=s.method)
+        scenario = BENCHMARKS[name]()
+        _override_generator(scenario, args)
         traj = integrate(scenario)
         wall = traj.metadata["wall_time_s"]
         nfev = traj.metadata["rhs_evaluations"]
@@ -342,9 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time the built-in benchmarks")
     p_bench.add_argument("benchmark", nargs="?", choices=sorted(BENCHMARKS),
                          help="benchmark to run (default: all)")
-    p_bench.add_argument("--me", choices=[m.value for m in MEKind],
+    p_bench.add_argument("--me", dest="kind",
+                         choices=[m.value for m in MEKind],
                          help="override the generator kind")
-    p_bench.add_argument("--blocked", action="store_true",
+    p_bench.add_argument("--blocked", action="store_true", default=None,
                          help="enable Pauli blocking")
     p_bench.add_argument("--threshold", type=float, metavar="W",
                          help="frequency clustering threshold (ume)")

@@ -10,10 +10,12 @@ eigenbasis through the coupling operators a_k (independent noise sources):
 level pairs (i, j), holding a bath quantity at the frequency of the channel
 of (i, j). The linear dissipator is D(a, a), and the kinds differ only in
 their factors: rme has (Gamma, 1) and (1, Gamma) with the one-sided rate
-Gamma = pi Gamma_hat + i xi; ume has (rate_c 1_c, 1_c) for every frequency
-cluster c, where 1_c selects the pairs in c and rate_c = 2 pi Gamma_hat at
-its center; ule has (J, J) with J = sqrt(2 pi Gamma_hat), one jump J o a_k
-per coupling.
+Gamma = pi Gamma_hat + i xi; ule has (J, J) with J = sqrt(2 pi Gamma_hat),
+one jump J o a_k per coupling; ume has (rate, 1), rate = 2 pi Gamma_hat at
+the center of each pair's frequency cluster, joining only the pairs of
+pairs (i, j), (k, l) of one cluster: out_ik = sum rate_ij X_ij rho_jl
+conj(Y_kl), a sparse map with sum_c |c|^2 entries per coupling. Its i = k
+entries give the anticommutator, and with xi for the rate the Lamb term.
 
 Pauli blocking replaces the coupling by M(rho) o a, where
 M_ij = sqrt(chi - n_sub(i)) on blocks between two different subspaces
@@ -29,6 +31,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .bath import BathModel, spectral_function_ule, ule_lamb_coefficient, \
     ule_rate, xi_integral
@@ -58,9 +61,10 @@ class RateTable:
     ``rate`` holds Gamma (rme), 2 pi Gamma_hat at the cluster center (ume)
     or sqrt(2 pi Gamma_hat) (ule) at the frequency of each pair's channel,
     0 outside every channel. ``cluster`` holds ume cluster labels (-1
-    outside). ``lamb`` holds the Lamb coefficients when requested: xi at
-    the cluster center per pair (ume), or S_hat(w_ij, w_jk) per level
-    triple (i, j, k) (ule); rme needs none beyond Gamma.
+    outside), which pair the level pairs ume joins. ``lamb`` holds the
+    Lamb coefficients when requested: xi at the cluster center per pair
+    (ume), or S_hat(w_ij, w_jk) per level triple (i, j, k) (ule); rme needs
+    none beyond Gamma.
     """
 
     kind: MEKind
@@ -96,6 +100,13 @@ def _union_frequencies(channel_sets) -> tuple[float, ...]:
     return tuple(sorted({w for ch in channel_sets for w in ch.frequencies}))
 
 
+def _union_positions(channel_sets, freqs) -> list[np.ndarray]:
+    """Position in ``freqs`` of the channel of every level pair, -1 outside,
+    per channel set."""
+    return [_scatter(np.searchsorted(freqs, ch.frequencies), ch.channel, -1)
+            for ch in channel_sets]
+
+
 def _scatter(values, index: np.ndarray, fill=0.0) -> np.ndarray:
     """values[index] with ``fill`` wherever index is -1."""
     return np.append(np.asarray(values), fill)[index]
@@ -117,9 +128,7 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
     kind = MEKind(kind)
     freqs = _union_frequencies(channel_sets)
     n = len(freqs)
-    # position in the union of the channel of every level pair, -1 outside
-    where = [_scatter(np.searchsorted(freqs, ch.frequencies), ch.channel, -1)
-             for ch in channel_sets]
+    where = _union_positions(channel_sets, freqs)
     cluster_of = lamb = None
     if kind is MEKind.RME:
         values = (np.pi * spectral_function_ule(np.array(freqs), bath)
@@ -219,23 +228,31 @@ class GeneratorSpec:
         """Sum of all coupling operators in the eigenbasis."""
         return sum(self.couplings)
 
-    def operator(self, frequency: float) -> np.ndarray:
-        """Sum over coupling operators of their channel at one frequency."""
-        return sum((ch.operator(frequency) for ch in self.channel_sets
-                    if frequency in ch.frequencies),
-                   np.zeros((self.dim, self.dim), complex))
+    @property
+    def union_positions(self) -> list[np.ndarray]:
+        """Position in ``frequencies`` of the channel of every level pair,
+        -1 outside, per coupling operator."""
+        return _union_positions(self.channel_sets, self.frequencies)
 
     @cached_property
     def rate_factors(self) -> tuple[tuple[tuple, ...], ...]:
-        """Rate factors (U, V) of the dissipator, per coupling operator."""
+        """Rate factors (U, V) of the dissipator, per coupling operator;
+        ume's joins only the pairs of pairs in ``pair_pairs``."""
         if self.kind is MEKind.RME:
             return tuple(((g, 1.0), (1.0, g)) for g in self.rates.rate)
         if self.kind is MEKind.ULE:
             return tuple(((j, j),) for j in self.rates.rate)
-        return tuple(tuple((rate * (label == c), 1.0 * (label == c))
-                           for c in np.unique(label[label >= 0]))
-                     for rate, label in zip(self.rates.rate,
-                                            self.rates.cluster))
+        return tuple(((rate, 1.0),) for rate in self.rates.rate)
+
+    @cached_property
+    def pair_pairs(self) -> tuple:
+        """ume: flat indices (p, q) of every two level pairs with one cluster
+        label, per coupling operator; None for rme and ule."""
+        if self.kind is not MEKind.UME:
+            return (None,) * len(self.channel_sets)
+        flat = [label.ravel() for label in self.rates.cluster]
+        return tuple(np.nonzero((f[:, None] == f) & (f >= 0)[:, None])
+                     for f in flat)
 
     @cached_property
     def blocking_split(self):
@@ -250,27 +267,20 @@ class GeneratorSpec:
         return (tuple(np.where(m, 0.0, a) for m, a in zip(masks, self.couplings)),
                 tuple(np.where(m, a, 0.0) for m, a in zip(masks, self.couplings)))
 
-    def pair_rate(self, w: float, wp: float) -> complex:
-        """Coefficient of A_w rho A_wp^dagger in the dissipator."""
-        (r, c), (rp, cp) = self._rate_at(w), self._rate_at(wp)
-        if self.kind is MEKind.RME:
-            return complex(r + np.conj(rp))
-        return complex(r * rp if self.kind is MEKind.ULE else r * (c == cp))
-
-    def _rate_at(self, w: float):
-        """Rate and cluster label at the first level pair of channel w."""
-        for k, ch in enumerate(self.channel_sets):
-            if w in ch.frequencies:
-                pair = np.argmax(ch.channel == ch.frequencies.index(w))
-                labels = self.rates.cluster or self.rates.rate
-                return self.rates.rate[k].flat[pair], labels[k].flat[pair]
-        raise KeyError(f"no channel at frequency {w!r}")
+    def decay_rate_arrays(self) -> tuple[np.ndarray, ...]:
+        """sum_(U, V) U o conj(V), the coefficient of A rho A^+ for a level
+        pair with itself, per coupling operator."""
+        return tuple(sum(u * np.conj(v) for u, v in factors)
+                     for factors in self.rate_factors)
 
     def diagonal_rates(self) -> tuple[np.ndarray, ...]:
-        """Decay rate of every channel, per coupling operator."""
-        return tuple(np.array([self.pair_rate(w, w).real
-                               for w in ch.frequencies])
-                     for ch in self.channel_sets)
+        """Decay rate of every channel, read at its first level pair, per
+        coupling operator."""
+        out = []
+        for ch, rate in zip(self.channel_sets, self.decay_rate_arrays()):
+            index, first = np.unique(ch.channel, return_index=True)
+            out.append(rate.real.ravel()[first[index >= 0]])
+        return tuple(out)
 
     def symmetrized(self) -> "GeneratorSpec":
         """Same channels and flags, mirror-symmetrized rate table."""
@@ -363,41 +373,40 @@ def dissipator(rho: np.ndarray, spec: GeneratorSpec, x=None,
     coupling and default to the couplings. ``rho`` may be a stack."""
     x = spec.couplings if x is None else x
     y = x if y is None else y
-    out = np.zeros(np.shape(rho), dtype=complex)
-    anti = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for left, right in weighted_pairs(spec, x, y):
-        out += left @ rho @ right
-        anti += right @ left
+    out, anti = _sandwich(spec, x, y, rho)
     return out - 0.5 * (anti @ rho + rho @ anti)
 
 
-def weighted_pairs(spec: GeneratorSpec, x, y):
-    """(U o X_k, (V o Y_k)^+) for every coupling k and rate factor (U, V),
-    except those that vanish."""
-    for xk, yk, factors in zip(x, y, spec.rate_factors):
-        for u, v in factors:
-            left = u * xk
-            right = (v * yk).conj().T
-            if left.any() and right.any():
-                yield left, right
-
-
-def ule_jump_operators(spec: GeneratorSpec) -> tuple[np.ndarray, ...]:
-    """One jump operator L = J o a = sum_w sqrt(2 pi J_hat(w)) A_w per coupling."""
-    if spec.kind is not MEKind.ULE:
-        raise ValueError("generator kind is not ule")
-    return tuple(j * a for j, a in zip(spec.rates.rate, spec.couplings))
-
-
-def dissipator_ule(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
-    """Factorized-rate dissipator in Lindblad form, one jump per coupling."""
-    rho = as_matrices(rho, spec.dim)
-    out = np.zeros_like(rho)
-    for jump in ule_jump_operators(spec):
-        jd = jump.conj().T
-        anti = jd @ jump
-        out += jump @ rho @ jd - 0.5 * (anti @ rho + rho @ anti)
-    return out
+def _sandwich(spec: GeneratorSpec, x, y, rho=None, factors=None):
+    """Sandwich of D(X, Y) applied to ``rho`` (a state, a stack, or None)
+    and its anticommutator matrix, over ``factors`` (default: the rate
+    factors). ume contracts its pair-of-pairs lists as sparse maps."""
+    d = spec.dim
+    out = None if rho is None else np.zeros(np.shape(rho), dtype=complex)
+    anti = np.zeros((d, d), dtype=complex)
+    factors = spec.rate_factors if factors is None else factors
+    for xk, yk, fk, pairs in zip(x, y, factors, spec.pair_pairs):
+        for u, v in fk:
+            left, right = u * xk, v * yk
+            if not (left.any() and right.any()):
+                continue
+            if pairs is None:
+                right = right.conj().T
+                anti += right @ left
+                if out is not None:
+                    out += left @ rho @ right
+                continue
+            p, q = pairs
+            coeff = left.ravel()[p] * right.ravel()[q].conj()
+            (i, j), (k, l) = np.divmod(p, d), np.divmod(q, d)
+            row = i == k
+            np.add.at(anti, (l[row], j[row]), coeff[row])
+            if out is not None:
+                s = sparse.csr_array((coeff, (i * d + k, j * d + l)),
+                                     shape=(d * d, d * d))
+                flat = np.reshape(rho, (-1, d * d))
+                out += (s @ flat.T).T.reshape(out.shape)
+    return out, anti
 
 
 def subspace_occupancies(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
@@ -439,35 +448,27 @@ def dissipator_blocked(rho: np.ndarray, spec: GeneratorSpec,
     return dissipator(rho, spec, [f + rows * b for f, b in zip(free, blk)])
 
 
-def dissipator_action(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
-    """Blocked or unblocked dissipator, as the generator spec asks."""
-    if spec.pauli_blocked:
-        return dissipator_blocked(rho, spec)
-    return dissipator(as_matrices(rho, spec.dim), spec)
-
-
 def lamb_shift_hamiltonian(spec: GeneratorSpec) -> np.ndarray:
     """Hermitian level shift, summed over coupling operators.
 
-    rme: (a^+ Lambda - Lambda^+ a) / 2i with Lambda = Gamma o a. ume: sum
-    over clusters of xi(center) A_c^+ A_c with A_c = 1_c o a. ule:
+    rme: (a^+ Lambda - Lambda^+ a) / 2i with Lambda = Gamma o a. ume:
+    sum_c xi(center_c) A_c^+ A_c with A_c the coupling on the pairs of
+    cluster c: the anticommutator matrix with xi in place of the rate. ule:
     H_ik = sum_j S_hat(w_ij, w_jk) a_ij a_jk.
     """
-    d = spec.dim
-    out = np.zeros((d, d), dtype=complex)
     if spec.kind is not MEKind.RME and spec.rates.lamb is None:
         raise ValueError("rate table was built without Lamb coefficients")
-    for k, a in enumerate(spec.couplings):
-        if spec.kind is MEKind.RME:
-            lam = spec.rates.rate[k] * a
-            out += (a.conj().T @ lam - lam.conj().T @ a) / 2j
-        elif spec.kind is MEKind.UME:
-            s = spec.rates.lamb[k]
-            for _, m in spec.rate_factors[k]:
-                ac = m * a
-                out += ac.conj().T @ (s * ac)
-        else:
-            out += np.einsum("ij,ijk,jk->ik", a, spec.rates.lamb[k], a)
+    a = spec.couplings
+    if spec.kind is MEKind.UME:
+        xi = tuple(((s, 1.0),) for s in spec.rates.lamb)
+        out = _sandwich(spec, a, a, factors=xi)[1]
+    elif spec.kind is MEKind.RME:
+        lam = [g * ak for g, ak in zip(spec.rates.rate, a)]
+        out = sum((ak.conj().T @ lk - lk.conj().T @ ak) / 2j
+                  for ak, lk in zip(a, lam))
+    else:
+        out = sum(np.einsum("ij,ijk,jk->ik", ak, s, ak)
+                  for ak, s in zip(a, spec.rates.lamb))
     if max_norm(out - out.conj().T) > 1e-10:
         raise RuntimeError("Lamb-shift construction lost Hermiticity")
     return hermitize(out)
@@ -485,7 +486,8 @@ def liouvillian_action(rho: np.ndarray, h: SystemHamiltonian,
         raise DimensionError("Hamiltonian and generator dimensions differ")
     rho = as_matrices(rho, spec.dim)
     heff = effective_hamiltonian(h, spec)
-    return -1j * (heff @ rho - rho @ heff) + dissipator_action(rho, spec)
+    diss = dissipator_blocked if spec.pauli_blocked else dissipator
+    return -1j * (heff @ rho - rho @ heff) + diss(rho, spec)
 
 
 def effective_hamiltonian(h: SystemHamiltonian,
@@ -498,18 +500,20 @@ def effective_hamiltonian(h: SystemHamiltonian,
 def superoperator_matrix(h: SystemHamiltonian, spec: GeneratorSpec) -> np.ndarray:
     """Dense complex matrix of the generator on column-stacked states.
 
-    Built directly from Kronecker products, independent of the action-based
-    route, so the two can cross-check each other. Raises for Pauli-blocked
-    specs, whose generator is not a linear map.
+    Kronecker products, with the sandwich's images of the unit matrices as
+    columns: apart from the sandwich, independent of the packed route, so
+    the two cross-check each other. Raises for Pauli-blocked specs, whose
+    generator is not a linear map.
     """
     if spec.pauli_blocked:
         raise NonlinearGeneratorError(
             "Pauli-blocked generators have no superoperator matrix")
-    eye = np.eye(spec.dim)
+    d = spec.dim
+    eye = np.eye(d)
     heff = effective_hamiltonian(h, spec)
-    sup = -1j * (np.kron(eye, heff) - np.kron(heff.T, eye))
-    anti = np.zeros_like(heff)
-    for left, right in weighted_pairs(spec, spec.couplings, spec.couplings):
-        sup += np.kron(right.T, left)
-        anti += right @ left
+    # E_jl at column j + d l; images column-stacked
+    units = np.eye(d * d).reshape(d * d, d, d).transpose(0, 2, 1)
+    images, anti = _sandwich(spec, spec.couplings, spec.couplings, units)
+    sup = images.transpose(0, 2, 1).reshape(d * d, d * d).T
+    sup = sup - 1j * (np.kron(eye, heff) - np.kron(heff.T, eye))
     return sup - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))

@@ -95,8 +95,8 @@ def write_channels_csv(spec, path) -> Path:
     lines = [f"# format: {CHANNELS_FORMAT}",
              "coupling,frequency,op_max_norm,diagonal_rate"]
     for ch, rates in zip(spec.channel_sets, spec.diagonal_rates()):
-        for w, op, rate in zip(ch.frequencies, ch.operators, rates):
-            norm = float(np.max(np.abs(op)))
+        for m, (w, rate) in enumerate(zip(ch.frequencies, rates)):
+            norm = np.max(np.abs(ch.coupling[ch.channel == m]))
             lines.append(",".join([ch.label, _fmt(w), _fmt(norm), _fmt(rate)]))
     path.write_text("\n".join(lines) + "\n")
     return path

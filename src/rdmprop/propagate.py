@@ -24,8 +24,8 @@ from scipy.linalg import expm
 from .core import DimensionError, NumericalError, OneRdm, PhysicalityError, \
     SystemHamiltonian
 from .generators import GeneratorSpec, NonlinearGeneratorError, \
-    effective_hamiltonian, liouvillian_action, superoperator_matrix, \
-    weighted_pairs
+    _sandwich, effective_hamiltonian, liouvillian_action, \
+    superoperator_matrix
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -108,12 +108,10 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     keys = []
 
     def sandwich(x, y):
-        return sum((left @ basis @ right for left, right
-                    in weighted_pairs(spec, x, y)), np.zeros_like(basis))
+        return _sandwich(spec, x, y, basis)[0]
 
     def anti(*pairs):
-        a = sum((right @ left for x, y in pairs for left, right
-                 in weighted_pairs(spec, x, y)), np.zeros((d, d)))
+        a = sum(_sandwich(spec, x, y)[1] for x, y in pairs)
         return -0.5 * (a @ basis + basis @ a)
 
     def add(key, image):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import propagate as _prop
 from .core import DimensionError, OneRdm, SystemHamiltonian, max_norm
-from .generators import GeneratorSpec, dissipator_action, liouvillian_action, \
+from .generators import GeneratorSpec, dissipator, liouvillian_action, \
     particle_hole_transform
 
 
@@ -59,21 +59,25 @@ def constraint_residual(h: SystemHamiltonian, spec: GeneratorSpec,
         raise ValueError("constraint_residual audits linear generators; "
                          "use unitality_residual for blocked specs")
     filled = spec.chi * np.eye(spec.dim, dtype=complex)
-    residual = dissipator_action(filled, spec) / spec.chi
+    residual = dissipator(filled, spec) / spec.chi
+
+    # diagonal pair rate minus that of the mirror pair (j, i), per frequency
+    freqs = spec.frequencies
+    where = spec.union_positions
+    asym = np.zeros(len(freqs), dtype=complex)
+    for rate, pos in zip(spec.decay_rate_arrays(), where):
+        asym[pos[pos >= 0]] = (rate - rate.T)[pos >= 0]
 
     entries = []
     pair_sum = np.zeros((spec.dim, spec.dim), dtype=complex)
-    freqs = spec.frequencies
-    for w in (w for w in freqs if w > 0):
-        comm = sum(a @ a.conj().T - a.conj().T @ a
-                   for a in (ch.operator(w) for ch in spec.channel_sets
-                             if w in ch.frequencies))
-        asym = spec.pair_rate(w, w) - (spec.pair_rate(-w, -w)
-                                       if -w in freqs else 0.0)
-        pair_sum += asym * comm
+    for u in np.flatnonzero(np.array(freqs) > 0):
+        ops = [np.where(pos == u, a, 0.0)
+               for a, pos in zip(spec.couplings, where) if (pos == u).any()]
+        comm = sum(a @ a.conj().T - a.conj().T @ a for a in ops)
+        pair_sum += asym[u] * comm
         entries.append(ChannelAsymmetry(
-            frequency=w, rate_asymmetry=complex(asym),
-            contribution_norm=max_norm(asym * comm)))
+            frequency=freqs[u], rate_asymmetry=complex(asym[u]),
+            contribution_norm=max_norm(asym[u] * comm)))
 
     norm = max_norm(residual)
     return ConstraintReport(

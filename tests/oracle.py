@@ -14,13 +14,47 @@ at each channel frequency; the Lamb shift comes from the same pair sums
 channel decomposition, the frequency clusters, the bath functions and the
 state packing with the package. Pair sums are contracted with numpy instead
 of Python loops so the oracle stays usable at d = 16.
+
+The module also keeps the ule dissipator in Lindblad form, one jump
+operator per coupling, and a reader of level-pair arrays by frequency.
 """
 
 import numpy as np
 
 from rdmprop import bath as _bath
+from rdmprop.core import as_matrices
 from rdmprop.generators import MEKind
 from rdmprop.propagate import pack_hermitian, unpack_hermitian
+
+
+def ule_jump_operators(spec):
+    """One jump operator L = J o a = sum_w sqrt(2 pi J_hat(w)) A_w per
+    coupling."""
+    if spec.kind is not MEKind.ULE:
+        raise ValueError("generator kind is not ule")
+    return tuple(j * a for j, a in zip(spec.rates.rate, spec.couplings))
+
+
+def dissipator_ule(rho, spec):
+    """Factorized-rate dissipator in Lindblad form, one jump per coupling."""
+    rho = as_matrices(rho, spec.dim)
+    out = np.zeros_like(rho)
+    for jump in ule_jump_operators(spec):
+        jd = jump.conj().T
+        anti = jd @ jump
+        out += jump @ rho @ jd - 0.5 * (anti @ rho + rho @ anti)
+    return out
+
+
+def union_values(spec, arrays):
+    """{frequency: entry} of per-coupling level-pair arrays, read at the
+    first level pair of each channel in the union of the couplings."""
+    out = {}
+    for arr, pos in zip(arrays, spec.union_positions):
+        kept = pos >= 0
+        for u, value in zip(pos[kept], arr[kept]):
+            out.setdefault(spec.frequencies[u], value)
+    return out
 
 
 def _pair_products(ops, coeff):
@@ -50,7 +84,8 @@ class Oracle:
         zero = spec.clusters.zero_cluster_index if spec.clusters else None
         self.channels, self.blocks = [], []
         for ch in spec.channel_sets:
-            ops = np.array(ch.operators).reshape(-1, h.dim, h.dim)
+            ops = np.array([ch.operator(w) for w in ch.frequencies]
+                           ).reshape(-1, h.dim, h.dim)
             freqs = ch.frequencies
             self.channels.append(
                 (ops, *_pair_products(ops, self.pair_rates(freqs))))

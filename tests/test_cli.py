@@ -8,6 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rdmprop.bath import spectral_function_ule
+from rdmprop.channels import cluster
 from rdmprop.cli import main
 from rdmprop.scenario import Scenario, save_scenario
 
@@ -266,6 +268,32 @@ def test_audit_writes_channels_and_report(tmp_path, capsys):
     assert "filled-state residual" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("builtin,kind,extra", [
+    ("three-level", "rme", ["--temperature", "50"]),
+    ("three-level", "ume", ["--temperature", "50"]),
+    ("three-level", "ule", ["--temperature", "50"]),
+    ("benzene", "ume", ["--threshold", "0.091"]),
+])
+def test_channels_csv_diagonal_rate_is_the_bath_decay_rate(
+        tmp_path, builtin, kind, extra):
+    # 2 pi Gamma_hat at the channel frequency (rme, ule) or at the center of
+    # its cluster (ume; without --threshold, the secular threshold 0)
+    code = main(["audit", "--benchmark", builtin, "--kind", kind, *extra,
+                 "--output-dir", str(tmp_path), "--prefix", "pin"])
+    assert code == 0
+    _, _, rows = read_csv(tmp_path / "pin.channels.csv")
+    report = json.loads((tmp_path / "pin.audit.json").read_text())
+    bath = Scenario.from_dict(report["scenario"]).bath
+    freqs = sorted({float(r[1]) for r in rows})
+    threshold = float(extra[1]) if extra[0] == "--threshold" else 0.0
+    clusters = cluster(freqs, threshold)
+    for r in rows:
+        w = float(r[1])
+        at = clusters.center_of(w) if kind == "ume" else w
+        expected = 2.0 * np.pi * spectral_function_ule(at, bath)
+        assert float(r[3]) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 def test_audit_blocked_has_no_constraint_block(tmp_path):
     code = main(["audit", "--benchmark", "benzene", "--kind", "ule",
                  "--blocked", "--output-dir", str(tmp_path),
@@ -317,6 +345,21 @@ def test_bench_single_benchmark(tmp_path, capsys):
     assert rows[0][1] == "ule"
     assert rows[0][2] == "0"
     assert "nfev" in capsys.readouterr().out
+
+
+def test_bench_ume_defaults_to_the_secular_threshold(tmp_path, capsys):
+    code = main(["bench", "three-level", "--me", "ume", "--t-end", "400",
+                 "--samples", "5", "--output-dir", str(tmp_path)])
+    assert code == 0
+    _, _, rows = read_csv(tmp_path / "bench.csv")
+    assert [r[:3] for r in rows] == [["three-level", "ume", "0"]]
+    # without --threshold, bench runs the secular generator (threshold 0)
+    bench_out = capsys.readouterr().out
+    assert main(["run", "--benchmark", "three-level", "--kind", "ume",
+                 "--threshold", "0", "--t-end", "400", "--samples", "5",
+                 "--output-dir", str(tmp_path)]) == 0
+    final = bench_out.splitlines()[1].split("final populations ")[1]
+    assert final in capsys.readouterr().out
 
 
 def test_bench_all_benchmarks_blocked(tmp_path):

@@ -32,6 +32,8 @@ from rdmprop.propagate import (
     unpack_hermitian,
 )
 
+from oracle import union_values
+
 
 def random_hermitian(rng, d):
     b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -81,8 +83,9 @@ def test_default_t_end_is_twenty_slowest_lifetimes():
 def test_default_t_end_ignores_rates_below_the_relevance_floor():
     setup = builtin_three_level(kind="ule", temperature=300.0).build()
     spec = setup.spec
-    up = spec.pair_rate(-0.5, -0.5).real
-    down = spec.pair_rate(0.5, 0.5).real
+    diagonal = union_values(spec, spec.decay_rate_arrays())
+    up = diagonal[-0.5].real
+    down = diagonal[0.5].real
     assert 0.0 < up < 1e-6 * down
     assert default_t_end(spec) == pytest.approx(20.0 / down, rel=1e-15)
 

@@ -16,6 +16,8 @@ from rdmprop.representability import (
     unitality_residual,
 )
 
+from oracle import union_values
+
 
 @pytest.fixture(scope="module")
 def three_ule():
@@ -29,8 +31,10 @@ def benzene_rme():
 
 def test_three_level_residual_shape_and_norm(three_ule):
     report = constraint_residual(three_ule.hamiltonian, three_ule.spec)
-    down = three_ule.spec.pair_rate(0.5, 0.5)
-    up = three_ule.spec.pair_rate(-0.5, -0.5)
+    spec = three_ule.spec
+    diagonal = union_values(spec, spec.decay_rate_arrays())
+    down = diagonal[0.5]
+    up = diagonal[-0.5]
     c = (down - up).real
     npt.assert_allclose(report.residual_matrix, c * np.diag([1.0, 0.0, -1.0]),
                         atol=1e-15)
