@@ -152,15 +152,6 @@ class FrequencyClusters:
                 return k
         return None
 
-    def index_of(self, frequency: float) -> int:
-        for k, c in enumerate(self.clusters):
-            if frequency in c.members:
-                return k
-        raise KeyError(f"frequency {frequency!r} is not in any cluster")
-
-    def center_of(self, frequency: float) -> float:
-        return self.clusters[self.index_of(frequency)].center
-
     @property
     def centers(self) -> tuple[float, ...]:
         return tuple(c.center for c in self.clusters)

@@ -121,7 +121,8 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
     channel sets, and every bath quantity is scattered onto their level
     pairs. Principal-value integrals run only where used: in every rme
     rate, at ume cluster centers for the Lamb shift, and for ule at the
-    frequency pairs (w_ij, w_jk) of chained channel products a_ij a_jk.
+    frequency pairs (w_ij, w_jk) of chained channel products a_ij a_jk,
+    once per mirror pair (a, b), (-b, -a).
     """
     if isinstance(channel_sets, ChannelSet):
         channel_sets = (channel_sets,)
@@ -141,8 +142,19 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
                               p[:, :, None] * n + p, -1) for p in where]
             unique = np.unique(np.concatenate([c.ravel() for c in codes]))
             unique = unique[unique >= 0]
-            coeff = [ule_lamb_coefficient(freqs[u // n], freqs[u % n], bath)
-                     for u in unique]
+            # S_hat(a, b) equals S_hat(-b, -a) to the last bit, so one
+            # integral serves each mirror pair whose negations exist exactly
+            f = np.array(freqs)
+            mirror = np.minimum(np.searchsorted(f, -f), n - 1)
+            exact = f[mirror] == -f
+            p, q = np.divmod(unique, n)
+            twin = np.where(exact[p] & exact[q], mirror[q] * n + mirror[p],
+                            unique)
+            canon, back = np.unique(np.minimum(unique, twin),
+                                    return_inverse=True)
+            coeff = np.array([ule_lamb_coefficient(freqs[u // n],
+                                                   freqs[u % n], bath)
+                              for u in canon])[back]
             lamb = tuple(_scatter(coeff, np.where(
                 c >= 0, np.searchsorted(unique, c), -1)) for c in codes)
     else:

@@ -5,10 +5,13 @@ imaginary upper-triangle parts) so every route works on a real equation
 whose flow preserves Hermiticity exactly. Linear generators become a single
 dense real matrix G and are stepped exactly on the sample grid with
 exp(G dt), one exponential per distinct sample interval. Pauli-blocked
-generators become a short stack of such matrices weighted by products of
-state-dependent blocking factors, and are integrated adaptively (DOP853 by
-default). ``Schedule.method`` names a solve_ivp method to force adaptive
-integration for linear generators too.
+generators become a stack of at most 4 + 2m such matrices for m subspaces:
+the free-free part, the three sandwiches of the free and blockable coupling
+parts, and two anticommutator maps per subspace. Each is weighted on every
+packed output entry by a product of two state-dependent blocking factors
+(1 for a free side); past 1 MB the stack is kept sparse. Blocked equations
+are integrated adaptively (DOP853 by default). ``Schedule.method`` names a
+solve_ivp method to force adaptive integration for linear generators too.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -85,62 +89,62 @@ def build_packed_generator(h: SystemHamiltonian,
 def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     """Right-hand side of a Pauli-blocked equation on packed vectors.
 
-    With M o a = a_free + sum_s r_s P_s a_blk, where P_s keeps the rows of
-    subspace s and r_s = sqrt(chi - n_s), bilinearity makes the generator
-    sum_(p <= q) r_p r_q G_pq over the free part (p = 0, r_0 = 1) and the
-    subspaces, with (p, q) and (q, p) merged. One product with the stack of
-    the fixed real matrices G_pq evaluates them all. As P_s P_t = 0 for
-    s != t, every sandwich term is a row and column mask of four shared
-    products, and only pairs with a shared index carry anticommutators.
-    Factors are clamped at zero instead of raising. Populations pass chi by
-    rounding, and for rme also for real; ule can keep them in bounds while
-    natural occupations pass chi. Trajectories are audited for both.
+    M o a = a_free + R a_blk with R = diag(r_sub(i)), r_s = sqrt(chi - n_s),
+    so the generator is a stack of at most 4 + 2m packed maps (m subspaces),
+    each weighted on packed output entry (i, k) by u_p u_q, u = (1, r_s):
+    -i[H_eff, .] and D(free, free) by 1; the sandwiches S(blk, free),
+    S(free, blk), S(blk, blk) by r_sub(i), r_sub(k) and both; per subspace s,
+    the anticommutators of free-blk and blk-blk terms through s by r_s and
+    r_s^2. Zero maps are dropped; past 1 MB the stack stays sparse. Factors
+    clamp at zero: populations pass chi by rounding, and for rme also for
+    real; ule can keep them in bounds while natural occupations pass chi.
     """
     if not spec.pauli_blocked:
         raise ValueError("generator spec is not Pauli-blocked")
-    d, n = h.dim, h.dim * h.dim
+    d, n, m = h.dim, h.dim * h.dim, len(spec.subspaces)
     free, blk = spec.blocking_split
     sub = spec.level_subspace
-    rows = [(sub == s)[:, None] for s in range(len(spec.subspaces))]
     basis = unpack_hermitian(np.eye(n), d)
-    # at most the pairs (0, 0), (0, s) and (s, t >= s)
-    stack = np.empty((1 + len(rows) * (len(rows) + 3) // 2, n, n))
-    keys = []
-
-    def sandwich(x, y):
-        return _sandwich(spec, x, y, basis)[0]
+    # 1 + subspace of the row and of the column of every packed entry
+    iu = np.triu_indices(d, 1)
+    row, col = sub[np.concatenate([[range(d)] * 2, iu, iu], axis=1)] + 1
+    maps, index = [], []
+    sparse_past = (4 + 2 * m) * n * n * 8 > 2**20  # CSR wins past a cache
 
     def anti(*pairs):
-        a = sum(_sandwich(spec, x, y)[1] for x, y in pairs)
-        return -0.5 * (a @ basis + basis @ a)
+        a = -0.5 * sum(_sandwich(spec, x, y)[1] for x, y in pairs)
+        out = a @ basis
+        out += basis @ a
+        return out
 
-    def add(key, image):
-        if key == (0, 0) or image.any():
-            stack[len(keys)] = pack_hermitian(image).T
-            keys.append(key)
+    def add(image, first, second):
+        packed = pack_hermitian(image).T
+        if packed.any() or not maps:
+            maps.append(sparse.csr_array(packed) if sparse_past else packed)
+            index.append(np.broadcast_arrays(first, second, row)[:2])
 
     heff = effective_hamiltonian(h, spec)
-    add((0, 0), -1j * (heff @ basis - basis @ heff) + sandwich(free, free)
-        + anti((free, free)))
-    fb, bf, bb = sandwich(free, blk), sandwich(blk, free), sandwich(blk, blk)
-    for s, row in enumerate(rows, start=1):
-        part = tuple(np.where(row, b, 0.0) for b in blk)
-        add((0, s), np.where(row.T, fb, 0.0) + np.where(row, bf, 0.0)
-            + anti((free, part), (part, free)))
-        add((s, s), np.where(row & row.T, bb, 0.0) + anti((part, part)))
-        for t, other in enumerate(rows[s:], start=s + 1):
-            add((s, t), np.where((row & other.T) | (other & row.T), bb, 0.0))
+    add(-1j * (heff @ basis - basis @ heff)
+        + _sandwich(spec, free, free, basis)[0] + anti((free, free)), 0, 0)
+    add(_sandwich(spec, blk, free, basis)[0], row, 0)
+    add(_sandwich(spec, free, blk, basis)[0], 0, col)
+    add(_sandwich(spec, blk, blk, basis)[0], row, col)
+    for s in range(m):
+        part = tuple(np.where((sub == s)[:, None], b, 0.0) for b in blk)
+        add(anti((free, part), (part, free)), s + 1, 0)
+        add(anti((part, part)), s + 1, s + 1)
 
-    first, second = np.array(keys).T
-    stack = stack[:len(keys)].reshape(-1, n)
-    average = np.zeros((len(rows), d))
-    average[sub, range(d)] = 1.0 / np.bincount(sub)[sub]
-    root = np.ones(len(rows) + 1)
-    chi = spec.chi
+    stack = sparse.vstack(maps, format="csr") if sparse_past \
+        else np.concatenate(maps)
+    left, right = map(np.array, zip(*index))
+    offset = np.append(1.0, np.full(m, spec.chi))
+    average = np.zeros((m + 1, d))
+    average[sub + 1, range(d)] = -1.0 / np.bincount(sub)[sub]
 
     def rhs(t, y):
-        root[1:] = np.sqrt(np.maximum(chi - average @ y[:d], 0.0))
-        return (root[first] * root[second]) @ (stack @ y).reshape(-1, n)
+        u = np.sqrt(np.maximum(offset + average @ y[:d], 0.0))
+        return np.vecdot(u[left] * u[right], (stack @ y).reshape(-1, n),
+                         axis=0)
 
     return rhs
 

@@ -16,7 +16,8 @@ state packing with the package. Pair sums are contracted with numpy instead
 of Python loops so the oracle stays usable at d = 16.
 
 The module also keeps the ule dissipator in Lindblad form, one jump
-operator per coupling, and a reader of level-pair arrays by frequency.
+operator per coupling, a reader of level-pair arrays by frequency, and
+lookups of a frequency's cluster by member.
 """
 
 import numpy as np
@@ -44,6 +45,19 @@ def dissipator_ule(rho, spec):
         anti = jd @ jump
         out += jump @ rho @ jd - 0.5 * (anti @ rho + rho @ anti)
     return out
+
+
+def cluster_index(clusters, frequency):
+    """Index of the cluster that lists ``frequency`` among its members."""
+    for k, c in enumerate(clusters.clusters):
+        if frequency in c.members:
+            return k
+    raise KeyError(f"frequency {frequency!r} is not in any cluster")
+
+
+def cluster_center(clusters, frequency):
+    """Center of the cluster that lists ``frequency`` among its members."""
+    return clusters.clusters[cluster_index(clusters, frequency)].center
 
 
 def union_values(spec, arrays):
@@ -117,7 +131,7 @@ class Oracle:
 
     def cluster_of(self, w):
         if w not in self._cluster:
-            self._cluster[w] = self.spec.clusters.index_of(w)
+            self._cluster[w] = cluster_index(self.spec.clusters, w)
         return self._cluster[w]
 
     def center_xi(self, w):

@@ -332,6 +332,18 @@ def test_ule_lamb_coefficient_converges_and_matches_reference():
     assert val == pytest.approx(ref, rel=1e-6)
 
 
+@pytest.mark.parametrize("temperature", [50.0, 300.0])
+def test_ule_lamb_coefficient_is_mirror_symmetric_bitwise(temperature):
+    # S_hat(a, b) and S_hat(-b, -a) integrate the same product over the same
+    # edges, which lets the rate table evaluate one of each mirror pair
+    bath = make_bath(temperature)
+    grid = [float(w) for w in np.linspace(-0.9, 0.9, 7)]
+    for a in grid:
+        for b in grid:
+            assert ule_lamb_coefficient(a, b, bath) \
+                == ule_lamb_coefficient(-b, -a, bath)
+
+
 def ule_lamb_reference(a, b, lam, temperature, cutoff):
     """Excised principal value of the factorized Lamb integrand, mpmath."""
     with mpmath.workdps(30):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdmprop.bath import BathModel, rme_rates, spectral_function_ule, ule_rate
+import rdmprop.generators
+from rdmprop.bath import BathModel, rme_rates, spectral_function_ule, \
+    ule_lamb_coefficient, ule_rate
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.core import (
     CouplingOperator,
@@ -31,7 +33,8 @@ from rdmprop.generators import (
 )
 from rdmprop.representability import unitality_residual
 
-from oracle import Oracle, dissipator_ule, ule_jump_operators, union_values
+from oracle import Oracle, cluster_center, dissipator_ule, \
+    ule_jump_operators, union_values
 
 BATH_50K = BathModel(lam=0.01, temperature=50.0)
 BATH_300K = BathModel(lam=0.01, temperature=300.0)
@@ -142,7 +145,7 @@ def test_ume_rates_share_cluster_centers(benzene_ume):
     pair_rate = ume_pair_rate(spec)
     freqs = sorted(spec.frequencies)
     w_low, w_mid = freqs[3], freqs[4]
-    center = spec.clusters.center_of(w_low)
+    center = cluster_center(spec.clusters, w_low)
     assert center == pytest.approx(0.2145, abs=1e-12)
     in_cluster = 2.0 * np.pi * spectral_function_ule(center, BATH_50K)
     assert pair_rate(w_low, w_mid) == pytest.approx(in_cluster, rel=1e-15)
@@ -370,6 +373,40 @@ def test_lamb_hamiltonians_are_hermitian():
         lamb = setup.spec.lamb_hamiltonian()
         assert hermiticity_defect(lamb) < 1e-12
         assert max_norm(lamb) > 0.0
+
+
+def test_ule_lamb_table_equals_direct_calls_bitwise(monkeypatch):
+    """One integral per mirror pair, and only where the negated frequencies
+    exist exactly: here Bohr frequencies merge in threes, and some merged
+    frequency has no exact negation."""
+    rng = np.random.default_rng(3)
+    energies = np.array([0.0, 0.3, 0.6 + 3e-10, 0.9 - 2e-10, 0.137])
+    h = SystemHamiltonian.from_energies(
+        energies + rng.uniform(-1e-10, 1e-10, 5))
+    b = rng.standard_normal((5, 5))
+    calls = []
+
+    def counted(w1, w2, bath):
+        calls.append((w1, w2))
+        return ule_lamb_coefficient(w1, w2, bath)
+
+    monkeypatch.setattr(rdmprop.generators, "ule_lamb_coefficient", counted)
+    spec = build_generator(h, CouplingOperator("x", b + b.T), BATH_50K,
+                           "ule", chi=1.0, lamb_shift=True)
+    freqs, pos = spec.frequencies, spec.union_positions[0]
+    present = set(freqs)
+    assert any(-w not in present for w in freqs)
+    used = set()
+    for i, j, k in np.ndindex(5, 5, 5):
+        if pos[i, j] >= 0 and pos[j, k] >= 0:
+            w1, w2 = freqs[pos[i, j]], freqs[pos[j, k]]
+            used.add((w1, w2))
+            assert spec.rates.lamb[0][i, j, k] \
+                == ule_lamb_coefficient(w1, w2, BATH_50K)
+    classes = {frozenset({(w1, w2), (-w2, -w1)})
+               if -w1 in present and -w2 in present else (w1, w2)
+               for w1, w2 in used}
+    assert len(calls) == len(classes) < len(used)
 
 
 def test_benzene_one_sided_lamb_is_diagonal():

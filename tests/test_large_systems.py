@@ -1,17 +1,20 @@
 """Invariants and oracle agreement of every generator well beyond d = 6.
 
-Random systems have d in {8, 12, 16} levels. Their spectra are generic, or
-built from pairs of levels split by 1e-10 or by 1e-8, on either side of the
-degeneracy tolerance 1e-9: the first pairs merge into two-level subspaces,
-the second stay apart and give Bohr frequencies of +-1e-8. Every kind is
-checked blocked and unblocked, with and without the Lamb shift, against the
-channel-pair oracle in ``oracle.py``.
+Random systems have d in {8, 12, 16} levels (one blocked example has 20).
+Their spectra are generic, or built from pairs of levels split by 1e-10 or
+by 1e-8, on either side of the degeneracy tolerance 1e-9: the first pairs
+merge into two-level subspaces, the second stay apart and give Bohr
+frequencies of +-1e-8. Every kind is checked blocked and unblocked, with
+and without the Lamb shift, against the channel-pair oracle in
+``oracle.py``.
 
 The principal-value quadratures are replaced by closed forms in this module.
 The identities hold for any real coefficients, and the oracle reads the same
 replaced functions, so the comparison tests the algebra; at d = 16 the real
 quadratures would take seconds to minutes per system.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +114,7 @@ def test_linear_generator_matches_oracle(kind, seed, d, split, lamb,
 @example(seed=4, d=16, split=1e-8, lamb=True, threshold=0.02)
 @example(seed=5, d=12, split=1e-10, lamb=False, threshold=0.0)
 @example(seed=6, d=8, split=None, lamb=True, threshold=0.0)
+@example(seed=7, d=20, split=None, lamb=True, threshold=0.0)
 @given(**SYSTEMS)
 def test_blocked_generator_matches_oracle(kind, seed, d, split, lamb,
                                           threshold):
@@ -128,6 +132,36 @@ def test_blocked_generator_matches_oracle(kind, seed, d, split, lamb,
     rhs = build_blocked_rhs(h, spec)
     y = pack_hermitian(rho)
     assert max_norm(rhs(0.0, y) - oracle.blocked_rhs(y)) < TOL
+    # clamped factors: one subspace at chi + 0.025, as blocked rme reaches,
+    # then one far past chi and one below zero occupancy
+    for shifts in ({0: chi + 0.025}, {0: chi + 0.025, 1: 1.5 * chi, 2: -0.1}):
+        over = rho.copy()
+        for s, target in shifts.items():
+            idx = list(spec.subspaces[s])
+            over[idx, idx] += target - np.mean(np.real(rho[idx, idx]))
+        y = pack_hermitian(over)
+        assert oracle.root(over)[0] == 0.0
+        assert max_norm(rhs(0.0, y) - oracle.blocked_rhs(y)) < TOL
     # the filled state is stationary, through both routes
     assert unitality_residual(h, spec) < TOL
     assert max_norm(rhs(0.0, pack_hermitian(chi * np.eye(d)))) < TOL
+
+
+def test_blocked_build_memory_at_d16():
+    """A blocked build keeps one stack of at most 4 + 2m packed maps and
+    never holds much more than that while it builds."""
+    h, a, _ = random_system(7, 16, None)
+    a = CouplingOperator("x", 0.3 * a.matrix)
+    spec = build_generator(h, a, BATH, "rme", chi=1.0, pauli_blocked=True)
+    m = len(spec.subspaces)
+    tracemalloc.start()
+    try:
+        rhs = build_blocked_rhs(h, spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m == 16
+    stack_bytes = 8 * (4 + 2 * m) * 16**4
+    assert peak < 32e6
+    assert kept < stack_bytes + 2e5
+    assert rhs(0.0, pack_hermitian(np.eye(16))).shape == (256,)
