@@ -5,13 +5,13 @@ imaginary upper-triangle parts) so every route works on a real equation
 whose flow preserves Hermiticity exactly. Linear generators become a single
 dense real matrix G and are stepped exactly on the sample grid with
 exp(G dt), one exponential per distinct sample interval. Pauli-blocked
-generators become a stack of at most 4 + 2m such matrices for m subspaces:
-the free-free part, the three sandwiches of the free and blockable coupling
-parts, and two anticommutator maps per subspace. Each is weighted on every
-packed output entry by a product of two state-dependent blocking factors
-(1 for a free side); past 1 MB the stack is kept sparse. Blocked equations
-are integrated adaptively (DOP853 by default). ``Schedule.method`` names a
-solve_ivp method to force adaptive integration for linear generators too.
+generators become one dense stack of at most 4 + 2m such matrices for m
+subspaces: the free-free part, the three sandwiches of the free and
+blockable coupling parts, and two anticommutator maps per subspace. Each is
+weighted on every packed output entry by a product of two state-dependent
+blocking factors (1 for a free side). Blocked equations are integrated
+adaptively (DOP853 by default). ``Schedule.method`` names a solve_ivp
+method to force adaptive integration for linear generators too.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -90,14 +89,14 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     """Right-hand side of a Pauli-blocked equation on packed vectors.
 
     M o a = a_free + R a_blk with R = diag(r_sub(i)), r_s = sqrt(chi - n_s),
-    so the generator is a stack of at most 4 + 2m packed maps (m subspaces),
-    each weighted on packed output entry (i, k) by u_p u_q, u = (1, r_s):
-    -i[H_eff, .] and D(free, free) by 1; the sandwiches S(blk, free),
-    S(free, blk), S(blk, blk) by r_sub(i), r_sub(k) and both; per subspace s,
-    the anticommutators of free-blk and blk-blk terms through s by r_s and
-    r_s^2. Zero maps are dropped; past 1 MB the stack stays sparse. Factors
-    clamp at zero: populations pass chi by rounding, and for rme also for
-    real; ule can keep them in bounds while natural occupations pass chi.
+    so the generator is one dense stack of at most 4 + 2m packed maps
+    (m subspaces), each weighted on packed output entry (i, k) by u_p u_q,
+    u = (1, r_s): -i[H_eff, .] and D(free, free) by 1; the sandwiches
+    S(blk, free), S(free, blk), S(blk, blk) by r_sub(i), r_sub(k) and both;
+    per subspace s, the anticommutators of free-blk and blk-blk terms
+    through s by r_s and r_s^2. Zero maps are dropped. Factors clamp at
+    zero: populations pass chi by rounding, and for rme also for real; ule
+    can keep them in bounds while natural occupations pass chi.
     """
     if not spec.pauli_blocked:
         raise ValueError("generator spec is not Pauli-blocked")
@@ -108,8 +107,7 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     # 1 + subspace of the row and of the column of every packed entry
     iu = np.triu_indices(d, 1)
     row, col = sub[np.concatenate([[range(d)] * 2, iu, iu], axis=1)] + 1
-    maps, index = [], []
-    sparse_past = (4 + 2 * m) * n * n * 8 > 2**20  # CSR wins past a cache
+    stack, index = np.empty(((4 + 2 * m) * n, n)), []
 
     def anti(*pairs):
         a = -0.5 * sum(_sandwich(spec, x, y)[1] for x, y in pairs)
@@ -119,8 +117,8 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
 
     def add(image, first, second):
         packed = pack_hermitian(image).T
-        if packed.any() or not maps:
-            maps.append(sparse.csr_array(packed) if sparse_past else packed)
+        if packed.any() or not index:
+            stack[len(index) * n:][:n] = packed
             index.append(np.broadcast_arrays(first, second, row)[:2])
 
     heff = effective_hamiltonian(h, spec)
@@ -134,8 +132,7 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
         add(anti((free, part), (part, free)), s + 1, 0)
         add(anti((part, part)), s + 1, s + 1)
 
-    stack = sparse.vstack(maps, format="csr") if sparse_past \
-        else np.concatenate(maps)
+    stack, ones = stack[:len(index) * n], np.ones(len(index))
     left, right = map(np.array, zip(*index))
     offset = np.append(1.0, np.full(m, spec.chi))
     average = np.zeros((m + 1, d))
@@ -143,8 +140,7 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
 
     def rhs(t, y):
         u = np.sqrt(np.maximum(offset + average @ y[:d], 0.0))
-        return np.vecdot(u[left] * u[right], (stack @ y).reshape(-1, n),
-                         axis=0)
+        return ones @ (u[left] * u[right] * (stack @ y).reshape(-1, n))
 
     return rhs
 
