@@ -18,8 +18,8 @@ from .core import AuditReport, CouplingOperator, DimensionError, \
     spectral_audit
 from .generators import GeneratorSpec, HoleSystem, MEKind, \
     NonlinearGeneratorError, RateTable, build_generator, build_rate_table, \
-    dissipator, dissipator_blocked, lamb_shift_hamiltonian, \
-    liouvillian_action, particle_hole_transform, superoperator_matrix
+    dissipator, lamb_shift_hamiltonian, liouvillian_action, \
+    particle_hole_transform, superoperator_matrix
 from .propagate import Schedule, StiffnessError, Trajectory, default_t_end, \
     expm_propagate, integrate, pack_hermitian, propagate_state, \
     unpack_hermitian
@@ -41,7 +41,7 @@ __all__ = [
     "audit_trajectory", "bose_einstein", "build_generator",
     "build_rate_table", "builtin_benzene", "builtin_three_level", "cluster",
     "constraint_residual", "copropagate_hole", "decompose", "default_t_end",
-    "dissipator", "dissipator_blocked", "drude_lorentz",
+    "dissipator", "drude_lorentz",
     "expm_propagate", "hermitize", "integrate", "lamb_shift_hamiltonian",
     "liouvillian_action", "load_scenario", "pack_hermitian",
     "particle_hole_transform", "propagate_state", "rme_lamb", "rme_rates",

@@ -79,10 +79,14 @@ class BathModel:
     pv_points: int = 2048
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("spectral density width lam must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be nonnegative")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"spectral density width lam must be positive "
+                             f"and finite, got {self.lam}")
+        if not 0 <= self.temperature < np.inf:
+            raise ValueError(f"temperature must be nonnegative and finite, "
+                             f"got {self.temperature}")
+        if self.pv_cutoff is not None and not np.isfinite(self.pv_cutoff):
+            raise ValueError(f"pv_cutoff must be finite, got {self.pv_cutoff}")
         if self.pv_points < 64:
             raise ValueError("pv_points below 64 cannot resolve the integrands")
 

@@ -165,8 +165,9 @@ def cluster(frequencies, threshold: float) -> FrequencyClusters:
     Threshold 0 yields singleton clusters (the secular limit). Clustering runs
     over the full signed axis, so mirror clusters form symmetrically.
     """
-    if threshold < 0:
-        raise ValueError("clustering threshold must be nonnegative")
+    if not threshold >= 0:
+        raise ValueError(f"clustering threshold must be nonnegative, "
+                         f"got {threshold}")
     freqs = sorted(float(f) for f in frequencies)
     if len(set(freqs)) != len(freqs):
         raise ValueError("frequencies must be distinct")

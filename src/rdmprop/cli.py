@@ -114,12 +114,9 @@ def _cmd_run(args) -> int:
 
     csv_path = write_trajectory_csv(traj, outdir / f"{prefix}.csv")
     audit = audit_trajectory(traj)
-    setup = traj.setup
     meta = dict(traj.metadata)
     meta["audit"] = {key: value for key, value in asdict(audit).items()
                      if key not in ("chi", "tol")}
-    meta["unitality_residual"] = unitality_residual(setup.hamiltonian,
-                                                    setup.spec)
     if traj.defect is not None:
         meta["max_hole_defect"] = float(np.max(traj.defect))
     meta_path = write_metadata_json(meta, outdir / f"{prefix}.json")

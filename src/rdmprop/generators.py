@@ -37,11 +37,7 @@ from .bath import BathModel, spectral_function_ule, ule_lamb_coefficient, \
     ule_rate, xi_integral
 from .channels import ChannelSet, FrequencyClusters, cluster, decompose
 from .core import CouplingOperator, DimensionError, NumericalError, \
-    PhysicalityError, SystemHamiltonian, as_matrices, hermitize, max_norm
-
-# Occupancies may leave [0, chi] by integration error before blocking factors
-# clamp; beyond this margin the state is treated as unphysical.
-OCCUPANCY_TOL = 1e-6
+    SystemHamiltonian, as_matrices, hermitize, max_norm
 
 
 class MEKind(str, Enum):
@@ -379,13 +375,10 @@ def particle_hole_transform(h: SystemHamiltonian,
     return HoleSystem(hamiltonian=h_hole, spec=spec_hole)
 
 
-def dissipator(rho: np.ndarray, spec: GeneratorSpec, x=None,
-               y=None) -> np.ndarray:
-    """D(X, Y) rho of the module docstring; X and Y hold one matrix per
-    coupling and default to the couplings. ``rho`` may be a stack."""
-    x = spec.couplings if x is None else x
-    y = x if y is None else y
-    out, anti = _sandwich(spec, x, y, rho)
+def dissipator(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
+    """Linear dissipator D(a, a) rho of the module docstring. ``rho`` may be
+    a stack."""
+    out, anti = _sandwich(spec, spec.couplings, spec.couplings, rho)
     return out - 0.5 * (anti @ rho + rho @ anti)
 
 
@@ -421,45 +414,6 @@ def _sandwich(spec: GeneratorSpec, x, y, rho=None, factors=None):
     return out, anti
 
 
-def subspace_occupancies(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
-    """Per-subspace occupancy: trace over the subspace divided by its size.
-
-    Degenerate levels share a single occupancy so the blocking factor cannot
-    split a degenerate multiplet.
-    """
-    sub = spec.level_subspace
-    return np.bincount(sub, np.real(np.diagonal(rho))) / np.bincount(sub)
-
-
-def blocking_factors(rho: np.ndarray, spec: GeneratorSpec,
-                     occupancy_tol: float = OCCUPANCY_TOL) -> np.ndarray:
-    """Hole occupancy chi - <n> per subspace, clamped at zero.
-
-    Raises PhysicalityError if any occupancy lies outside [0, chi] by more
-    than ``occupancy_tol``.
-    """
-    occ = subspace_occupancies(rho, spec)
-    if np.any(occ < -occupancy_tol) or np.any(occ > spec.chi + occupancy_tol):
-        raise PhysicalityError(
-            f"subspace occupancies {occ} outside [0, {spec.chi}]")
-    return np.clip(spec.chi - occ, 0.0, None)
-
-
-def dissipator_blocked(rho: np.ndarray, spec: GeneratorSpec,
-                       occupancy_tol: float = OCCUPANCY_TOL) -> np.ndarray:
-    """Pauli-blocked dissipator D(M o a, M o a).
-
-    A term filling subspaces s and t (one per side) carries sqrt(f_s f_t),
-    with f the hole occupancy and 1 for exempt sides, which keeps the
-    generator trace- and Hermiticity-preserving and unital.
-    """
-    rho = as_matrices(rho, spec.dim)
-    root = np.sqrt(blocking_factors(rho, spec, occupancy_tol))
-    rows = root[spec.level_subspace][:, None]
-    free, blk = spec.blocking_split
-    return dissipator(rho, spec, [f + rows * b for f, b in zip(free, blk)])
-
-
 def lamb_shift_hamiltonian(spec: GeneratorSpec) -> np.ndarray:
     """Hermitian level shift, summed over coupling operators.
 
@@ -488,18 +442,22 @@ def lamb_shift_hamiltonian(spec: GeneratorSpec) -> np.ndarray:
 
 def liouvillian_action(rho: np.ndarray, h: SystemHamiltonian,
                        spec: GeneratorSpec) -> np.ndarray:
-    """Right-hand side of the master equation in the eigenbasis.
+    """Right-hand side of a linear master equation in the eigenbasis.
 
     -i [H + H_LS, rho] + dissipator(rho), with H diagonal and the Lamb shift
-    only for specs built with lamb_shift=True. Linear generators accept a
-    stack of states.
+    only for specs built with lamb_shift=True; ``rho`` may be a stack.
+    Raises for Pauli-blocked specs, which act on packed states only, through
+    ``propagate.build_blocked_rhs``.
     """
+    if spec.pauli_blocked:
+        raise NonlinearGeneratorError(
+            "Pauli-blocked generators act on packed states only; "
+            "use build_blocked_rhs")
     if h.dim != spec.dim:
         raise DimensionError("Hamiltonian and generator dimensions differ")
     rho = as_matrices(rho, spec.dim)
     heff = effective_hamiltonian(h, spec)
-    diss = dissipator_blocked if spec.pauli_blocked else dissipator
-    return -1j * (heff @ rho - rho @ heff) + diss(rho, spec)
+    return -1j * (heff @ rho - rho @ heff) + dissipator(rho, spec)
 
 
 def effective_hamiltonian(h: SystemHamiltonian,

@@ -25,10 +25,9 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .core import DimensionError, NumericalError, OneRdm, PhysicalityError, \
-    SystemHamiltonian
-from .generators import GeneratorSpec, NonlinearGeneratorError, \
-    _sandwich, effective_hamiltonian, liouvillian_action, \
-    superoperator_matrix
+    SystemHamiltonian, max_norm
+from .generators import GeneratorSpec, _sandwich, effective_hamiltonian, \
+    liouvillian_action, superoperator_matrix
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -69,20 +68,13 @@ def unpack_hermitian(y: np.ndarray, dim: int) -> np.ndarray:
     return m
 
 
-def _packed_matrix(action, dim: int) -> np.ndarray:
-    """Real matrix of a Hermiticity-preserving linear map in the packed
-    basis, from one application to the stack of all basis states."""
-    return pack_hermitian(action(unpack_hermitian(np.eye(dim * dim), dim))).T
-
-
 def build_packed_generator(h: SystemHamiltonian,
                            spec: GeneratorSpec) -> np.ndarray:
-    """Dense real matrix of a linear generator on packed eigenbasis states."""
-    if spec.pauli_blocked:
-        raise NonlinearGeneratorError(
-            "Pauli-blocked generators are state-dependent; "
-            "use build_blocked_rhs")
-    return _packed_matrix(lambda rho: liouvillian_action(rho, h, spec), h.dim)
+    """Dense real matrix of a linear generator on packed eigenbasis states,
+    from one liouvillian_action (which refuses Pauli-blocked specs) on the
+    stack of all basis states."""
+    basis = unpack_hermitian(np.eye(h.dim * h.dim), h.dim)
+    return pack_hermitian(liouvillian_action(basis, h, spec)).T
 
 
 def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
@@ -94,9 +86,12 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     u = (1, r_s): -i[H_eff, .] and D(free, free) by 1; the sandwiches
     S(blk, free), S(free, blk), S(blk, blk) by r_sub(i), r_sub(k) and both;
     per subspace s, the anticommutators of free-blk and blk-blk terms
-    through s by r_s and r_s^2. Zero maps are dropped. Factors clamp at
-    zero: populations pass chi by rounding, and for rme also for real; ule
-    can keep them in bounds while natural occupations pass chi.
+    through s by r_s and r_s^2. Zero maps are dropped. This is the only
+    evaluator of blocked generators, which act on packed states only: runs
+    integrate it and ``unitality_residual`` evaluates it at chi*1. Factors
+    clamp at zero and nothing raises: populations pass chi by rounding, and
+    for rme also for real; ule can keep them in bounds while natural
+    occupations pass chi. The run audit reports both margins.
     """
     if not spec.pauli_blocked:
         raise ValueError("generator spec is not Pauli-blocked")
@@ -145,6 +140,13 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     return rhs
 
 
+def filled_residual(fun, spec: GeneratorSpec) -> float:
+    """Max-norm of the packed right-hand side ``fun`` at the filled state
+    chi*1, unpacked: zero exactly when the generator is unital."""
+    filled = pack_hermitian(spec.chi * np.eye(spec.dim))
+    return max_norm(unpack_hermitian(fun(0.0, filled), spec.dim))
+
+
 ADAPTIVE_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
 
 
@@ -171,10 +173,11 @@ class Schedule:
                              f"got {self.method!r}")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.t_end is not None and self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        for name in ("t_end", "rtol", "atol"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value}")
 
 
 @dataclass(eq=False)
@@ -249,10 +252,11 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
 
     ``rho0`` is given in the original basis (a matrix or OneRdm). The
     metadata records the route taken as ``method``: "expm" for exact
-    stepping, else the solve_ivp method. With ``verify_expm`` the linear
-    generator is also propagated through its Kronecker superoperator
-    (``expm_propagate``) and the maximum population deviation is recorded
-    in the metadata.
+    stepping, else the solve_ivp method; and as ``unitality_residual`` the
+    function it integrates, evaluated once at chi*1. With ``verify_expm``
+    the linear generator is also propagated through its Kronecker
+    superoperator (``expm_propagate``) and the maximum population deviation
+    is recorded in the metadata.
     """
     if schedule is None:
         schedule = Schedule()
@@ -288,6 +292,7 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         def fun(t, y):
             return gmat @ y
 
+    residual = filled_residual(fun, spec)
     started = time.perf_counter()
     if method == "expm":
         ys, nfev = _step_on_grid(gmat, y0, t_eval), 0
@@ -315,6 +320,7 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         "atol": schedule.atol,
         "rhs_evaluations": int(nfev),
         "wall_time_s": elapsed,
+        "unitality_residual": residual,
     }
     traj = Trajectory(times=t_eval.copy(), states=states,
                       populations=populations, chi=spec.chi,

@@ -93,9 +93,12 @@ def constraint_residual(h: SystemHamiltonian, spec: GeneratorSpec,
 def unitality_residual(h: SystemHamiltonian, spec: GeneratorSpec) -> float:
     """Max-norm of the generator applied to the fully filled state.
 
-    Zero (to rounding) exactly when the generator is unital. Works for both
-    linear and Pauli-blocked generators.
+    Zero (to rounding) exactly when the generator is unital. Pauli-blocked
+    generators act on packed states only, so for them this evaluates
+    ``build_blocked_rhs``, the function a run integrates, at chi*1.
     """
+    if spec.pauli_blocked:
+        return _prop.filled_residual(_prop.build_blocked_rhs(h, spec), spec)
     filled = spec.chi * np.eye(spec.dim, dtype=complex)
     return max_norm(liouvillian_action(filled, h, spec))
 

@@ -148,6 +148,13 @@ def test_bath_model_validation():
         BathModel(lam=LAM, temperature=-1.0)
     with pytest.raises(ValueError):
         BathModel(lam=LAM, temperature=50.0, pv_points=32)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lam"):
+            BathModel(lam=value, temperature=50.0)
+        with pytest.raises(ValueError, match="temperature"):
+            BathModel(lam=LAM, temperature=value)
+        with pytest.raises(ValueError, match="pv_cutoff"):
+            BathModel(lam=LAM, temperature=50.0, pv_cutoff=value)
 
 
 def test_cutoff_policy():

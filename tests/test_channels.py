@@ -211,8 +211,12 @@ def test_cluster_chains_across_consecutive_gaps():
 def test_cluster_validation():
     with pytest.raises(ValueError):
         cluster([0.1, 0.2], -0.1)
+    with pytest.raises(ValueError, match="threshold"):
+        cluster([0.1, 0.2], float("nan"))
     with pytest.raises(ValueError):
         cluster([0.1, 0.1], 0.0)
+    # an infinite threshold joins every frequency into one cluster
+    assert len(cluster([0.1, 0.2, 5.0], float("inf")).clusters) == 1
 
 
 @settings(max_examples=100, deadline=None)

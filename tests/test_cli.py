@@ -8,9 +8,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import rdmprop.propagate
+import rdmprop.representability
 from rdmprop.bath import spectral_function_ule
+from rdmprop.benchmarks import builtin_three_level
 from rdmprop.channels import cluster
 from rdmprop.cli import main
+from rdmprop.representability import unitality_residual
 from rdmprop.scenario import Scenario, save_scenario
 
 from oracle import cluster_center
@@ -51,6 +55,41 @@ def test_run_writes_trajectory_and_metadata(tmp_path, capsys):
     assert meta["scenario"]["generator"]["kind"] == "ule"
     out = capsys.readouterr().out
     assert "final populations" in out
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_run_builds_one_generator_and_reports_its_residual(
+        tmp_path, monkeypatch, blocked):
+    # every route to a generator, the audit's included
+    calls = []
+    for module, name in ((rdmprop.propagate, "build_packed_generator"),
+                         (rdmprop.propagate, "build_blocked_rhs"),
+                         (rdmprop.propagate, "liouvillian_action"),
+                         (rdmprop.representability, "liouvillian_action")):
+        original = getattr(module, name)
+
+        def counted(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    extra = ("--blocked",) if blocked else ()
+    code = main(["run", *ladder_args(*extra, "--output-dir", str(tmp_path))])
+    assert code == 0
+    assert calls == (["build_blocked_rhs"] if blocked else
+                     ["build_packed_generator", "liouvillian_action"])
+
+    meta = json.loads((tmp_path / "three-level-ladder.json").read_text())
+    setup = builtin_three_level(kind="ule", temperature=50.0,
+                                pauli_blocked=blocked).build()
+    expected = unitality_residual(setup.hamiltonian, setup.spec)
+    if blocked:
+        # the audit evaluates the very function the run integrated
+        assert meta["unitality_residual"] == expected < 1e-12
+    else:
+        assert meta["unitality_residual"] == pytest.approx(expected,
+                                                           rel=1e-12)
+        assert expected > 1e-4
 
 
 def test_run_is_deterministic(tmp_path):
@@ -142,11 +181,11 @@ def test_run_surfaces_unphysical_states_as_runtime_failures(tmp_path,
     assert "violate" in capsys.readouterr().err
 
 
-def _write_scenario(tmp_path, coupling, schedule):
+def _write_scenario(tmp_path, coupling, schedule, energies=(-0.5, 0.5)):
     scenario = Scenario.from_dict({
         "name": "numerical",
         "chi": 1.0,
-        "hamiltonian": {"energies": [-0.5, 0.5]},
+        "hamiltonian": {"energies": list(energies)},
         "coupling_operators": [{"label": "c", "matrix": coupling}],
         "initial_state": {"occupations": [0.0, 1.0]},
         "bath": {"lambda": 0.01, "temperature": 50.0},
@@ -167,13 +206,57 @@ def test_run_without_a_decaying_channel_exits_one(tmp_path, capsys):
 
 
 def test_run_with_non_finite_rates_exits_one(tmp_path, capsys):
-    # an infinite temperature makes the zero-frequency rate kT infinite
-    path = _write_scenario(tmp_path, [[1.0, 1.0], [1.0, 0.0]],
-                           {"t_end": 10.0, "samples": 3})
-    code = main(["run", "--scenario", path, "--temperature", "inf",
-                 "--output-dir", str(tmp_path)])
+    # the Bohr frequency 2e308 overflows, and the rate at it is NaN
+    with np.errstate(all="ignore"):
+        path = _write_scenario(tmp_path, [[1.0, 1.0], [1.0, 0.0]],
+                               {"t_end": 10.0, "samples": 3},
+                               energies=(-1e308, 1e308))
+        code = main(["run", "--scenario", path,
+                     "--output-dir", str(tmp_path)])
     assert code == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, field", [
+    ("--temperature", "nan", "temperature"),
+    ("--temperature", "inf", "temperature"),
+    ("--t-end", "inf", "t_end"),
+    ("--t-end", "nan", "t_end"),
+])
+def test_run_rejects_a_non_finite_option(tmp_path, capsys, option, value,
+                                         field):
+    code = main(["run", *ladder_args(option, value,
+                                     "--output-dir", str(tmp_path))])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_rejects_a_nan_clustering_threshold(tmp_path, capsys):
+    code = main(["run", *ladder_args("--kind", "ume", "--threshold", "nan",
+                                     "--output-dir", str(tmp_path))])
+    assert code == 2
+    assert "clustering threshold" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("schedule", "rtol", float("nan")),
+    ("schedule", "atol", float("inf")),
+    ("bath", "lambda", float("nan")),
+    ("bath", "pv_cutoff", float("inf")),
+])
+def test_scenario_with_a_non_finite_field_exits_two(tmp_path, capsys,
+                                                   section, key, value):
+    bath = {"lambda": 0.01, "temperature": 50.0}
+    schedule = {"t_end": 100.0, "samples": 5, "method": "DOP853"}
+    {"bath": bath, "schedule": schedule}[section][key] = value
+    path = _two_level_file(tmp_path, bath, schedule)
+    code = main(["run", "--scenario", path, "--output-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"scenario.{section}" in err
+    assert {"lambda": "lam"}.get(key, key) in err
 
 
 def _two_level_file(tmp_path, bath, schedule):

@@ -13,7 +13,6 @@ from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.core import (
     CouplingOperator,
     DimensionError,
-    PhysicalityError,
     SystemHamiltonian,
     hermiticity_defect,
     max_norm,
@@ -21,16 +20,15 @@ from rdmprop.core import (
 from rdmprop.generators import (
     MEKind,
     NonlinearGeneratorError,
-    blocking_factors,
     build_generator,
     dissipator,
-    dissipator_blocked,
     lamb_shift_hamiltonian,
     liouvillian_action,
     particle_hole_transform,
-    subspace_occupancies,
     superoperator_matrix,
 )
+from rdmprop.propagate import build_blocked_rhs, pack_hermitian, \
+    unpack_hermitian
 from rdmprop.representability import unitality_residual
 
 from oracle import Oracle, cluster_center, dissipator_ule, \
@@ -73,6 +71,11 @@ def benzene_ume():
 @pytest.fixture(scope="module")
 def benzene_ule():
     return builtin_benzene(kind="ule").build()
+
+
+@pytest.fixture(scope="module")
+def benzene_ule_blocked():
+    return builtin_benzene(kind="ule", pauli_blocked=True).build()
 
 
 def test_kind_enumeration():
@@ -273,34 +276,50 @@ def test_per_block_terms_reproduce_linear_dissipator(three_rme, rng):
     npt.assert_allclose(total, dissipator(rho, spec), atol=1e-15)
 
 
-def test_subspace_occupancies_average_degenerate_shells(benzene_ule):
-    spec = benzene_ule.spec
+def blocked_rhs_at(setup, rho):
+    """Unpacked blocked right-hand side at ``rho``: the function a run
+    integrates."""
+    rhs = build_blocked_rhs(setup.hamiltonian, setup.spec)
+    return unpack_hermitian(rhs(0.0, pack_hermitian(rho)), setup.spec.dim)
+
+
+def test_subspace_occupancies_average_degenerate_shells(benzene_ule_blocked):
+    # shells (0), (1, 2), (3, 4), (5) hold 2.0, 1.0, 0.5 and 0.25 per level
+    setup = benzene_ule_blocked
     rho = np.diag([2.0, 1.5, 0.5, 1.0, 0.0, 0.25]).astype(complex)
-    occ = subspace_occupancies(rho, spec)
-    npt.assert_allclose(occ, [2.0, 1.0, 0.5, 0.25], atol=1e-15)
+    oracle = Oracle(setup.hamiltonian, setup.spec)
+    npt.assert_allclose(oracle.root(rho) ** 2, [0.0, 1.0, 1.5, 1.75],
+                        atol=1e-15)
+    rhs = build_blocked_rhs(setup.hamiltonian, setup.spec)
+    y = pack_hermitian(rho)
+    assert max_norm(rhs(0.0, y) - oracle.blocked_rhs(y)) < 1e-12
+    # factors read off one level of each shell would change the flow
+    one_level = np.sqrt(2.0 - np.real(np.diag(rho)))[[0, 1, 3, 5]]
+    assert max_norm(pack_hermitian(oracle.liouvillian(rho, one_level))
+                    - oracle.blocked_rhs(y)) > 1e-6
 
 
-def test_blocking_factors_clamp_and_validate(benzene_ule):
-    spec = benzene_ule.spec
+def test_blocking_factors_clamp_at_zero(benzene_ule_blocked):
+    setup = benzene_ule_blocked
+    oracle = Oracle(setup.hamiltonian, setup.spec)
     rho = np.diag([2.0, 1.0, 1.0, 0.5, 0.5, 0.0]).astype(complex)
-    f = blocking_factors(rho, spec)
-    npt.assert_allclose(f, [0.0, 1.0, 1.5, 2.0], atol=1e-15)
-    with pytest.raises(PhysicalityError):
-        blocking_factors(np.diag([2.5, 1, 1, 0, 0, 0]).astype(complex), spec)
-    with pytest.raises(PhysicalityError):
-        blocking_factors(np.diag([-0.5, 1, 1, 1, 1, 1]).astype(complex),
-                         spec)
+    npt.assert_allclose(oracle.root(rho) ** 2, [0.0, 1.0, 1.5, 2.0],
+                        atol=1e-15)
+    # occupancies past chi or below zero clamp the factor at zero or leave
+    # it above sqrt(chi); nothing raises
+    rhs = build_blocked_rhs(setup.hamiltonian, setup.spec)
+    for occ in ([2.0, 1.0, 1.0, 0.5, 0.5, 0.0], [2.5, 1, 1, 0, 0, 0],
+                [-0.5, 1, 1, 1, 1, 1]):
+        y = pack_hermitian(np.diag(occ).astype(complex))
+        assert max_norm(rhs(0.0, y) - oracle.blocked_rhs(y)) < 1e-12
 
 
-def test_blocked_dissipator_requires_blocked_spec_dispatch(rng):
+def test_liouvillian_action_refuses_blocked_specs():
     setup = builtin_three_level(kind="ule", pauli_blocked=True,
                                 temperature=50.0).build()
-    spec = setup.spec
-    assert spec.pauli_blocked
     rho = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    # rho commutes with H, so the generator is the blocked dissipator alone
-    npt.assert_allclose(liouvillian_action(rho, setup.hamiltonian, spec),
-                        dissipator_blocked(rho, spec), atol=0.0)
+    with pytest.raises(NonlinearGeneratorError):
+        liouvillian_action(rho, setup.hamiltonian, setup.spec)
 
 
 def test_blocked_generator_annihilates_filled_state():
@@ -315,24 +334,28 @@ def test_blocked_generator_annihilates_filled_state():
         assert unitality_residual(setup.hamiltonian, setup.spec) < 1e-12
 
 
-def test_blocked_dissipator_preserves_hermiticity_and_trace(rng):
-    setup = builtin_benzene(kind="ule", pauli_blocked=True).build()
-    spec = setup.spec
+def test_blocked_dissipator_preserves_hermiticity_and_trace(
+        benzene_ule_blocked, rng):
+    setup = benzene_ule_blocked
+    oracle = Oracle(setup.hamiltonian, setup.spec)
     for _ in range(5):
         rho = random_state(rng, 6, 2.0)
-        drho = dissipator_blocked(rho, spec)
-        assert hermiticity_defect(drho) < 1e-12
+        # the packed route keeps only the Hermitian part, so the full
+        # complex derivative it stands for is the oracle's
+        expected = oracle.liouvillian(rho, oracle.root(rho))
+        assert hermiticity_defect(expected) < 1e-12
+        drho = blocked_rhs_at(setup, rho)
+        assert max_norm(drho - expected) < 1e-12
         assert abs(np.trace(drho)) < 1e-12
 
 
 def test_blocked_inflow_into_full_orbital_vanishes():
     setup = builtin_three_level(kind="ule", pauli_blocked=True,
                                 temperature=50.0).build()
-    spec = setup.spec
     # level 0 full, level 1 occupied: the 1 -> 0 transfer is switched off,
     # so the full orbital sees no net flow at all
     rho = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    drho = dissipator_blocked(rho, spec)
+    drho = blocked_rhs_at(setup, rho)
     assert abs(drho[0, 0]) < 1e-15
     # the unblocked generator would push more population into level 0
     linear = builtin_three_level(kind="ule", temperature=50.0).build().spec
@@ -342,11 +365,11 @@ def test_blocked_inflow_into_full_orbital_vanishes():
 def test_blocked_factors_scale_transfer_terms():
     setup = builtin_three_level(kind="ule", pauli_blocked=True,
                                 temperature=50.0).build()
-    spec = setup.spec
     linear = builtin_three_level(kind="ule", temperature=50.0).build().spec
-    # level 0 half full: the 1 -> 0 inflow carries a factor chi - n = 1/2
+    # level 0 half full: the 1 -> 0 inflow carries a factor chi - n = 1/2;
+    # rho commutes with H, so the right-hand side is the dissipator alone
     rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
-    blocked_flow = dissipator_blocked(rho, spec)[0, 0].real
+    blocked_flow = blocked_rhs_at(setup, rho)[0, 0].real
     linear_flow = dissipator_ule(rho, linear)[0, 0].real
     assert blocked_flow == pytest.approx(0.5 * linear_flow, rel=1e-12)
 

@@ -72,6 +72,10 @@ def test_schedule_validation():
     with pytest.raises(ValueError, match="rk45"):
         Schedule(method="rk45")
     assert Schedule().method is None
+    for field in ("t_end", "rtol", "atol"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=field):
+                Schedule(**{field: value})
 
 
 def test_default_t_end_is_twenty_slowest_lifetimes():
