@@ -11,8 +11,7 @@ from .bath import BathModel, QuadratureError, SpectralSample, bose_einstein, \
     spectral_function_redfield, spectral_function_ule, ule_lamb_coefficient, \
     ule_rate, xi_integral
 from .benchmarks import BENCHMARKS, builtin_benzene, builtin_three_level
-from .channels import ChannelBlock, ChannelSet, Cluster, FrequencyClusters, \
-    cluster, decompose
+from .channels import ChannelSet, FrequencyClusters, cluster, decompose
 from .core import AuditReport, CouplingOperator, DimensionError, \
     NumericalError, OneRdm, PhysicalityError, SystemHamiltonian, hermitize, \
     spectral_audit
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport", "BathModel", "BENCHMARKS", "ChannelAsymmetry",
-    "ChannelBlock", "ChannelSet", "Cluster", "ConstraintReport",
+    "ChannelSet", "ConstraintReport",
     "CouplingOperator", "DimensionError", "FrequencyClusters",
     "GeneratorSpec", "HoleSystem", "MEKind", "NonlinearGeneratorError",
     "NumericalError", "OneRdm", "PhysicalityError", "QuadratureError",

@@ -38,13 +38,15 @@ class QuadratureError(RuntimeError):
 def drude_lorentz(omega, lam: float):
     """Drude-Lorentz spectral density J(w) = w lam^2 / (w^2 + lam^2); odd in w.
 
-    J is homogeneous of degree one, so it is evaluated on w and lam divided
-    by the power of two just above lam: the division is exact, the rounding is
-    that of the plain formula, and lam^2 stays finite for any finite lam.
+    J is homogeneous of degree one, so it is evaluated on w and lam scaled
+    by 2^-e, e the binary exponent of lam, and the result by 2^e, both with
+    ldexp: the scaling is exact, the rounding is that of the plain formula,
+    and lam^2 stays finite for any finite lam (2^e itself may not be).
     """
-    scale = 2.0 ** math.frexp(lam)[1]
-    omega, lam = np.asarray(omega, dtype=float) / scale, lam / scale
-    out = scale * (omega * lam**2 / (omega**2 + lam**2))
+    e = math.frexp(lam)[1]
+    omega = np.ldexp(np.asarray(omega, dtype=float), -e)
+    lam = math.ldexp(lam, -e)
+    out = np.ldexp(omega * lam**2 / (omega**2 + lam**2), e)
     return out if out.ndim else float(out)
 
 

@@ -3,12 +3,14 @@
 A Hermitian coupling operator is split in the system eigenbasis into
 eigen-subspace blocks, and the blocks are grouped into channels, one per
 Bohr frequency (difference of eigen-subspace energies). A channel set holds
-the coupling once, together with a map from every level pair (i, j) to its
-channel: a channel operator is the coupling masked to the pairs of that
-channel, and summing all channels returns the operator. Generators read
-their rates off this map as arrays over level pairs. For the unified master
-equation, nearby Bohr frequencies are grouped into clusters that share one
-decay rate evaluated at the cluster center.
+the coupling once, together with an integer label per level pair (i, j):
+the index of its channel in the sorted frequencies, -1 in dropped blocks.
+A channel operator is the coupling masked to the pairs of one label, and
+summing all channels returns the operator. Generators read their rates off
+these labels as arrays over level pairs. For the unified master equation,
+nearby Bohr frequencies are grouped into clusters that share one decay rate
+evaluated at the cluster center; clustering labels each sorted frequency
+with the index of its cluster.
 """
 
 from __future__ import annotations
@@ -24,22 +26,14 @@ from .core import CouplingOperator, DimensionError, SystemHamiltonian, max_norm
 _CLUSTER_GAP_EPS = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelBlock:
-    """One eigen-subspace block of a coupling operator.
-
-    It moves population from the source subspace (columns) into the target
-    subspace (rows); its frequency is e_source - e_target (positive for
-    emission).
-    """
-
-    target: int
-    source: int
-    frequency: float
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.target == self.source
+def _chain(values: np.ndarray, tol: float):
+    """Chain-merge sorted values: the group label of every value and the
+    mean of every group. A new group starts wherever the gap to the
+    previous value is not within ``tol`` (a NaN gap included)."""
+    new = np.ones(values.size, dtype=bool)
+    new[1:] = ~(np.diff(values) <= tol)
+    groups = np.split(values, np.flatnonzero(new))[1:]
+    return np.cumsum(new) - 1, [float(np.mean(g)) for g in groups]
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,109 +46,73 @@ class ChannelSet:
     """
 
     frequencies: tuple[float, ...]
-    blocks: tuple[ChannelBlock, ...]
     subspaces: tuple[tuple[int, ...], ...]
-    subspace_energies: np.ndarray
-    dim: int
     coupling: np.ndarray
     channel: np.ndarray
     label: str = ""
 
-    def operator(self, frequency: float) -> np.ndarray:
-        try:
-            k = self.frequencies.index(frequency)
-        except ValueError:
-            raise KeyError(f"no channel at frequency {frequency!r}") from None
-        return np.where(self.channel == k, self.coupling, 0.0)
-
-    def coupling_sum(self) -> np.ndarray:
-        """Sum of all channels; reconstructs the eigenbasis coupling operator."""
-        return self.coupling.copy()
+    @property
+    def dim(self) -> int:
+        return self.channel.shape[0]
 
 
 def decompose(h: SystemHamiltonian, a: CouplingOperator,
               drop_tol: float = 1e-12) -> ChannelSet:
     """Split a coupling operator into Bohr-frequency channels.
 
-    Channels are computed in the eigenbasis of ``h``. Frequencies that agree
-    within ``h.degeneracy_tol`` are merged (their operators summed) and a
-    merged frequency within the tolerance of zero is snapped to exactly 0.0.
-    Blocks with max-norm below ``drop_tol`` are dropped.
+    Channels are computed in the eigenbasis of ``h``. The kept subspace
+    blocks (target, source), with frequency e_source - e_target, are sorted
+    stably by frequency and chain-merged at ``h.degeneracy_tol``; a channel
+    sits at the mean frequency of its blocks, snapped to exactly 0.0 within
+    the tolerance of zero. Blocks with max-norm below ``drop_tol`` are
+    dropped.
     """
     if h.dim != a.dim:
         raise DimensionError(f"dimension mismatch: H is {h.dim}, A is {a.dim}")
     a_eig = h.to_eigenbasis(a.matrix)
     groups = h.degenerate_groups
-    energies = h.subspace_energies
+    sub = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    norm = np.zeros((len(groups), len(groups)))
+    np.maximum.at(norm, (sub[:, None], sub), np.abs(a_eig))
+    target, source = np.nonzero(~(norm < drop_tol))
+    w = h.subspace_energies[source] - h.subspace_energies[target]
+    order = np.argsort(w, kind="stable")
+    label, means = _chain(w[order], h.degeneracy_tol)
+    block = np.full(norm.shape, -1)
+    block[target[order], source[order]] = label
+    channel = block[sub[:, None], sub]
 
-    raw: list[ChannelBlock] = []
-    for i, gi in enumerate(groups):
-        for j, gj in enumerate(groups):
-            if max_norm(a_eig[np.ix_(gi, gj)]) < drop_tol:
-                continue
-            raw.append(ChannelBlock(i, j, float(energies[j] - energies[i])))
-
-    raw.sort(key=lambda b: b.frequency)
-    merged: list[list[ChannelBlock]] = []
-    for blk in raw:
-        if merged and blk.frequency - merged[-1][-1].frequency <= h.degeneracy_tol:
-            merged[-1].append(blk)
-        else:
-            merged.append([blk])
-
-    freqs: list[float] = []
-    blocks: list[ChannelBlock] = []
-    channel = np.full((h.dim, h.dim), -1)
-    for k, group in enumerate(merged):
-        f = float(np.mean([b.frequency for b in group]))
-        if abs(f) <= h.degeneracy_tol:
-            f = 0.0
-        freqs.append(f)
-        for b in group:
-            channel[np.ix_(groups[b.target], groups[b.source])] = k
-            blocks.append(ChannelBlock(b.target, b.source, f))
-
-    channels = ChannelSet(
-        frequencies=tuple(freqs),
-        blocks=tuple(blocks),
-        subspaces=groups,
-        subspace_energies=energies,
-        dim=h.dim,
-        coupling=np.where(channel >= 0, a_eig, 0.0),
-        channel=channel,
-        label=a.label,
-    )
+    channels = ChannelSet(frequencies=tuple(0.0 if abs(f) <= h.degeneracy_tol
+                                            else f for f in means),
+                          subspaces=groups,
+                          coupling=np.where(channel >= 0, a_eig, 0.0),
+                          channel=channel, label=a.label)
     # completeness can only be broken by the drop tolerance
-    bound = 1e-10 + drop_tol * max(len(raw), 1)
-    if max_norm(channels.coupling_sum() - a_eig) > bound:
+    bound = 1e-10 + drop_tol * max(len(w), 1)
+    if max_norm(channels.coupling - a_eig) > bound:
         raise RuntimeError("channel decomposition failed completeness check")
     return channels
 
 
 @dataclass(frozen=True, eq=False)
-class Cluster:
-    members: tuple[float, ...]
-    center: float
-
-
-@dataclass(frozen=True, eq=False)
 class FrequencyClusters:
-    """Partition of Bohr frequencies into gap-bounded clusters."""
+    """Partition of sorted Bohr frequencies into gap-bounded clusters.
 
-    clusters: tuple[Cluster, ...]
+    ``label[i]`` is the index of the cluster of ``frequencies[i]``, and
+    ``centers[k]`` the mean of the frequencies of cluster k.
+    """
+
+    frequencies: tuple[float, ...]
+    label: np.ndarray
+    centers: tuple[float, ...]
     threshold: float
 
     @property
     def zero_cluster_index(self) -> int | None:
         """Index of the cluster containing frequency 0, if any."""
-        for k, c in enumerate(self.clusters):
-            if any(abs(m) < _CLUSTER_GAP_EPS for m in c.members):
-                return k
-        return None
-
-    @property
-    def centers(self) -> tuple[float, ...]:
-        return tuple(c.center for c in self.clusters)
+        if 0.0 not in self.frequencies:
+            return None
+        return int(self.label[self.frequencies.index(0.0)])
 
 
 def cluster(frequencies, threshold: float) -> FrequencyClusters:
@@ -168,14 +126,9 @@ def cluster(frequencies, threshold: float) -> FrequencyClusters:
     if not threshold >= 0:
         raise ValueError(f"clustering threshold must be nonnegative, "
                          f"got {threshold}")
-    freqs = sorted(float(f) for f in frequencies)
-    if len(set(freqs)) != len(freqs):
+    freqs = np.sort(np.fromiter(frequencies, dtype=float))
+    if np.unique(freqs).size != freqs.size:
         raise ValueError("frequencies must be distinct")
-    groups: list[list[float]] = []
-    for f in freqs:
-        if groups and f - groups[-1][-1] <= threshold + _CLUSTER_GAP_EPS:
-            groups[-1].append(f)
-        else:
-            groups.append([f])
-    clusters = tuple(Cluster(tuple(g), float(np.mean(g))) for g in groups)
-    return FrequencyClusters(clusters=clusters, threshold=float(threshold))
+    label, centers = _chain(freqs, threshold + _CLUSTER_GAP_EPS)
+    return FrequencyClusters(frequencies=tuple(freqs.tolist()), label=label,
+                             centers=tuple(centers), threshold=float(threshold))

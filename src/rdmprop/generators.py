@@ -7,15 +7,16 @@ eigenbasis through the coupling operators a_k (independent noise sources):
                                      - 1/2 {(V o Y_k)^+ (U o X_k), rho} ]
 
 ``o`` is the element-wise product, and the rate factors U, V are arrays over
-level pairs (i, j), holding a bath quantity at the frequency of the channel
-of (i, j). The linear dissipator is D(a, a), and the kinds differ only in
-their factors: rme has (Gamma, 1) and (1, Gamma) with the one-sided rate
-Gamma = pi Gamma_hat + i xi; ule has (J, J) with J = sqrt(2 pi Gamma_hat),
-one jump J o a_k per coupling; ume has (rate, 1), rate = 2 pi Gamma_hat at
-the center of each pair's frequency cluster, joining only the pairs of
-pairs (i, j), (k, l) of one cluster: out_ik = sum rate_ij X_ij rho_jl
-conj(Y_kl), a sparse map with sum_c |c|^2 entries per coupling. Its i = k
-entries give the anticommutator, and with xi for the rate the Lamb term.
+level pairs (i, j): a bath quantity, evaluated once per distinct frequency,
+gathered through the integer channel label of (i, j). The linear
+dissipator is D(a, a), and the kinds differ only in their factors: rme has
+(Gamma, 1) and (1, Gamma) with the one-sided rate Gamma = pi Gamma_hat +
+i xi; ule has (J, J) with J = sqrt(2 pi Gamma_hat), one jump J o a_k per
+coupling; ume has (rate, 1), rate = 2 pi Gamma_hat at the center of each
+pair's frequency cluster, joining only the pairs of pairs (i, j), (k, l)
+with one cluster label: out_ik = sum rate_ij X_ij rho_jl conj(Y_kl), a
+sparse map with sum_c |c|^2 entries per coupling. Its i = k entries give
+the anticommutator, and with xi for the rate the Lamb term.
 
 Pauli blocking replaces the coupling by M(rho) o a, where
 M_ij = sqrt(chi - n_sub(i)) on blocks between two different subspaces
@@ -115,10 +116,12 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
 
     Gamma_hat is evaluated in one call on the distinct frequencies of the
     channel sets, and every bath quantity is scattered onto their level
-    pairs. Principal-value integrals run only where used: in every rme
-    rate, at ume cluster centers for the Lamb shift, and for ule at the
-    frequency pairs (w_ij, w_jk) of chained channel products a_ij a_jk,
-    once per mirror pair (a, b), (-b, -a).
+    pairs through the channel labels. ume reads each frequency's cluster
+    from ``clusters.label``, so the clusters must be built over exactly
+    that union of frequencies. Principal-value integrals run only where
+    used: in every rme rate, at ume cluster centers for the Lamb shift, and
+    for ule at the frequency pairs (w_ij, w_jk) of chained channel products
+    a_ij a_jk, once per mirror pair (a, b), (-b, -a).
     """
     if isinstance(channel_sets, ChannelSet):
         channel_sets = (channel_sets,)
@@ -156,13 +159,10 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
     else:
         if clusters is None:
             raise ValueError("ume rate table needs frequency clusters")
-        members = np.array([m for c in clusters.clusters for m in c.members])
-        if not np.isin(freqs, members).all():
-            raise KeyError("a frequency is not in any cluster")
-        label = np.repeat(np.arange(len(clusters.clusters)),
-                          [len(c.members) for c in clusters.clusters])
-        label = label[np.searchsorted(members, freqs)]
-        centers = [c.center for c in clusters.clusters]
+        if clusters.frequencies != freqs:
+            raise ValueError("clusters were built over other frequencies "
+                             "than the channels'")
+        label, centers = clusters.label, clusters.centers
         values = (2.0 * np.pi * spectral_function_ule(np.array(centers),
                                                       bath))[label]
         cluster_of = tuple(_scatter(label, p, -1) for p in where)
@@ -223,7 +223,7 @@ class GeneratorSpec:
         return np.repeat(np.arange(len(self.subspaces)),
                          [len(idx) for idx in self.subspaces])
 
-    @property
+    @cached_property
     def frequencies(self) -> tuple[float, ...]:
         """Sorted union of the Bohr frequencies of all coupling operators."""
         return _union_frequencies(self.channel_sets)
@@ -232,11 +232,7 @@ class GeneratorSpec:
     def couplings(self) -> tuple[np.ndarray, ...]:
         return tuple(ch.coupling for ch in self.channel_sets)
 
-    def coupling_sum(self) -> np.ndarray:
-        """Sum of all coupling operators in the eigenbasis."""
-        return sum(self.couplings)
-
-    @property
+    @cached_property
     def union_positions(self) -> list[np.ndarray]:
         """Position in ``frequencies`` of the channel of every level pair,
         -1 outside, per coupling operator."""
@@ -365,7 +361,7 @@ def particle_hole_transform(h: SystemHamiltonian,
     perm = np.eye(h.dim, dtype=complex)[:, order]
     h_hole = SystemHamiltonian(hole_energies, perm,
                                degeneracy_tol=h.degeneracy_tol)
-    a_hole = [CouplingOperator(f"hole:{ch.label}", ch.coupling_sum().T.copy())
+    a_hole = [CouplingOperator(f"hole:{ch.label}", ch.coupling.T.copy())
               for ch in spec.channel_sets]
     threshold = spec.clusters.threshold if spec.clusters is not None else None
     spec_hole = build_generator(

@@ -129,9 +129,12 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
 
     stack, ones = stack[:len(index) * n], np.ones(len(index))
     left, right = map(np.array, zip(*index))
-    offset = np.append(1.0, np.full(m, spec.chi))
     average = np.zeros((m + 1, d))
     average[sub + 1, range(d)] = -1.0 / np.bincount(sub)[sub]
+    # the vacancy chi - n_s, with chi as the product the filled state gives,
+    # so that u = (1, 0, ..., 0) exactly at chi*1 for any shell size
+    offset = -(average @ np.full(d, spec.chi))
+    offset[0] = 1.0
 
     def rhs(t, y):
         u = np.sqrt(np.maximum(offset + average @ y[:d], 0.0))

@@ -11,13 +11,16 @@ blocks, each term scaled by sqrt(f) of the target subspace of every
 blockable side. Pair rates are composed from the bath functions evaluated
 at each channel frequency; the Lamb shift comes from the same pair sums
 (rme, ume) or from chained block products (ule). The oracle shares only the
-channel decomposition, the frequency clusters, the bath functions and the
-state packing with the package. Pair sums are contracted with numpy instead
-of Python loops so the oracle stays usable at d = 16.
+channel decomposition (the integer channel label of every level pair),
+the frequency clusters (the cluster label of every frequency), the bath
+functions and the state packing with the package; its channel and block
+operators it cuts from the coupling itself, by label and by subspace. Pair
+sums are contracted with numpy instead of Python loops so the oracle stays
+usable at d = 16.
 
 The module also keeps the ule dissipator in Lindblad form, one jump
 operator per coupling, a reader of level-pair arrays by frequency, and
-lookups of a frequency's cluster by member.
+lookups by frequency of a channel operator and of a cluster.
 """
 
 import numpy as np
@@ -47,17 +50,40 @@ def dissipator_ule(rho, spec):
     return out
 
 
+def channel_operator(ch, frequency):
+    """The coupling on the level pairs of the channel at ``frequency``."""
+    if frequency not in ch.frequencies:
+        raise KeyError(f"no channel at frequency {frequency!r}")
+    return np.where(ch.channel == ch.frequencies.index(frequency),
+                    ch.coupling, 0.0)
+
+
 def cluster_index(clusters, frequency):
-    """Index of the cluster that lists ``frequency`` among its members."""
-    for k, c in enumerate(clusters.clusters):
-        if frequency in c.members:
-            return k
-    raise KeyError(f"frequency {frequency!r} is not in any cluster")
+    """Label of the cluster of ``frequency``."""
+    if frequency not in clusters.frequencies:
+        raise KeyError(f"frequency {frequency!r} is not in any cluster")
+    return int(clusters.label[clusters.frequencies.index(frequency)])
 
 
 def cluster_center(clusters, frequency):
-    """Center of the cluster that lists ``frequency`` among its members."""
-    return clusters.clusters[cluster_index(clusters, frequency)].center
+    """Center of the cluster of ``frequency``."""
+    return clusters.centers[cluster_index(clusters, frequency)]
+
+
+def subspace_blocks(ch):
+    """(target, source, frequency, operator) of every kept eigen-subspace
+    block of a channel set, the operator the coupling on that block."""
+    out = []
+    for t, rows in enumerate(ch.subspaces):
+        for s, cols in enumerate(ch.subspaces):
+            k = ch.channel[rows[0], cols[0]]
+            if k < 0:
+                continue
+            idx = np.ix_(rows, cols)
+            op = np.zeros((ch.dim, ch.dim), dtype=complex)
+            op[idx] = ch.coupling[idx]
+            out.append((t, s, ch.frequencies[k], op))
+    return out
 
 
 def union_values(spec, arrays):
@@ -98,21 +124,18 @@ class Oracle:
         zero = spec.clusters.zero_cluster_index if spec.clusters else None
         self.channels, self.blocks = [], []
         for ch in spec.channel_sets:
-            ops = np.array([ch.operator(w) for w in ch.frequencies]
+            ops = np.array([channel_operator(ch, w) for w in ch.frequencies]
                            ).reshape(-1, h.dim, h.dim)
             freqs = ch.frequencies
             self.channels.append(
                 (ops, *_pair_products(ops, self.pair_rates(freqs))))
             block_ops, block_freqs, targets = [], [], []
-            for b in ch.blocks:
-                idx = np.ix_(ch.subspaces[b.target], ch.subspaces[b.source])
-                op = np.zeros((h.dim, h.dim), dtype=complex)
-                op[idx] = ch.operator(b.frequency)[idx]
-                exempt = b.is_diagonal or (spec.kind is MEKind.UME and
-                                           self.cluster_of(b.frequency) == zero)
+            for t, s, w, op in subspace_blocks(ch):
+                exempt = t == s or (spec.kind is MEKind.UME and
+                                    self.cluster_of(w) == zero)
                 block_ops.append(op)
-                block_freqs.append(b.frequency)
-                targets.append(-1 if exempt else b.target)
+                block_freqs.append(w)
+                targets.append(-1 if exempt else t)
             self.blocks.append((np.array(block_ops).reshape(-1, h.dim, h.dim),
                                 self.pair_rates(block_freqs),
                                 np.array(targets, dtype=int)))
@@ -138,7 +161,7 @@ class Oracle:
         """Principal-value integral at the center of the cluster of w."""
         c = self.cluster_of(w)
         if c not in self._xi:
-            center = self.spec.clusters.clusters[c].center
+            center = self.spec.clusters.centers[c]
             self._xi[c] = _bath.xi_integral(center, self.bath)
         return self._xi[c]
 
@@ -152,7 +175,7 @@ class Oracle:
         if kind is MEKind.UME:
             c = np.array([self.cluster_of(w) for w in freqs], dtype=int)
             rate = np.array([2.0 * np.pi * _bath.spectral_function_ule(
-                self.spec.clusters.clusters[k].center, self.bath) for k in c])
+                self.spec.clusters.centers[k], self.bath) for k in c])
             return np.where(c[:, None] == c[None, :], rate[:, None], 0.0)
         j = np.array([self.amplitude(w) for w in freqs])
         return np.outer(j, j).astype(complex)
@@ -161,8 +184,7 @@ class Oracle:
         d = self.h.dim
         out = np.zeros((d, d), dtype=complex)
         kind = self.spec.kind
-        for ch, (ops, _, _), (block_ops, _, _) in zip(
-                self.spec.channel_sets, self.channels, self.blocks):
+        for ch, (ops, _, _) in zip(self.spec.channel_sets, self.channels):
             freqs = ch.frequencies
             if kind is MEKind.RME:
                 g = np.array([self.gamma(w) for w in freqs], dtype=complex)
@@ -172,12 +194,12 @@ class Oracle:
                 xi = np.array([self.center_xi(w) for w in freqs])
                 coeff = np.where(c[:, None] == c[None, :], xi[:, None], 0.0)
             else:
-                for b1, op1 in zip(ch.blocks, block_ops):
-                    for b2, op2 in zip(ch.blocks, block_ops):
-                        if b1.source == b2.target:
+                blocks = subspace_blocks(ch)
+                for _, s1, w1, op1 in blocks:
+                    for t2, _, w2, op2 in blocks:
+                        if s1 == t2:
                             out += _bath.ule_lamb_coefficient(
-                                b1.frequency, b2.frequency, self.bath) \
-                                * (op1 @ op2)
+                                w1, w2, self.bath) * (op1 @ op2)
                 continue
             out += _pair_products(ops, coeff.reshape(len(freqs),
                                                      len(freqs)))[0]

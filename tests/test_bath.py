@@ -125,6 +125,8 @@ def test_drude_lorentz_survives_huge_widths():
     assert drude_lorentz(0.5, 1e200) == 0.5
     npt.assert_allclose(drude_lorentz(np.array([-0.5, 0.0, 3.0]), 1e200),
                         [-0.5, 0.0, 3.0], rtol=1e-15)
+    # past 2^1023 the next power of two overflows; the scale must not
+    assert drude_lorentz(0.5, 1.7e308) == 0.5
 
 
 def test_bose_einstein_basics():

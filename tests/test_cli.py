@@ -314,6 +314,17 @@ def test_non_finite_quadrature_at_a_huge_bath_width_exits_one(tmp_path,
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_spectra_at_the_largest_bath_widths_exits_one(tmp_path, capsys):
+    # the Drude-Lorentz scale stays finite, so the overflow surfaces as a
+    # non-finite principal-value integral (the quadrature warns first)
+    code = main(["spectra", "--lambda", "1.7e308", "--temperature", "300",
+                 "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert "error: xi(-1) is not finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_with_an_unknown_schedule_method_exits_two(tmp_path, capsys):
     path = _two_level_file(tmp_path, {"lambda": 0.01, "temperature": 50.0},
                            {"method": "DOP835"})

@@ -10,6 +10,7 @@ import rdmprop.generators
 from rdmprop.bath import BathModel, rme_rates, spectral_function_ule, \
     ule_lamb_coefficient, ule_rate
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
+from rdmprop.channels import cluster
 from rdmprop.core import (
     CouplingOperator,
     DimensionError,
@@ -21,6 +22,7 @@ from rdmprop.generators import (
     MEKind,
     NonlinearGeneratorError,
     build_generator,
+    build_rate_table,
     dissipator,
     lamb_shift_hamiltonian,
     liouvillian_action,
@@ -31,8 +33,8 @@ from rdmprop.propagate import build_blocked_rhs, pack_hermitian, \
     unpack_hermitian
 from rdmprop.representability import unitality_residual
 
-from oracle import Oracle, cluster_center, dissipator_ule, \
-    ule_jump_operators, union_values
+from oracle import Oracle, channel_operator, cluster_center, \
+    dissipator_ule, ule_jump_operators, union_values
 
 BATH_50K = BathModel(lam=0.01, temperature=50.0)
 BATH_300K = BathModel(lam=0.01, temperature=300.0)
@@ -107,7 +109,7 @@ def test_single_operator_and_tuple_build_identically(three_ule):
                                scenario.coupling_operators[0],
                                scenario.bath, "ule", chi=1.0)
     assert spec_seq.frequencies == spec_one.frequencies
-    npt.assert_allclose(spec_seq.coupling_sum(), spec_one.coupling_sum(),
+    npt.assert_allclose(sum(spec_seq.couplings), sum(spec_one.couplings),
                         atol=0.0)
 
 
@@ -158,6 +160,20 @@ def test_ume_rates_share_cluster_centers(benzene_ume):
     assert pair_rate(w_low, -w_low) == 0.0
 
 
+def test_ume_rate_table_refuses_clusters_of_other_frequencies(benzene_ume):
+    spec = benzene_ume.spec
+    freqs = spec.frequencies
+    build_rate_table("ume", spec.channel_sets, BATH_50K,
+                     cluster(freqs, 0.091))
+    # a frequency missing, one too many, or one moved by a rounding step:
+    # the cluster labels would no longer line up with the channels
+    for other in (freqs[1:], (*freqs, 0.7),
+                  (*freqs[:-1], np.nextafter(freqs[-1], 1.0))):
+        with pytest.raises(ValueError, match="other frequencies"):
+            build_rate_table("ume", spec.channel_sets, BATH_50K,
+                             cluster(other, 0.091))
+
+
 def test_secular_limit_is_diagonal_in_frequency():
     setup = builtin_three_level(kind="ume", clustering_threshold=0.0,
                                 temperature=50.0).build()
@@ -179,7 +195,8 @@ def test_jump_operators_compose_channels(three_ule, benzene_ule):
     spec = three_ule.spec
     jumps = ule_jump_operators(spec)
     assert len(jumps) == 1
-    expected = sum(ule_rate(w, BATH_50K) * spec.channel_sets[0].operator(w)
+    expected = sum(ule_rate(w, BATH_50K)
+                   * channel_operator(spec.channel_sets[0], w)
                    for w in spec.frequencies)
     npt.assert_allclose(jumps[0], expected, atol=1e-18)
     assert len(ule_jump_operators(benzene_ule.spec)) == 6 + 2
@@ -204,7 +221,7 @@ def test_ume_secular_limit_matches_per_frequency_terms(rng):
     for ch in spec.channel_sets:
         for w in ch.frequencies:
             rate = 2.0 * np.pi * spectral_function_ule(w, BATH_50K)
-            aw = ch.operator(w)
+            aw = channel_operator(ch, w)
             anti = aw.conj().T @ aw
             expected += rate * (aw @ rho @ aw.conj().T
                                 - 0.5 * (anti @ rho + rho @ anti))
@@ -231,7 +248,7 @@ def test_spec_operator_sums_across_couplings(benzene_ule):
     total = np.zeros((6, 6), dtype=complex)
     for ch in spec.channel_sets:
         if w in ch.frequencies:
-            total += ch.operator(w)
+            total += channel_operator(ch, w)
     # the union positions select the same level pairs in every coupling
     summed = sum(np.where(pos == u, a, 0.0)
                  for a, pos in zip(spec.couplings, spec.union_positions))
@@ -478,7 +495,7 @@ def test_symmetrized_tables_are_mirror_even(three_rme, benzene_ume,
 
 def test_symmetrized_spec_keeps_channels(three_ule):
     sym = three_ule.spec.symmetrized()
-    npt.assert_allclose(sym.coupling_sum(), three_ule.spec.coupling_sum(),
+    npt.assert_allclose(sum(sym.couplings), sum(three_ule.spec.couplings),
                         atol=0.0)
     assert sym.frequencies == three_ule.spec.frequencies
 
@@ -493,9 +510,9 @@ def test_particle_hole_transform_structure(three_ule):
         three_ule.spec.frequencies)
     # the hole coupling is the transposed eigenbasis coupling
     npt.assert_allclose(
-        hole.spec.channel_sets[0].coupling_sum(),
+        hole.spec.channel_sets[0].coupling,
         hole.hamiltonian.to_eigenbasis(
-            three_ule.spec.coupling_sum().T), atol=1e-12)
+            sum(three_ule.spec.couplings).T), atol=1e-12)
 
 
 def test_zero_temperature_generator_has_no_upward_rates():

@@ -163,3 +163,20 @@ def test_blocked_build_memory_at_d16():
     assert peak < 32e6
     assert kept < stack_bytes + 2e5
     assert rhs(0.0, pack_hermitian(np.eye(16))).shape == (256,)
+
+
+@pytest.mark.parametrize("kind", ["rme", "ume", "ule"])
+@pytest.mark.parametrize("shells", [(7, 2), (3, 3, 3), (1, 2, 3), (5, 6, 7)])
+@pytest.mark.parametrize("chi", [0.3, 1.7, 3.3])
+def test_blocked_generator_is_unital_for_any_shell_size(kind, shells, chi):
+    # a vacancy chi - mean(n_s) over 3, 6, 7 levels does not round to
+    # exactly zero at chi*1 unless chi is formed as the filled state forms it
+    energies = np.repeat(0.3 * np.arange(len(shells)), shells)
+    d = energies.size
+    b = np.random.default_rng(0).standard_normal((d, d, 2)) @ [1.0, 1j]
+    a = CouplingOperator("x", 0.5 * (b + b.conj().T))
+    h = SystemHamiltonian.from_energies(energies)
+    spec = build_generator(h, a, BATH, kind, chi=chi, clustering_threshold=0.0,
+                           pauli_blocked=True)
+    assert spec.subspaces[0] == tuple(range(shells[0]))
+    assert unitality_residual(h, spec) < TOL
