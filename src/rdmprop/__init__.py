@@ -6,10 +6,9 @@ matrix coupled to a thermal bath, audits whether they preserve fermionic
 occupation bounds, and provides Pauli-blocked variants that do.
 """
 
-from .bath import BathModel, QuadratureError, SpectralSample, bose_einstein, \
-    drude_lorentz, rme_lamb, rme_rates, sample_spectra, \
-    spectral_function_redfield, spectral_function_ule, ule_lamb_coefficient, \
-    ule_rate, xi_integral
+from .bath import BathModel, QuadratureError, bose_einstein, drude_lorentz, \
+    sample_spectra, spectral_function_ule, ule_lamb_coefficient, ule_rate, \
+    xi_integral
 from .benchmarks import BENCHMARKS, builtin_benzene, builtin_three_level
 from .channels import ChannelSet, FrequencyClusters, cluster, decompose
 from .core import AuditReport, CouplingOperator, DimensionError, \
@@ -35,7 +34,7 @@ __all__ = [
     "CouplingOperator", "DimensionError", "FrequencyClusters",
     "GeneratorSpec", "HoleSystem", "MEKind", "NonlinearGeneratorError",
     "NumericalError", "OneRdm", "PhysicalityError", "QuadratureError",
-    "RateTable", "Scenario", "ScenarioError", "Schedule", "SpectralSample",
+    "RateTable", "Scenario", "ScenarioError", "Schedule",
     "StiffnessError", "SystemHamiltonian", "Trajectory", "TrajectoryAudit",
     "audit_trajectory", "bose_einstein", "build_generator",
     "build_rate_table", "builtin_benzene", "builtin_three_level", "cluster",
@@ -43,9 +42,9 @@ __all__ = [
     "dissipator", "drude_lorentz",
     "expm_propagate", "hermitize", "integrate", "lamb_shift_hamiltonian",
     "liouvillian_action", "load_scenario", "pack_hermitian",
-    "particle_hole_transform", "propagate_state", "rme_lamb", "rme_rates",
+    "particle_hole_transform", "propagate_state",
     "sample_spectra", "save_scenario", "spectral_audit",
-    "spectral_function_redfield", "spectral_function_ule",
+    "spectral_function_ule",
     "superoperator_matrix", "ule_lamb_coefficient",
     "ule_rate", "unitality_residual", "unpack_hermitian", "xi_integral",
     "__version__",

@@ -6,19 +6,19 @@ full-Fourier-transform spectral function Gamma_hat (universal Lindblad
 equation), the one-sided spectral function pi Gamma_hat + i xi with its
 Cauchy principal-value integral xi (Redfield and unified equations), and the
 principal-value Lamb-shift coefficient S_hat of the universal Lindblad
-equation. Each has one evaluation path: one occupancy, one Gamma_hat for a
-frequency or an array of them, and one composite Gauss-Legendre rule whose
-integrals must agree under node doubling.
+equation. Each has one evaluation path: one occupancy, one Gamma_hat, and
+one composite Gauss-Legendre rule on graded panels of fixed order, whose
+integrals must agree between orders q and 2q. Every function takes one
+frequency or an array of them; the integrals of an array are evaluated
+together in chunked array passes.
 
 Units: energies in Hartree, temperature in Kelvin, time in atomic units.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -71,8 +71,9 @@ class BathModel:
     ``lam`` is the Drude-Lorentz width (the conventional symbol lambda is a
     Python keyword). ``pv_cutoff=None`` selects an automatic cutoff of
     100 * max(lam, |w0|, kT) per integral; explicit cutoffs below
-    50 * max(lam, |w0|) are rejected. ``pv_points`` is the node budget of the
-    coarse pass of each principal-value integral.
+    50 * max(lam, |w0|) are rejected. ``pv_points // 128`` is the Gauss order
+    of every panel in the coarse pass of each principal-value integral; the
+    fine pass doubles it.
     """
 
     lam: float
@@ -96,15 +97,19 @@ class BathModel:
     def thermal_energy(self) -> float:
         return K_B * self.temperature
 
-    def cutoff_for(self, *frequencies: float) -> float:
-        fmax = max((abs(f) for f in frequencies), default=0.0)
-        if self.pv_cutoff is None:
-            return 100.0 * max(self.lam, fmax, self.thermal_energy)
-        if self.pv_cutoff < 50.0 * max(self.lam, fmax):
-            raise ValueError(
-                "pv_cutoff must be at least 50 * max(lam, |omega|) "
-                f"= {50.0 * max(self.lam, fmax):g}")
-        return float(self.pv_cutoff)
+    def cutoff_for(self, *frequencies):
+        """Cutoff of the integral at these frequencies, elementwise over
+        arrays of them; infinite for lam near the largest float."""
+        fmax = np.max(np.abs(np.broadcast_arrays(0.0, *frequencies)), axis=0)
+        with np.errstate(over="ignore"):
+            floor = 50.0 * np.max(np.maximum(self.lam, fmax))
+            out = 100.0 * np.maximum(max(self.lam, self.thermal_energy), fmax)
+        if self.pv_cutoff is not None:
+            if self.pv_cutoff < floor:
+                raise ValueError("pv_cutoff must be at least "
+                                 f"50 * max(lam, |omega|) = {floor:g}")
+            out = np.full(fmax.shape, float(self.pv_cutoff))
+        return out if out.ndim else float(out)
 
 
 def spectral_function_ule(omega, bath: BathModel):
@@ -128,219 +133,213 @@ def ule_rate(omega, bath: BathModel):
     return out if np.ndim(out) else float(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_nodes(order: int):
-    # order is at most 512, so the cache stays small
-    return np.polynomial.legendre.leggauss(order)
+# Edges are built for blocks of this many integrals, and integrands are
+# evaluated in array passes of about this many nodes. A pass holds whole
+# integrals only, which bounds memory at about a MB and keeps every value
+# independent of the other integrals of its call.
+_BLOCK, _PASS_NODES = 64, 1 << 13
 
 
-def _integrate_panels(f, edges: np.ndarray, points: int, skip=None) -> float:
-    """Composite Gauss-Legendre over consecutive edge pairs.
+def _gauss_sums(f, lo, hi, owner, count: int, order: int, params) -> np.ndarray:
+    """Order-``order`` Gauss-Legendre sums of ``f(w, *params[owner])`` over
+    the panels [lo, hi] of each integral 0..count-1, panels grouped by
+    owner; node by node, then panel by panel, in a fixed order."""
+    x, wt = np.polynomial.legendre.leggauss(order)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    ends = np.cumsum(np.bincount(owner, minlength=count))
+    out = np.zeros(count)
+    k0 = 0
+    while k0 < count:
+        p0 = ends[k0 - 1] if k0 else 0
+        k1 = max(int(np.searchsorted(ends, p0 + _PASS_NODES // order,
+                                     side="right")), k0 + 1)
+        rows = slice(p0, ends[k1 - 1])
+        k = owner[rows]
+        vals = wt * f(mid[rows, None] + half[rows, None] * x,
+                      *(p[k, None] for p in params))
+        panel = np.bincount(np.repeat(np.arange(len(k)), order),
+                            weights=vals.ravel(), minlength=len(k))
+        out[k0:k1] = np.bincount(k - k0, weights=half[rows] * panel,
+                                 minlength=k1 - k0)
+        k0 = k1
+    return out
 
-    The node budget ``points`` is shared evenly by the panels (8 to 512
-    nodes each). Empty panels are dropped, and so are panels whose midpoint
-    lies inside ``skip``, an (a, b) principal-value excision window. ``f`` is
-    called once, on the nodes of every kept panel (one row per panel).
+
+def _integrals(f, edges, window, bath: BathModel, label, extra, scale,
+               *params) -> np.ndarray:
+    """``scale * (panel sums + extra)`` of every integral.
+
+    ``edges(rows)`` returns the sorted, NaN-padded edges of the integrals
+    ``rows``, one row each; empty panels and those whose midpoint lies
+    inside (window[0][k], window[1][k]) are dropped. Every panel has Gauss
+    order 2q, checked against order q = pv_points // 128 (16 at the
+    default): a value that is not finite, or a difference beyond 1e-6
+    relative and 1e-14 absolute, raises QuadratureError naming the first
+    failing integral, ``label(k)``.
     """
-    x, w = _gauss_nodes(int(min(max(points // max(len(edges) - 1, 1), 8), 512)))
-    a, b = edges[:-1], edges[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    keep = b - a > 0
-    if skip is not None:
-        keep &= ~((skip[0] < mid) & (mid < skip[1]))
-    mid, half = mid[keep], half[keep]
-    panels = np.sum(w * f(mid[:, None] + half[:, None] * x), axis=1)
-    return float(np.sum(half * panels))
-
-
-def _self_converged(quadrature: Callable[[int], float], points: int,
-                    label: str) -> float:
-    """Fine value of ``quadrature`` at 2 * points, checked against points.
-
-    Raises QuadratureError if either value is not finite, or if the two
-    differ by more than 1e-6 relative and 1e-14 absolute.
-    """
-    coarse, fine = quadrature(points), quadrature(2 * points)
-    if not (np.isfinite(coarse) and np.isfinite(fine)):
+    q = max(bath.pv_points // 128, 1)
+    sums = np.zeros((2, len(extra)))
+    for k0 in range(0, len(extra), _BLOCK):
+        rows = slice(k0, k0 + _BLOCK)
+        e = edges(rows)
+        lo, hi = e[:, :-1], e[:, 1:]
+        mid = 0.5 * (lo + hi)
+        keep = (hi > lo) & ~((window[0][rows, None] < mid)
+                             & (mid < window[1][rows, None]))
+        panels = lo[keep], hi[keep], np.nonzero(keep)[0], len(e)
+        for i, order in enumerate((q, 2 * q)):
+            sums[i, rows] = _gauss_sums(f, *panels, order,
+                                        [p[rows] for p in params])
+    coarse, fine = scale * (sums + extra)
+    finite = np.isfinite(coarse) & np.isfinite(fine)
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(fine - coarse)
+        bad = ~finite | ((diff > 1e-14) & (
+            diff > 1e-6 * np.maximum(np.abs(fine), np.abs(coarse))))
+    if bad.any():
+        k = int(np.argmax(bad))
         raise QuadratureError(
-            f"{label} is not finite: {coarse:.3e} vs {fine:.3e}")
-    diff = abs(fine - coarse)
-    if diff > 1e-6 * max(abs(fine), abs(coarse), 1e-300) and diff > 1e-14:
-        raise QuadratureError(
-            f"{label} did not converge: {coarse:.3e} vs {fine:.3e}")
+            f"{label(k)} {'did not converge' if finite[k] else 'is not finite'}"
+            f": {coarse[k]:.3e} vs {fine[k]:.3e}")
     return fine
 
 
-def _geometric_edges(start: float, stop: float, factor: float = 2.0) -> list[float]:
-    """Edges from start toward stop, spacing growing geometrically."""
-    if stop <= start:
-        return []
-    edges = [start]
-    step = start
-    while edges[-1] + step < stop:
-        edges.append(edges[-1] + step)
-        step *= factor
-    return edges
+def _doublings(start, stop) -> np.ndarray:
+    """start * 2^k for k = 0, 1, ... until past the largest ``stop``."""
+    # doubled past 2^2100 every float is infinite (an infinite cutoff)
+    count = int(np.clip(np.log2(np.max(stop) / np.min(start)), 0, 2100)) + 2
+    return np.ldexp(np.asarray(start, dtype=float)[..., None], np.arange(count))
 
 
-def _xi_edges(bath: BathModel, cutoff: float, pole: float | None,
-              delta: float) -> tuple[np.ndarray, tuple[float, float] | None]:
-    kt = bath.thermal_energy
-    scales = [s for s in (bath.lam, kt, pole) if s and s > 0]
-    smin = min(scales) / 128.0
-    pts = {0.0, cutoff}
-    pts.update(e for e in _geometric_edges(smin, cutoff) if 0 < e < cutoff)
-    window = None
-    if pole is not None:
-        window = (pole - delta, pole + delta)
-        pts = {p for p in pts if not (window[0] < p < window[1])}
-        pts.update(window)
-        # geometric approach to both window edges keeps the pole outside
-        # each panel's region of analyticity
-        for sign in (-1.0, 1.0):
-            step = delta
-            edge = pole + sign * delta
-            while 0 < edge + sign * step < cutoff and step < cutoff:
-                edge = edge + sign * step
-                if window[0] < edge < window[1]:
-                    break
-                pts.add(edge)
-                step *= 2.0
-    return np.array(sorted(pts)), window
+def _xi_edges(bath: BathModel, pole: np.ndarray, delta: np.ndarray,
+              cutoff: np.ndarray) -> np.ndarray:
+    """Edges of each xi integral on [0, cutoff], one sorted NaN-padded row
+    per frequency: geometric from min(lam, kT, |w0|) / 128 up, and where
+    delta > 0, geometric from the window edges |w0| +- delta away from the
+    pole, which keeps it outside each panel's region of analyticity."""
+    scales = [s for s in (bath.lam, bath.thermal_energy) if s > 0]
+    smin = np.minimum(min(scales), np.where(pole > 0, pole, np.inf)) / 128.0
+    # without a pole (delta = 0) the steps repeat the smin edges
+    step = _doublings(np.where(delta > 0, delta, smin), cutoff)
+    cut = cutoff[:, None]
+    e = np.concatenate([np.zeros_like(cut), cut, _doublings(smin, cutoff),
+                        pole[:, None] - step, pole[:, None] + step], axis=1)
+    return np.sort(np.where((0 <= e) & (e <= cut), e, np.nan), axis=1)
 
 
-def _xi_quadrature(omega0: float, bath: BathModel, points: int, cutoff: float) -> float:
+def xi_integral(omega0, bath: BathModel):
+    """Imaginary coefficient of the one-sided spectral function, at a
+    frequency or an array of them.
+
+    Evaluates the principal-value integral
+    P int_0^cutoff dw J(w) [N(w)/(w0+w) + (N(w)+1)/(w0-w)]
+    by symmetric excision of the pole, Gauss-Legendre panels, and the
+    closed-form Drude-Lorentz tail past the cutoff, each frequency with its
+    own cutoff, edges and window; QuadratureError names an unconverged one.
+    """
+    omega = np.asarray(omega0, dtype=float)
+    if not omega.size:
+        return np.zeros(omega.shape)
     kt, lam = bath.thermal_energy, bath.lam
+    zero = np.abs(omega.ravel()) < _ZERO_FREQ
+    # at w0 = 0 the occupancies cancel, leaving -J(w)/w, and there is no pole
+    w0 = np.where(zero, 0.0, omega.ravel())
+    pole = np.abs(w0)
+    cutoff = bath.cutoff_for(w0)
+    delta = np.minimum(1e-4 * np.maximum(lam, pole), 0.5 * pole)
 
-    if abs(omega0) < _ZERO_FREQ:
-        # the occupancies cancel exactly at w0 = 0: integrand is -J(w)/w
-        edges, _ = _xi_edges(bath, cutoff, None, 0.0)
-        total = _integrate_panels(lambda w: -drude_lorentz(w, lam) / w, edges,
-                                  points)
-        return total - lam * (lam / cutoff)
-
-    pole = abs(omega0)
-    delta = min(1e-4 * max(lam, pole), 0.5 * pole)
-
-    def f(w):
+    def f(w, w0):
         n = _occupancy(w, kt)
-        return drude_lorentz(w, lam) * (n / (omega0 + w) + (n + 1.0) / (omega0 - w))
-
-    edges, window = _xi_edges(bath, cutoff, pole, delta)
-    total = _integrate_panels(f, edges, points, skip=window)
+        return drude_lorentz(w, lam) * (n / (w0 + w) + (n + 1.0) / (w0 - w))
 
     # analytic window. The pole sits in (N+1)/(w0-w) for w0 > 0 and in
     # N/(w0+w) for w0 < 0: the odd part of that singular factor cancels,
     # leaving the first-order term of its numerator g. The other term is
     # regular there (denominator w0 + w0) and adds its area.
-    upper = float(omega0 > 0)
+    upper = (w0 > 0).astype(float)
 
     def g(w):
         return drude_lorentz(w, lam) * (_occupancy(w, kt) + upper)
 
     h = delta / 16.0
-    dg = float(g(pole + h) - g(pole - h)) / (2.0 * h)
-    regular = (drude_lorentz(pole, lam) * float(_occupancy(pole, kt) + (1.0 - upper))
-               / (omega0 + omega0))
-    total += -math.copysign(2.0, omega0) * delta * dg + 2.0 * delta * regular
+    with np.errstate(all="ignore"):
+        dg = (g(pole + h) - g(pole - h)) / (2.0 * h)
+        regular = (drude_lorentz(pole, lam)
+                   * (_occupancy(pole, kt) + (1.0 - upper)) / (w0 + w0))
+        window = -np.copysign(2.0, w0) * delta * dg + 2.0 * delta * regular
+        # closed-form Drude-Lorentz tail of the (N+1)/(w0-w) term past the
+        # cutoff; the occupancy tail is exponentially negligible there
+        tail = lam * (lam / w0) * np.log1p(-w0 / cutoff)
+    out = _integrals(f, lambda k: _xi_edges(bath, pole[k], delta[k], cutoff[k]),
+                     (pole - delta, pole + delta), bath,
+                     lambda k: f"xi({omega.flat[k]:g})",
+                     np.where(zero, -(lam * (lam / cutoff)), window + tail),
+                     1.0, w0)
+    return out.reshape(omega.shape) if omega.ndim else float(out[0])
 
-    # closed-form Drude-Lorentz tail of the (N+1)/(w0-w) term past the
-    # cutoff; the occupancy tail is exponentially negligible there
-    return total + lam * (lam / omega0) * np.log1p(-omega0 / cutoff)
+
+def _lamb_edges(a: np.ndarray, b: np.ndarray, delta: float, start: float,
+                cutoff: np.ndarray) -> np.ndarray:
+    """Edges of each S_hat(a, b) integral on [-cutoff, cutoff], one sorted
+    NaN-padded row per pair: geometric from the excision edges +-delta
+    outward, and from ``start`` on both sides of each anchor w = a, w = -b,
+    where a shifted spectral-function argument is zero (at T = 0 a
+    square-root edge). A row depends on a and -b only as a set, so
+    S_hat(a, b) and S_hat(-b, -a) share it."""
+    cut = cutoff[:, None]
+    base = _doublings(np.full(cutoff.shape, delta), cutoff)
+    step = _doublings(start, cutoff)
+    edges = [-cut, cut, -base, base]
+    for c in (a[:, None], -b[:, None]):
+        near = np.where(step < np.abs(c), step, np.nan)
+        edges += [c, c - near, c + near]
+    e = np.concatenate(edges, axis=1)
+    return np.sort(np.where((delta <= np.abs(e)) & (np.abs(e) <= cut), e,
+                            np.nan), axis=1)
 
 
-def xi_integral(omega0: float, bath: BathModel) -> float:
-    """Imaginary coefficient of the one-sided spectral function.
+def ule_lamb_coefficient(omega_ml, omega_ln, bath: BathModel):
+    """Lamb-shift coefficient of the universal Lindblad equation, at one
+    frequency pair or at broadcast arrays of them.
 
-    Evaluates the principal-value integral
-    P int_0^cutoff dw J(w) [N(w)/(w0+w) + (N(w)+1)/(w0-w)]
-    by symmetric excision of the pole plus composite Gauss-Legendre panels.
-    The result is checked by doubling the node budget; a non-finite result
-    or disagreement beyond 1e-6 relative raises QuadratureError.
+    S_hat(a, b) = -2 pi P int dw w^-1 sqrt(Gamma_hat(w-a) Gamma_hat(w+b)),
+    with the w = 0 principal value handled by symmetric excision;
+    QuadratureError names an unconverged pair.
     """
-    cutoff = bath.cutoff_for(omega0)
-    return _self_converged(
-        lambda points: _xi_quadrature(omega0, bath, points, cutoff),
-        bath.pv_points, f"xi({omega0:g})")
+    a, b = np.broadcast_arrays(np.asarray(omega_ml, dtype=float),
+                               np.asarray(omega_ln, dtype=float))
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
+    if not a.size:
+        return np.zeros(shape)
+    lam, kt = bath.lam, bath.thermal_energy
+    delta = 1e-4 * min(s for s in (lam, kt) if s > 0)
+    # Gamma_hat is analytic within min(lam, 2 pi kT) of a zero argument at
+    # T > 0; at T = 0 its square root has an edge there
+    start = max(delta, min(lam, kt) / 4.0)
+    cutoff = bath.cutoff_for(a, b)
 
-
-def spectral_function_redfield(omega0: float, bath: BathModel) -> complex:
-    """One-sided-FT spectral function Gamma(w0) = pi*Gamma_hat(w0) + i*xi(w0)."""
-    return np.pi * spectral_function_ule(omega0, bath) + 1j * xi_integral(omega0, bath)
-
-
-def rme_rates(omega: float, omega_prime: float, bath: BathModel) -> complex:
-    """Pairwise decay rate gamma(w, w') = Gamma(w) + Gamma*(w')."""
-    return (spectral_function_redfield(omega, bath)
-            + np.conj(spectral_function_redfield(omega_prime, bath)))
-
-
-def rme_lamb(omega: float, omega_prime: float, bath: BathModel) -> complex:
-    """Pairwise Lamb-shift coefficient S(w, w') = (Gamma(w) - Gamma*(w')) / 2i."""
-    g = spectral_function_redfield(omega, bath)
-    gp = np.conj(spectral_function_redfield(omega_prime, bath))
-    return (g - gp) / 2j
-
-
-def _ule_lamb_quadrature(a: float, b: float, bath: BathModel, points: int,
-                         cutoff: float) -> float:
-    def g(w):
+    def g(w, a, b):
         # a product that overflows (huge lam) gives an S_hat that is rejected
         with np.errstate(over="ignore"):
             return np.sqrt(spectral_function_ule(w - a, bath)
                            * spectral_function_ule(w + b, bath))
 
-    scales = [s for s in (bath.lam, bath.thermal_energy) if s > 0]
-    delta = 1e-4 * min(scales)
-    smin = min(scales + [x for x in (abs(a), abs(b)) if x > 0]) / 128.0
-
-    half = {cutoff}
-    half.update(e for e in _geometric_edges(max(delta, smin), cutoff) if delta < e < cutoff)
-    # anchors where the shifted spectral-function arguments cross zero
-    anchors = [x for x in (a, -b) if delta < abs(x) < cutoff]
-    pos = sorted(half | {abs(x) for x in anchors} | {delta})
-    edges = np.array([-e for e in reversed(pos)] + pos)
-
-    total = _integrate_panels(lambda w: g(w) / w, edges, points,
-                              skip=(-delta, delta))
     h = delta / 16.0
-    dg = float(g(h) - g(-h)) / (2.0 * h)
-    total += 2.0 * delta * dg
+    dg = (g(h, a, b) - g(-h, a, b)) / (2.0 * h)
     # positive-side Drude-Lorentz tail; the negative side is thermally damped
-    total += bath.lam * (bath.lam / cutoff)
-    return -2.0 * np.pi * total
+    out = _integrals(lambda w, a, b: g(w, a, b) / w,
+                     lambda k: _lamb_edges(a[k], b[k], delta, start, cutoff[k]),
+                     (np.full(a.size, -delta), np.full(a.size, delta)), bath,
+                     lambda k: f"S_hat({a[k]:g}, {b[k]:g})",
+                     2.0 * delta * dg + lam * (lam / cutoff), -2.0 * np.pi,
+                     a, b)
+    return out.reshape(shape) if shape else float(out[0])
 
 
-def ule_lamb_coefficient(omega_ml: float, omega_ln: float, bath: BathModel) -> float:
-    """Lamb-shift coefficient of the universal Lindblad equation.
-
-    S_hat(a, b) = -2 pi P int dw w^-1 sqrt(Gamma_hat(w-a) Gamma_hat(w+b)),
-    with the w = 0 principal value handled by symmetric excision. Converges to
-    the same value under node doubling or raises QuadratureError.
-    """
-    cutoff = bath.cutoff_for(omega_ml, omega_ln)
-    # the domain spans both half-axes and the integrand has square-root
-    # kinks where a shifted argument changes sign, so the node budget
-    # starts at twice the one-sided xi budget
-    return _self_converged(
-        lambda points: _ule_lamb_quadrature(omega_ml, omega_ln, bath, points,
-                                            cutoff),
-        2 * bath.pv_points, f"S_hat({omega_ml:g}, {omega_ln:g})")
-
-
-@dataclass(frozen=True)
-class SpectralSample:
-    """One row of a spectral-function dump."""
-
-    omega: float
-    gamma_hat: float
-    gamma_real: float
-    lamb_shift: float
-
-
-def sample_spectra(bath: BathModel, omegas) -> list[SpectralSample]:
-    """Evaluate Gamma_hat and Gamma over a frequency grid (for CSV dumps)."""
-    omegas = np.asarray(omegas, dtype=float)
-    return [SpectralSample(float(w), float(g), np.pi * float(g),
-                           xi_integral(float(w), bath))
-            for w, g in zip(omegas, spectral_function_ule(omegas, bath))]
+def sample_spectra(bath: BathModel, omegas) -> tuple[np.ndarray, ...]:
+    """Columns of a spectral-function dump over a frequency grid: omega,
+    Gamma_hat, the decay rate pi Gamma_hat and xi."""
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    gamma_hat = spectral_function_ule(omegas, bath)
+    return omegas, gamma_hat, np.pi * gamma_hat, xi_integral(omegas, bath)

@@ -202,9 +202,9 @@ def _cmd_spectra(args) -> int:
         bath = BathModel(lam=args.lam, temperature=temperature)
         name = args.prefix or "spectra"
     omegas = np.linspace(args.omega_min, args.omega_max, args.points)
-    samples = sample_spectra(bath, omegas)
     outdir = resolve_output_dir(args.output_dir)
-    path = write_spectra_csv(samples, outdir / f"{name}.csv")
+    path = write_spectra_csv(sample_spectra(bath, omegas),
+                             outdir / f"{name}.csv")
     print(f"wrote {path} ({args.points} samples on "
           f"[{args.omega_min}, {args.omega_max}])")
     return 0

@@ -119,9 +119,10 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
     pairs through the channel labels. ume reads each frequency's cluster
     from ``clusters.label``, so the clusters must be built over exactly
     that union of frequencies. Principal-value integrals run only where
-    used: in every rme rate, at ume cluster centers for the Lamb shift, and
-    for ule at the frequency pairs (w_ij, w_jk) of chained channel products
-    a_ij a_jk, once per mirror pair (a, b), (-b, -a).
+    used, in one array call per table: in every rme rate, at ume cluster
+    centers for the Lamb shift, and for ule at the frequency pairs
+    (w_ij, w_jk) of chained channel products a_ij a_jk, once per mirror
+    pair (a, b), (-b, -a).
     """
     if isinstance(channel_sets, ChannelSet):
         channel_sets = (channel_sets,)
@@ -132,7 +133,7 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
     cluster_of = lamb = None
     if kind is MEKind.RME:
         values = (np.pi * spectral_function_ule(np.array(freqs), bath)
-                  + 1j * np.array([xi_integral(w, bath) for w in freqs]))
+                  + 1j * xi_integral(np.array(freqs), bath))
     elif kind is MEKind.ULE:
         values = ule_rate(np.array(freqs), bath)
         if lamb_shift:
@@ -151,9 +152,8 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
                             unique)
             canon, back = np.unique(np.minimum(unique, twin),
                                     return_inverse=True)
-            coeff = np.array([ule_lamb_coefficient(freqs[u // n],
-                                                   freqs[u % n], bath)
-                              for u in canon])[back]
+            coeff = ule_lamb_coefficient(f[canon // n], f[canon % n],
+                                         bath)[back]
             lamb = tuple(_scatter(coeff, np.where(
                 c >= 0, np.searchsorted(unique, c), -1)) for c in codes)
     else:
@@ -167,7 +167,7 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
                                                       bath))[label]
         cluster_of = tuple(_scatter(label, p, -1) for p in where)
         if lamb_shift:
-            xi = np.array([xi_integral(c, bath) for c in centers])[label]
+            xi = xi_integral(np.array(centers), bath)[label]
             lamb = tuple(_scatter(xi, p) for p in where)
     return RateTable(kind, bath, tuple(_scatter(values, p) for p in where),
                      cluster=cluster_of, lamb=lamb)

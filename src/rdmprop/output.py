@@ -77,14 +77,14 @@ def write_metadata_json(data: dict, path) -> Path:
     return path
 
 
-def write_spectra_csv(samples, path) -> Path:
-    """Bath spectral table: one row per frequency sample."""
+def write_spectra_csv(columns, path) -> Path:
+    """Bath spectral table from the columns omega, gamma_hat, decay_rate and
+    lamb_xi: one row per frequency sample."""
     path = Path(path)
     lines = [f"# format: {SPECTRA_FORMAT}",
              "omega,gamma_hat,decay_rate,lamb_xi"]
-    for s in samples:
-        lines.append(",".join([_fmt(s.omega), _fmt(s.gamma_hat),
-                               _fmt(s.gamma_real), _fmt(s.lamb_shift)]))
+    for row in zip(*(np.asarray(c).tolist() for c in columns)):
+        lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -20,8 +20,15 @@ usable at d = 16.
 
 The module also keeps the ule dissipator in Lindblad form, one jump
 operator per coupling, a reader of level-pair arrays by frequency, and
-lookups by frequency of a channel operator and of a cluster.
+lookups by frequency of a channel operator and of a cluster. It keeps the
+Redfield pair rates built from the one-sided spectral function, and the
+per-frequency principal-value quadrature the package used before its
+integrals were evaluated in frequency batches on fixed-order panels: one
+integral per call, its node budget shared evenly by its panels.
 """
+
+import functools
+import math
 
 import numpy as np
 
@@ -114,6 +121,166 @@ def _apply(rho, ops, anti, mixed):
     return sandwich - 0.5 * (anti @ rho + rho @ anti)
 
 
+def spectral_function_redfield(omega0, bath):
+    """One-sided-FT spectral function Gamma(w0) = pi*Gamma_hat(w0) + i*xi(w0)."""
+    return (np.pi * _bath.spectral_function_ule(omega0, bath)
+            + 1j * _bath.xi_integral(omega0, bath))
+
+
+def rme_rates(omega, omega_prime, bath):
+    """Pairwise decay rate gamma(w, w') = Gamma(w) + Gamma*(w')."""
+    return (spectral_function_redfield(omega, bath)
+            + np.conj(spectral_function_redfield(omega_prime, bath)))
+
+
+def rme_lamb(omega, omega_prime, bath):
+    """Pairwise Lamb-shift coefficient S(w, w') = (Gamma(w) - Gamma*(w')) / 2i."""
+    g = spectral_function_redfield(omega, bath)
+    gp = np.conj(spectral_function_redfield(omega_prime, bath))
+    return (g - gp) / 2j
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_nodes(order):
+    return np.polynomial.legendre.leggauss(order)
+
+
+def _integrate_panels(f, edges, points, skip=None):
+    """Composite Gauss-Legendre over consecutive edge pairs, the node budget
+    ``points`` shared evenly by the panels (8 to 512 nodes each), dropping
+    empty panels and those whose midpoint lies inside ``skip``."""
+    x, w = _gauss_nodes(int(min(max(points // max(len(edges) - 1, 1), 8), 512)))
+    a, b = edges[:-1], edges[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    keep = b - a > 0
+    if skip is not None:
+        keep &= ~((skip[0] < mid) & (mid < skip[1]))
+    mid, half = mid[keep], half[keep]
+    panels = np.sum(w * f(mid[:, None] + half[:, None] * x), axis=1)
+    return float(np.sum(half * panels))
+
+
+def _self_converged(quadrature, points, label):
+    """Fine value of ``quadrature`` at 2 * points, checked against points."""
+    coarse, fine = quadrature(points), quadrature(2 * points)
+    if not (np.isfinite(coarse) and np.isfinite(fine)):
+        raise _bath.QuadratureError(
+            f"{label} is not finite: {coarse:.3e} vs {fine:.3e}")
+    diff = abs(fine - coarse)
+    if diff > 1e-6 * max(abs(fine), abs(coarse), 1e-300) and diff > 1e-14:
+        raise _bath.QuadratureError(
+            f"{label} did not converge: {coarse:.3e} vs {fine:.3e}")
+    return fine
+
+
+def _geometric_edges(start, stop, factor=2.0):
+    if stop <= start:
+        return []
+    edges = [start]
+    step = start
+    while edges[-1] + step < stop:
+        edges.append(edges[-1] + step)
+        step *= factor
+    return edges
+
+
+def _xi_edges(bath, cutoff, pole, delta):
+    kt = bath.thermal_energy
+    scales = [s for s in (bath.lam, kt, pole) if s and s > 0]
+    smin = min(scales) / 128.0
+    pts = {0.0, cutoff}
+    pts.update(e for e in _geometric_edges(smin, cutoff) if 0 < e < cutoff)
+    if pole is not None:
+        window = (pole - delta, pole + delta)
+        pts = {p for p in pts if not (window[0] < p < window[1])}
+        pts.update(window)
+        for sign in (-1.0, 1.0):
+            step = delta
+            edge = pole + sign * delta
+            while 0 < edge + sign * step < cutoff and step < cutoff:
+                edge = edge + sign * step
+                if window[0] < edge < window[1]:
+                    break
+                pts.add(edge)
+                step *= 2.0
+    return np.array(sorted(pts))
+
+
+def _xi_quadrature(omega0, bath, points, cutoff):
+    kt, lam = bath.thermal_energy, bath.lam
+    drude_lorentz, occupancy = _bath.drude_lorentz, _bath._occupancy
+
+    if abs(omega0) < _bath._ZERO_FREQ:
+        edges = _xi_edges(bath, cutoff, None, 0.0)
+        total = _integrate_panels(lambda w: -drude_lorentz(w, lam) / w, edges,
+                                  points)
+        return total - lam * (lam / cutoff)
+
+    pole = abs(omega0)
+    delta = min(1e-4 * max(lam, pole), 0.5 * pole)
+
+    def f(w):
+        n = occupancy(w, kt)
+        return drude_lorentz(w, lam) * (n / (omega0 + w) + (n + 1.0) / (omega0 - w))
+
+    edges = _xi_edges(bath, cutoff, pole, delta)
+    total = _integrate_panels(f, edges, points,
+                              skip=(pole - delta, pole + delta))
+    upper = float(omega0 > 0)
+
+    def g(w):
+        return drude_lorentz(w, lam) * (occupancy(w, kt) + upper)
+
+    h = delta / 16.0
+    dg = float(g(pole + h) - g(pole - h)) / (2.0 * h)
+    regular = (drude_lorentz(pole, lam) * float(occupancy(pole, kt) + (1.0 - upper))
+               / (omega0 + omega0))
+    total += -math.copysign(2.0, omega0) * delta * dg + 2.0 * delta * regular
+    return total + lam * (lam / omega0) * np.log1p(-omega0 / cutoff)
+
+
+def xi_quadrature(omega0, bath):
+    """xi(w0) of one frequency, node budgets pv_points and twice that."""
+    cutoff = bath.cutoff_for(omega0)
+    return _self_converged(
+        lambda points: _xi_quadrature(omega0, bath, points, cutoff),
+        bath.pv_points, f"xi({omega0:g})")
+
+
+def _ule_lamb_quadrature(a, b, bath, points, cutoff):
+    def g(w):
+        with np.errstate(over="ignore"):
+            return np.sqrt(_bath.spectral_function_ule(w - a, bath)
+                           * _bath.spectral_function_ule(w + b, bath))
+
+    scales = [s for s in (bath.lam, bath.thermal_energy) if s > 0]
+    delta = 1e-4 * min(scales)
+    smin = min(scales + [x for x in (abs(a), abs(b)) if x > 0]) / 128.0
+
+    half = {cutoff}
+    half.update(e for e in _geometric_edges(max(delta, smin), cutoff)
+                if delta < e < cutoff)
+    anchors = [x for x in (a, -b) if delta < abs(x) < cutoff]
+    pos = sorted(half | {abs(x) for x in anchors} | {delta})
+    edges = np.array([-e for e in reversed(pos)] + pos)
+
+    total = _integrate_panels(lambda w: g(w) / w, edges, points,
+                              skip=(-delta, delta))
+    h = delta / 16.0
+    dg = float(g(h) - g(-h)) / (2.0 * h)
+    total += 2.0 * delta * dg
+    total += bath.lam * (bath.lam / cutoff)
+    return -2.0 * np.pi * total
+
+
+def ule_lamb_quadrature(a, b, bath):
+    """S_hat(a, b) of one pair, node budgets 2 pv_points and twice that."""
+    cutoff = bath.cutoff_for(a, b)
+    return _self_converged(
+        lambda points: _ule_lamb_quadrature(a, b, bath, points, cutoff),
+        2 * bath.pv_points, f"S_hat({a:g}, {b:g})")
+
+
 class Oracle:
     """Pair-sum generator of one spec, with rates built per frequency."""
 
@@ -144,7 +311,7 @@ class Oracle:
 
     def gamma(self, w):
         if w not in self._gamma:
-            self._gamma[w] = _bath.spectral_function_redfield(w, self.bath)
+            self._gamma[w] = spectral_function_redfield(w, self.bath)
         return self._gamma[w]
 
     def amplitude(self, w):

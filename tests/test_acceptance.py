@@ -12,14 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rdmprop.bath import (
-    K_B,
-    BathModel,
-    rme_rates,
-    spectral_function_redfield,
-    spectral_function_ule,
-    xi_integral,
-)
+from rdmprop.bath import K_B, BathModel, spectral_function_ule, xi_integral
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.core import CouplingOperator, SystemHamiltonian, max_norm
 from rdmprop.generators import (
@@ -31,7 +24,8 @@ from rdmprop.generators import (
 from rdmprop.propagate import Schedule, integrate
 from rdmprop.representability import constraint_residual, unitality_residual
 
-from oracle import Oracle, channel_operator, dissipator_ule, union_values
+from oracle import Oracle, channel_operator, dissipator_ule, rme_rates, \
+    spectral_function_redfield, union_values
 
 BENCH_FREQS = (0.169, 0.260, 0.491, 0.5)
 STEADY_BLOCKED = np.array([2.0, 2.0, 2.0, 0.0, 0.0, 0.0])

@@ -11,6 +11,11 @@ import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+
+import rdmprop.bath
 
 from rdmprop.bath import (
     K_B,
@@ -18,15 +23,15 @@ from rdmprop.bath import (
     QuadratureError,
     bose_einstein,
     drude_lorentz,
-    rme_lamb,
-    rme_rates,
     sample_spectra,
-    spectral_function_redfield,
     spectral_function_ule,
     ule_lamb_coefficient,
     ule_rate,
     xi_integral,
 )
+
+from oracle import rme_lamb, rme_rates, spectral_function_redfield, \
+    ule_lamb_quadrature, xi_quadrature
 
 LAM = 0.01
 BENCH_FREQS = (0.169, 0.260, 0.491, 0.5)
@@ -353,6 +358,98 @@ def test_ule_lamb_coefficient_is_mirror_symmetric_bitwise(temperature):
                 == ule_lamb_coefficient(-b, -a, bath)
 
 
+def test_doubling_pv_points_doubles_the_nodes_of_both_passes(monkeypatch):
+    # every panel has a fixed Gauss order, q = pv_points // 128 coarse and
+    # 2q fine, so the node count follows pv_points; count the integrand's
+    # node arrays (the window term evaluates 1-d arrays)
+    nodes = []
+
+    def counted(w, lam):
+        if np.ndim(w) == 2:
+            nodes.append(np.size(w))
+        return drude_lorentz(w, lam)
+
+    monkeypatch.setattr("rdmprop.bath.drude_lorentz", counted)
+    totals = []
+    for points in (2048, 4096):
+        nodes.clear()
+        xi_integral(0.5, make_bath(50.0, pv_points=points))
+        totals.append(sum(nodes))
+    assert totals[1] == 2 * totals[0] > 0
+
+
+LAMB_GRID = [-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9]
+
+
+def ule_lamb_quad(a, b, bath):
+    """S_hat(a, b) by scipy's adaptive quad on the same truncated integral:
+    breakpoints at a, -b and +-delta, and the same window and tail terms."""
+    cutoff = bath.cutoff_for(a, b)
+    delta = 1e-4 * min(s for s in (bath.lam, bath.thermal_energy) if s > 0)
+
+    def g(w):
+        return np.sqrt(spectral_function_ule(w - a, bath)
+                       * spectral_function_ule(w + b, bath))
+
+    total = 0.0
+    for lo, hi in ((-cutoff, -delta), (delta, cutoff)):
+        points = sorted({x for x in (a, -b) if lo < x < hi}) or None
+        total += quad(lambda w: g(w) / w, lo, hi, points=points, limit=500,
+                      epsabs=1e-15, epsrel=1e-13)[0]
+    h = delta / 16.0
+    total += 2.0 * delta * (g(h) - g(-h)) / (2.0 * h)
+    total += bath.lam * (bath.lam / cutoff)
+    return -2.0 * np.pi * total
+
+
+@pytest.mark.parametrize("temperature", [0.0, 50.0, 300.0])
+def test_ule_lamb_coefficient_converges_on_the_grid(temperature):
+    # at T = 0 Gamma_hat(w - a) Gamma_hat(w + b) has square-root edges at
+    # w = a and w = -b, which the panels are graded toward
+    bath = make_bath(temperature)
+    a, b = (x.ravel() for x in np.meshgrid(LAMB_GRID, LAMB_GRID))
+    values = ule_lamb_coefficient(a, b, bath)
+    for x, y, value in zip(a.tolist(), b.tolist(), values.tolist()):
+        if temperature == 0.0:
+            assert value == pytest.approx(ule_lamb_quad(x, y, bath), rel=1e-8)
+        else:
+            assert value == pytest.approx(ule_lamb_quadrature(x, y, bath),
+                                          rel=1e-9)
+
+
+def bohr_frequencies(seed, d):
+    """Sorted distinct Bohr frequencies of d levels uniform in [-0.5, 0.5],
+    redrawn until levels are 1e-3 and Bohr frequencies 1e-6 apart."""
+    rng = np.random.default_rng(seed)
+    while True:
+        e = np.sort(rng.uniform(-0.5, 0.5, d))
+        w = np.sort((e[None, :] - e[:, None]).ravel())
+        off = w[np.abs(w) > 0]
+        if np.min(np.diff(e)) >= 1e-3 and np.min(np.diff(off)) >= 1e-6:
+            return np.unique(w), rng
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=4, max_value=16),
+       st.sampled_from([50.0, 300.0]))
+def test_batched_quadratures_equal_scalar_calls_and_oracle(seed, d,
+                                                           temperature):
+    bath = make_bath(temperature)
+    freqs, rng = bohr_frequencies(seed, d)
+    xi = xi_integral(freqs, bath)
+    for w, value in zip(freqs.tolist(), xi.tolist()):
+        assert value == xi_integral(w, bath)
+        assert value == pytest.approx(xi_quadrature(w, bath), rel=1e-12)
+    a, b = rng.choice(freqs, (2, 12))
+    lamb = ule_lamb_coefficient(a, b, bath)
+    assert np.array_equal(lamb, ule_lamb_coefficient(-b, -a, bath))
+    for x, y, value in zip(a.tolist(), b.tolist(), lamb.tolist()):
+        assert value == ule_lamb_coefficient(x, y, bath)
+        assert value == pytest.approx(ule_lamb_quadrature(x, y, bath),
+                                      rel=1e-9)
+
+
 def ule_lamb_reference(a, b, lam, temperature, cutoff):
     """Excised principal value of the factorized Lamb integrand, mpmath."""
     with mpmath.workdps(30):
@@ -389,10 +486,10 @@ def ule_lamb_reference(a, b, lam, temperature, cutoff):
 def test_spectra_sampling_consistency():
     bath = make_bath(50.0)
     omegas = np.array([-0.5, -0.1, 0.0, 0.1, 0.5])
-    samples = sample_spectra(bath, omegas)
-    assert [s.omega for s in samples] == list(omegas)
-    for s in samples:
-        assert s.gamma_hat == spectral_function_ule(s.omega, bath)
-        assert s.gamma_real == pytest.approx(np.pi * s.gamma_hat, rel=1e-15)
-        assert s.lamb_shift == pytest.approx(
-            xi_integral(s.omega, bath), rel=1e-12)
+    columns = sample_spectra(bath, omegas)
+    assert list(columns[0]) == list(omegas)
+    for omega, gamma_hat, gamma_real, lamb_shift in zip(*columns):
+        assert gamma_hat == spectral_function_ule(omega, bath)
+        assert gamma_real == pytest.approx(np.pi * gamma_hat, rel=1e-15)
+        assert lamb_shift == pytest.approx(xi_integral(omega, bath),
+                                           rel=1e-12)

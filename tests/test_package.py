@@ -15,3 +15,12 @@ def test_every_exported_name_imports():
              if not name.startswith("_")
              and not isinstance(value, types.ModuleType)}
     assert bound | {"__version__"} == set(rdmprop.__all__)
+
+
+def test_test_only_bath_helpers_are_not_exported():
+    # the Redfield pair rates and the spectra row type live in tests/oracle.py
+    # or are gone; sample_spectra returns arrays
+    for name in ("SpectralSample", "spectral_function_redfield", "rme_rates",
+                 "rme_lamb"):
+        assert not hasattr(rdmprop, name)
+        assert not hasattr(rdmprop.bath, name)
