@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .propagate import BLOCK_SAMPLES
+
 TRAJECTORY_FORMAT = "trajectory-csv v1"
 SPECTRA_FORMAT = "spectra-csv v1"
 CHANNELS_FORMAT = "channels-csv v1"
@@ -39,7 +41,11 @@ def _fmt(x) -> str:
 
 def write_trajectory_csv(traj, path) -> Path:
     """One row per sample: time, eigenbasis populations, minimum eigenvalue,
-    trace, and the hole co-propagation defect when present."""
+    trace, and the hole co-propagation defect when present.
+
+    Rows are formatted and written to the open file ``BLOCK_SAMPLES`` at a
+    time, from the trajectory's packed populations and cached reductions.
+    """
     path = Path(path)
     d = traj.dim
     header = ["time"] + [f"pop_{k}" for k in range(d)] + ["min_eigenvalue",
@@ -49,10 +55,12 @@ def write_trajectory_csv(traj, path) -> Path:
     if traj.defect is not None:
         header.append("hole_defect")
         columns.append(traj.defect[:, None])
-    lines = [f"# format: {TRAJECTORY_FORMAT}", ",".join(header)]
-    lines += [",".join(map(repr, row.tolist()))
-              for row in np.hstack(columns)]
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:
+        out.write(f"# format: {TRAJECTORY_FORMAT}\n{','.join(header)}\n")
+        for start in range(0, len(traj), BLOCK_SAMPLES):
+            rows = np.hstack([c[start:start + BLOCK_SAMPLES] for c in columns])
+            out.write("".join(",".join(map(repr, row)) + "\n"
+                              for row in rows.tolist()))
     return path
 
 

@@ -12,6 +12,12 @@ weighted on every packed output entry by a product of two state-dependent
 blocking factors (1 for a free side). Blocked equations are integrated
 adaptively (DOP853 by default). ``Schedule.method`` names a solve_ivp
 method to force adaptive integration for linear generators too.
+
+A ``Trajectory`` keeps the packed eigenbasis samples and the eigenvectors.
+Everything a run reads from it (populations, natural occupations, traces,
+audits, the hole defect, CSV rows) is computed over blocks of
+``BLOCK_SAMPLES`` samples; the full stack of states is formed only when
+read.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from .generators import GeneratorSpec, _sandwich, effective_hamiltonian, \
     liouvillian_action, superoperator_matrix
 
 _SQRT2 = np.sqrt(2.0)
+# samples per block in every pass over a stored trajectory
+BLOCK_SAMPLES = 1024
 
 
 class StiffnessError(RuntimeError):
@@ -66,6 +74,23 @@ def unpack_hermitian(y: np.ndarray, dim: int) -> np.ndarray:
     m[..., iu[0], iu[1]] = upper
     m[..., iu[1], iu[0]] = np.conj(upper)
     return m
+
+
+def transpose_permuted(packed: np.ndarray, perm: np.ndarray) -> None:
+    """In place: packed samples y of states P y P^T, for an exact
+    permutation matrix P, become the packed transposes (P y P^T)^T. Entry
+    (a, b) of that is conj(y)[s[a], s[b]] with P[a, s[a]] = 1, so the
+    packed entries are permuted and the imaginary parts of the upper
+    triangle that stays upper flip sign."""
+    d = perm.shape[0]
+    src = np.abs(perm).argmax(axis=1)
+    row, col = np.triu_indices(d, 1)
+    upper = np.zeros((d, d), dtype=int)
+    upper[row, col] = range(row.size)
+    i, j = src[row], src[col]
+    pos = upper[np.minimum(i, j), np.maximum(i, j)]
+    packed[:] = packed[:, np.concatenate([src, d + pos, d + row.size + pos])]
+    packed[:, d + row.size:] *= np.where(i < j, -1.0, 1.0)
 
 
 def build_packed_generator(h: SystemHamiltonian,
@@ -187,47 +212,110 @@ class Schedule:
 class Trajectory:
     """Stored solution of one propagation.
 
-    ``states`` holds the 1-RDM in the original basis at each sample time;
-    ``populations`` holds the eigenbasis diagonal. ``defect`` is filled by
-    hole co-propagation with the complement mismatch per sample.
+    ``packed`` holds one packed eigenbasis sample per time
+    (``pack_hermitian`` layout) and ``basis`` the unitary that maps a
+    sample to the original basis, rho = basis @ unpack(y) @ basis^+. The
+    populations are the packed diagonal. Natural occupations, traces and
+    the Hermiticity defect come from one pass over the samples in blocks
+    of ``BLOCK_SAMPLES`` (``state_blocks``) and are cached. ``states``, the
+    (n, d, d) stack in the original basis, is formed only when read.
+    ``defect`` is filled by hole co-propagation with the complement
+    mismatch per sample.
     """
 
     times: np.ndarray
-    states: np.ndarray
-    populations: np.ndarray
+    packed: np.ndarray
+    basis: np.ndarray
     chi: float
     metadata: dict = field(default_factory=dict)
     defect: np.ndarray | None = None
     hole: "Trajectory | None" = None
-    setup: object = None
 
     def __len__(self) -> int:
         return len(self.times)
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return self.basis.shape[0]
+
+    @property
+    def populations(self) -> np.ndarray:
+        """Eigenbasis diagonal per sample, a view of the packed samples."""
+        return self.packed[:, :self.dim]
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """All samples in the original basis, shaped (n, d, d)."""
+        return self.to_original(unpack_hermitian(self.packed, self.dim))
+
+    def to_original(self, m: np.ndarray) -> np.ndarray:
+        """Rotate eigenbasis matrices (one or a stack) to the original
+        basis."""
+        return self.basis @ m @ self.basis.conj().T
+
+    def _scanned(self, name: str):
+        for _ in state_blocks(self):
+            pass
+        return self.__dict__[name]
 
     @cached_property
     def occupations(self) -> np.ndarray:
         """Natural occupations per sample, ascending: the eigenvalues of the
-        Hermitian part of each state, from one batched eigvalsh."""
-        herm = np.conj(np.swapaxes(self.states, -1, -2))
-        herm += self.states
-        herm *= 0.5
-        return np.linalg.eigvalsh(herm)
+        Hermitian part of each state."""
+        return self._scanned("occupations")
 
     @cached_property
     def traces(self) -> np.ndarray:
         """Real part of the trace of each state."""
-        return np.real(np.trace(self.states, axis1=-2, axis2=-1))
+        return self._scanned("traces")
+
+    @cached_property
+    def hermiticity_defect(self) -> float:
+        """Largest entry of rho - rho^+ over all states."""
+        return self._scanned("hermiticity_defect")
 
     def state(self, k: int) -> OneRdm:
-        return OneRdm(self.states[k], self.chi)
+        return OneRdm(self.to_original(
+            unpack_hermitian(self.packed[k], self.dim)), self.chi)
 
     @property
     def final_state(self) -> OneRdm:
         return self.state(len(self) - 1)
+
+
+def state_blocks(*trajs: Trajectory):
+    """Original-basis states of trajectories on one time grid, in blocks.
+
+    Yields ``(rows, blocks)``: the slice of up to ``BLOCK_SAMPLES`` sample
+    indices and one fresh (k, d, d) stack per trajectory, which the caller
+    may overwrite. Each block is unpacked and rotated once, and the natural
+    occupations, traces and Hermiticity defect are taken from it; a
+    completed pass caches them on every trajectory, so reading them later
+    costs no second pass.
+    """
+    n = len(trajs[0])
+    found = [{"occupations": np.empty((n, t.dim)), "traces": np.empty(n),
+              "hermiticity_defect": 0.0} for t in trajs]
+    for start in range(0, n, BLOCK_SAMPLES):
+        rows = slice(start, start + BLOCK_SAMPLES)
+        yield rows, [_reduce_block(t, rows, f) for t, f in zip(trajs, found)]
+    for t, f in zip(trajs, found):
+        t.__dict__.update(f)
+
+
+def _reduce_block(traj: Trajectory, rows: slice, found: dict) -> np.ndarray:
+    """Rotate one block of samples to the original basis and record its
+    occupations, traces and Hermiticity defect in ``found``."""
+    states = traj.to_original(unpack_hermitian(traj.packed[rows], traj.dim))
+    other = np.conj(np.swapaxes(states, -1, -2))
+    herm = other + states
+    herm *= 0.5
+    found["occupations"][rows] = np.linalg.eigvalsh(herm)
+    found["traces"][rows] = np.real(np.trace(states, axis1=-2, axis2=-1))
+    np.subtract(states, other, out=other)
+    found["hermiticity_defect"] = max(found["hermiticity_defect"],
+                                      max_norm(other))
+    return states
 
 
 def default_t_end(spec: GeneratorSpec) -> float:
@@ -259,8 +347,12 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
     function it integrates, evaluated once at chi*1. With ``verify_expm``
     the linear generator is also propagated through its Kronecker
     superoperator (``expm_propagate``) and the maximum population deviation
-    is recorded in the metadata.
+    is recorded in the metadata; it raises ValueError for a Pauli-blocked
+    spec before any generator is built.
     """
+    if verify_expm and spec.pauli_blocked:
+        raise ValueError("verify_expm needs a linear generator: Pauli-blocked "
+                         "generators have no superoperator matrix")
     if schedule is None:
         schedule = Schedule()
     if isinstance(rho0, OneRdm):
@@ -307,9 +399,6 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         ys, nfev = sol.y.T, sol.nfev
     elapsed = time.perf_counter() - started
 
-    # the packed layout starts with the eigenbasis diagonal
-    populations = ys[:, :h.dim].copy()
-    states = h.from_eigenbasis(unpack_hermitian(ys, h.dim))
 
     metadata = {
         "kind": spec.kind.value,
@@ -325,14 +414,13 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         "wall_time_s": elapsed,
         "unitality_residual": residual,
     }
-    traj = Trajectory(times=t_eval.copy(), states=states,
-                      populations=populations, chi=spec.chi,
-                      metadata=metadata)
+    traj = Trajectory(times=t_eval.copy(), packed=ys, basis=h.eigenvectors,
+                      chi=spec.chi, metadata=metadata)
 
     if verify_expm:
         reference = expm_propagate(h, spec, rho0, t_eval)
         ref_pops = np.real(np.einsum("tii->ti", h.to_eigenbasis(reference)))
-        deviation = float(np.max(np.abs(ref_pops - populations)))
+        deviation = float(np.max(np.abs(ref_pops - traj.populations)))
         metadata["expm_max_population_deviation"] = deviation
     return traj
 
@@ -391,7 +479,6 @@ def integrate(scenario, verify_expm: bool = False) -> Trajectory:
     traj = propagate_state(setup.hamiltonian, setup.spec, setup.rho0,
                            setup.schedule, verify_expm=verify_expm)
     traj.metadata["scenario"] = scenario.to_dict()
-    traj.setup = setup
 
     if scenario.copropagate_hole:
         from .representability import copropagate_hole as _cop

@@ -114,7 +114,12 @@ def copropagate_hole(q0, h: SystemHamiltonian, spec: GeneratorSpec,
     which is propagated here from rho0 = chi*1 - q0 when not supplied.
 
     ``q0`` is the initial hole RDM in the same (original) basis as particle
-    states; its spectrum must lie in [0, chi].
+    states; its spectrum must lie in [0, chi]. The hole trajectory keeps
+    packed samples in particle-eigenbasis coordinates: the hole eigenvectors
+    are an exact permutation, and transposing conjugates, so its samples
+    are the hole solver's with packed entries permuted and the imaginary
+    block's signs flipped. One blockwise pass over both trajectories forms
+    the defect and caches both spectra.
     """
     if isinstance(q0, OneRdm):
         q0 = q0.data
@@ -132,23 +137,22 @@ def copropagate_hole(q0, h: SystemHamiltonian, spec: GeneratorSpec,
     sigma0 = h.to_eigenbasis(q0).T.copy()
     hole_traj = _prop.propagate_state(hole.hamiltonian, hole.spec, sigma0,
                                       schedule, t_eval=times)
-
-    # hole states come back in particle-eigenbasis coordinates
-    q_eig = np.transpose(hole_traj.states, (0, 2, 1))
-    q_states = h.from_eigenbasis(q_eig)
-    populations = np.real(np.einsum("tii->ti", q_eig)).copy()
-
-    # q - (chi*1 - rho), formed in place to hold one extra stack at a time
-    mismatch = spec.chi * np.eye(h.dim) - particle_trajectory.states
-    defect = np.abs(np.subtract(q_states, mismatch, out=mismatch)).max(
-        axis=(-2, -1))
-
+    _prop.transpose_permuted(hole_traj.packed, hole.hamiltonian.eigenvectors)
     metadata = dict(hole_traj.metadata)
     metadata.update({"picture": "hole", "kind": spec.kind.value,
                      "pauli_blocked": spec.pauli_blocked})
-    return _prop.Trajectory(times=times, states=q_states,
-                            populations=populations, chi=spec.chi,
-                            metadata=metadata, defect=defect)
+    q_traj = _prop.Trajectory(times=times, packed=hole_traj.packed,
+                              basis=h.eigenvectors, chi=spec.chi,
+                              metadata=metadata)
+
+    filled = spec.chi * np.eye(h.dim)
+    defect = np.empty(len(times))
+    for rows, (rho, q) in _prop.state_blocks(particle_trajectory, q_traj):
+        # q - (chi*1 - rho), formed in the particle block
+        np.subtract(filled, rho, out=rho)
+        defect[rows] = np.abs(np.subtract(q, rho, out=rho)).max(axis=(-2, -1))
+    q_traj.defect = defect
+    return q_traj
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,21 +176,20 @@ def audit_trajectory(traj, tol: float = 1e-6) -> TrajectoryAudit:
     """Reduce a trajectory's spectrum, traces, and Hermiticity drift.
 
     A state violates when a natural occupation leaves [-tol, chi + tol].
-    Trace drift is measured against the initial state. The spectrum is the
-    trajectory's cached ``occupations``.
+    Trace drift is measured against the initial state. Occupations, traces
+    and the Hermiticity defect are the trajectory's cached per-sample
+    reductions, from one blockwise pass over its packed samples.
     """
     occ = traj.occupations
     bad = (occ[:, 0] < -tol) | (occ[:, -1] > traj.chi + tol)
     first_violation = float(traj.times[bad.argmax()]) if bad.any() else None
-    skew = np.conj(np.swapaxes(traj.states, -1, -2))
-    np.subtract(traj.states, skew, out=skew)
     return TrajectoryAudit(
         min_eigenvalue=float(occ[:, 0].min()),
         max_eigenvalue=float(occ[:, -1].max()),
         min_population=float(traj.populations.min()),
         max_population=float(traj.populations.max()),
         max_trace_drift=float(np.abs(traj.traces - traj.traces[0]).max()),
-        max_hermiticity_defect=max_norm(skew),
+        max_hermiticity_defect=traj.hermiticity_defect,
         first_violation_time=first_violation,
         violation=first_violation is not None,
         chi=traj.chi,

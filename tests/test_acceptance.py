@@ -23,6 +23,7 @@ from rdmprop.generators import (
 )
 from rdmprop.propagate import Schedule, integrate
 from rdmprop.representability import constraint_residual, unitality_residual
+from rdmprop.scenario import Scenario
 
 from oracle import Oracle, channel_operator, dissipator_ule, rme_rates, \
     spectral_function_redfield, union_values
@@ -136,7 +137,7 @@ def test_criterion_5_blocked_benzene_bounds_and_steady_state(
 def test_criterion_5_blocked_generators_are_unital(
         benzene_blocked_trajectories):
     for traj in benzene_blocked_trajectories.values():
-        setup = traj.setup
+        setup = Scenario.from_dict(traj.metadata["scenario"]).build()
         assert unitality_residual(setup.hamiltonian, setup.spec) < 1e-12
     extra = builtin_benzene(kind="ume", clustering_threshold=0.0,
                             pauli_blocked=True).build()
@@ -218,10 +219,9 @@ def test_criterion_7_adaptive_rk_matches_matrix_exponential(
 
 def test_criterion_7_superoperator_functionals(
         three_level_50k_trajectories, benzene_unblocked_trajectories):
-    setups = [traj.setup
-              for traj in three_level_50k_trajectories.values()]
-    setups += [traj.setup
-               for traj in benzene_unblocked_trajectories.values()]
+    setups = [Scenario.from_dict(traj.metadata["scenario"]).build()
+              for traj in (*three_level_50k_trajectories.values(),
+                           *benzene_unblocked_trajectories.values())]
     assert len(setups) == 6
     for setup in setups:
         sup = superoperator_matrix(setup.hamiltonian, setup.spec)

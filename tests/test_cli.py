@@ -92,6 +92,49 @@ def test_run_builds_one_generator_and_reports_its_residual(
         assert expected > 1e-4
 
 
+def test_blocked_verify_expm_exits_two_before_building_a_generator(
+        tmp_path, monkeypatch, capsys):
+    # a blocked generator has no superoperator to check against, so the run
+    # stops before it builds or integrates anything
+    built = []
+    original = rdmprop.propagate.build_blocked_rhs
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rdmprop.propagate, "build_blocked_rhs", counted)
+    out = tmp_path / "out"
+    code = main(["run", "--benchmark", "three-level", "--kind", "ule",
+                 "--blocked", "--verify-expm", "--samples", "50",
+                 "--output-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert built == []
+    assert not out.exists()
+
+
+def test_run_sweep_and_bench_never_form_the_state_stack(tmp_path,
+                                                        monkeypatch):
+    class StackFormed(Exception):
+        pass
+
+    def refuse(self):
+        raise StackFormed
+
+    monkeypatch.setattr(rdmprop.propagate.Trajectory, "states",
+                        property(refuse))
+    out = str(tmp_path)
+    assert main(["run", *ladder_args("--copropagate-hole",
+                                     "--output-dir", out)]) == 0
+    assert main(["sweep", *ladder_args(), "--param", "bath.lambda",
+                 "--values", "0.005,0.01", "--jobs", "1",
+                 "--output-dir", out]) == 0
+    assert main(["bench", "three-level", "--me", "ule", "--t-end", "400",
+                 "--samples", "5", "--output-dir", out]) == 0
+
+
 def test_run_is_deterministic(tmp_path):
     main(["run", *ladder_args("--output-dir", str(tmp_path),
                               "--prefix", "a")])

@@ -222,10 +222,11 @@ def test_integrate_attaches_metadata_and_setup():
     scenario = builtin_three_level(kind="ule", temperature=50.0,
                                    t_end=600.0, samples=5)
     traj = integrate(scenario)
+    setup = scenario.build()
     assert traj.metadata["scenario"] == scenario.to_dict()
     assert traj.metadata["kind"] == "ule"
-    assert traj.setup is not None
-    assert traj.setup.spec.dim == 3
+    assert setup is not None
+    assert setup.spec.dim == 3
     assert traj.defect is None
 
 
@@ -245,9 +246,8 @@ def test_trajectory_state_accessors():
     times = np.array([0.0, 1.0])
     states = np.array([np.diag([1.0, 0.0]), np.diag([0.5, 0.5])],
                       dtype=complex)
-    traj = Trajectory(times=times, states=states,
-                      populations=np.array([[1.0, 0.0], [0.5, 0.5]]),
-                      chi=1.0)
+    traj = Trajectory(times=times, packed=pack_hermitian(states),
+                      basis=np.eye(2, dtype=complex), chi=1.0)
     assert len(traj) == 2
     assert traj.dim == 2
     npt.assert_allclose(traj.final_state.data, states[1], atol=0.0)

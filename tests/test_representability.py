@@ -1,5 +1,7 @@
 """Filled-state residual audits and two-picture co-propagation."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +9,9 @@ import pytest
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.core import DimensionError, OneRdm, max_norm
 from rdmprop.output import TRAJECTORY_FORMAT, write_trajectory_csv
-from rdmprop.propagate import Schedule, integrate, propagate_state
+from rdmprop.generators import particle_hole_transform
+from rdmprop.propagate import Schedule, integrate, propagate_state, \
+    unpack_hermitian
 from rdmprop.scenario import Scenario
 from rdmprop.representability import (
     audit_trajectory,
@@ -172,12 +176,11 @@ def test_audit_reports_spectrum_extrema():
     times = np.array([0.0, 1.0])
     good = np.diag([0.5, 0.5]).astype(complex)
     bad = np.diag([1.2, -0.1]).astype(complex)
-    from rdmprop.propagate import Trajectory
+    from rdmprop.propagate import Trajectory, pack_hermitian
 
-    traj = Trajectory(times=times, states=np.array([good, bad]),
-                      populations=np.real(np.array([np.diag(good),
-                                                    np.diag(bad)])),
-                      chi=1.0)
+    traj = Trajectory(times=times, packed=pack_hermitian(np.array([good,
+                                                                  bad])),
+                      basis=np.eye(2, dtype=complex), chi=1.0)
     report = audit_trajectory(traj, tol=1e-6)
     assert report.violation
     assert report.first_violation_time == 1.0
@@ -312,3 +315,101 @@ def test_blocked_rme_pushes_populations_and_occupations_past_chi():
     assert report.violation
     assert report.max_population == pytest.approx(1.02499, abs=1e-4)
     assert report.max_eigenvalue == pytest.approx(1.3531, abs=1e-3)
+
+
+def _rotated_random_d4(kind, blocked):
+    """RANDOM_D4 in a random unitary basis, given as matrices, so the
+    eigenvectors are far from the identity; 2,500 samples span several
+    blocks of the trajectory pass."""
+    z = np.random.default_rng(5).standard_normal((4, 4, 2)) @ [1.0, 1j]
+    u = np.linalg.qr(z)[0]
+    energies = RANDOM_D4["hamiltonian"]["energies"]
+    coupling = np.array(RANDOM_D4["coupling_operators"][0]["matrix"])
+
+    def entries(m):
+        return [[[z.real, z.imag] for z in row] for row in m.tolist()]
+
+    return Scenario.from_dict(dict(
+        RANDOM_D4, name="rotated-d4",
+        hamiltonian={"matrix": entries(u @ np.diag(energies) @ u.conj().T)},
+        coupling_operators=[{"label": "random",
+                             "matrix": entries(u @ coupling @ u.conj().T)}],
+        generator={"kind": kind, "pauli_blocked": blocked,
+                   "clustering_threshold": 0.0},
+        schedule={"t_end": 200.0, "samples": 2500},
+        copropagate_hole=True))
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+@pytest.mark.parametrize("kind", ["rme", "ule", "ume"])
+def test_packed_trajectory_matches_eager_stacks(tmp_path, kind, blocked):
+    scenario = _rotated_random_d4(kind, blocked)
+    setup = scenario.build()
+    h = setup.hamiltonian
+    assert max_norm(h.eigenvectors - np.eye(4)) > 0.1
+    traj = integrate(scenario)
+    hole = traj.hole
+
+    # the parent's eager route: every stack formed in full
+    states = h.from_eigenbasis(unpack_hermitian(traj.packed, 4))
+    pictured = particle_hole_transform(h, setup.spec)
+    raw = propagate_state(pictured.hamiltonian, pictured.spec,
+                          h.to_eigenbasis(setup.rho0.complement().data).T,
+                          setup.schedule, t_eval=traj.times)
+    q_eig = np.transpose(pictured.hamiltonian.from_eigenbasis(
+        unpack_hermitian(raw.packed, 4)), (0, 2, 1))
+    q_states = h.from_eigenbasis(q_eig)
+    defect = np.abs(q_states - (setup.spec.chi * np.eye(4) - states)).max(
+        axis=(-2, -1))
+
+    def herm_eigvalsh(m):
+        return np.linalg.eigvalsh(0.5 * (m + np.conj(np.swapaxes(m, 1, 2))))
+
+    for got, want in (
+            (traj.states, states),
+            (traj.populations, np.real(np.einsum("tii->ti", h.to_eigenbasis(
+                states)))),
+            (traj.occupations, herm_eigvalsh(states)),
+            (traj.traces, np.real(np.einsum("tii->t", states))),
+            (hole.states, q_states),
+            (hole.populations, np.real(np.einsum("tii->ti", q_eig))),
+            (hole.occupations, herm_eigvalsh(q_states)),
+            (hole.traces, np.real(np.einsum("tii->t", q_states))),
+            (hole.defect, defect), (traj.defect, defect)):
+        assert got.shape == want.shape
+        assert max_norm(got - want) <= 1e-14
+
+    for t in (traj, hole):
+        report = audit_trajectory(t)
+        expected = _audit_per_sample(t)
+        assert report.first_violation_time == expected.pop(
+            "first_violation_time")
+        assert report.violation == expected.pop("violation")
+        for key, value in expected.items():
+            assert abs(getattr(report, key) - value) <= 1e-14, key
+        written = write_trajectory_csv(t, tmp_path / "t.csv").read_text()
+        reference = _csv_per_row(t)
+        assert written.splitlines()[:2] == reference.splitlines()[:2]
+        got, want = (np.loadtxt(text.splitlines(), delimiter=",", skiprows=2)
+                     for text in (written, reference))
+        assert got.shape == want.shape == (2500, 8)
+        assert max_norm(got - want) <= 1e-14
+
+
+def test_dense_copropagated_run_keeps_packed_samples(tmp_path):
+    # integrating, auditing and writing both CSVs of a 20,000-sample
+    # co-propagated run never holds a full (n, d, d) stack of states
+    scenario = builtin_benzene(kind="rme", t_end=16000.0, samples=20000,
+                               copropagate_hole=True)
+    tracemalloc.start()
+    try:
+        traj = integrate(scenario)
+        audit_trajectory(traj)
+        write_trajectory_csv(traj, tmp_path / "dense.csv")
+        write_trajectory_csv(traj.hole, tmp_path / "dense.hole.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+    assert "states" not in traj.__dict__
+    assert "states" not in traj.hole.__dict__
