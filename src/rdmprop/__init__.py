@@ -16,8 +16,8 @@ from .core import AuditReport, CouplingOperator, DimensionError, \
     spectral_audit
 from .generators import GeneratorSpec, HoleSystem, MEKind, \
     NonlinearGeneratorError, RateTable, build_generator, build_rate_table, \
-    dissipator, lamb_shift_hamiltonian, liouvillian_action, \
-    particle_hole_transform, superoperator_matrix
+    dissipator, lamb_shift_hamiltonian, particle_hole_transform, \
+    superoperator_matrix
 from .propagate import Schedule, StiffnessError, Trajectory, default_t_end, \
     expm_propagate, integrate, pack_hermitian, propagate_state, \
     unpack_hermitian
@@ -41,7 +41,7 @@ __all__ = [
     "constraint_residual", "copropagate_hole", "decompose", "default_t_end",
     "dissipator", "drude_lorentz",
     "expm_propagate", "hermitize", "integrate", "lamb_shift_hamiltonian",
-    "liouvillian_action", "load_scenario", "pack_hermitian",
+    "load_scenario", "pack_hermitian",
     "particle_hole_transform", "propagate_state",
     "sample_spectra", "save_scenario", "spectral_audit",
     "spectral_function_ule",

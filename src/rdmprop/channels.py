@@ -29,11 +29,14 @@ _CLUSTER_GAP_EPS = 1e-12
 def _chain(values: np.ndarray, tol: float):
     """Chain-merge sorted values: the group label of every value and the
     mean of every group. A new group starts wherever the gap to the
-    previous value is not within ``tol`` (a NaN gap included)."""
+    previous value is not within ``tol`` (a NaN gap included). A rounded
+    mean can land one ulp outside its group (three copies of -0.1 average
+    to -0.10000000000000002), so it is clipped to the group's range."""
     new = np.ones(values.size, dtype=bool)
     new[1:] = ~(np.diff(values) <= tol)
     groups = np.split(values, np.flatnonzero(new))[1:]
-    return np.cumsum(new) - 1, [float(np.mean(g)) for g in groups]
+    return np.cumsum(new) - 1, [float(np.clip(np.mean(g), g[0], g[-1]))
+                                for g in groups]
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,7 +108,7 @@ def _resolve_scenario(args) -> Scenario:
 
 def _cmd_run(args) -> int:
     scenario = _resolve_scenario(args)
-    traj = integrate(scenario, verify_expm=args.verify_expm)
+    traj = integrate(scenario)
     outdir = resolve_output_dir(args.output_dir)
     prefix = args.prefix or scenario.name
 
@@ -313,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="propagate a scenario")
     _add_source_options(p_run)
-    p_run.add_argument("--verify-expm", action="store_true",
-                       help="cross-check against matrix-exponential stepping")
     p_run.set_defaults(func=_cmd_run)
 
     p_audit = sub.add_parser("audit", help="algebraic audits, no propagation")

@@ -22,7 +22,11 @@ Pauli blocking replaces the coupling by M(rho) o a, where
 M_ij = sqrt(chi - n_sub(i)) on blocks between two different subspaces
 (outside the ume zero-frequency cluster) and 1 elsewhere. The mask scales
 rows, so the blocked generator stays trace- and Hermiticity-preserving and
-annihilates the filled state chi*1 exactly.
+annihilates the filled state chi*1 exactly. With every factor 1 it is the
+linear generator, and ``propagate.build_packed_generator`` assembles both
+on packed states from the sandwich here; ``dissipator`` acts on full
+matrices for the filled-state residual, and ``superoperator_matrix`` is
+the Kronecker cross-check.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .bath import BathModel, spectral_function_ule, ule_lamb_coefficient, \
     ule_rate, xi_integral
 from .channels import ChannelSet, FrequencyClusters, cluster, decompose
 from .core import CouplingOperator, DimensionError, NumericalError, \
-    SystemHamiltonian, as_matrices, hermitize, max_norm
+    SystemHamiltonian, hermitize, max_norm
 
 
 class MEKind(str, Enum):
@@ -262,9 +266,10 @@ class GeneratorSpec:
     def blocking_split(self):
         """Couplings split as a = a_free + a_blk, where a_blk holds the blocks
         between two different subspaces (outside the ume zero-frequency
-        cluster) whose rows Pauli blocking scales."""
+        cluster) whose rows Pauli blocking scales; zero for linear specs."""
         sub = self.level_subspace
-        masks = [sub[:, None] != sub] * len(self.channel_sets)
+        blockable = (sub[:, None] != sub) & self.pauli_blocked
+        masks = [blockable] * len(self.channel_sets)
         zero = self.clusters.zero_cluster_index if self.clusters else None
         if zero is not None:
             masks = [m & (c != zero) for m, c in zip(masks, self.rates.cluster)]
@@ -434,26 +439,6 @@ def lamb_shift_hamiltonian(spec: GeneratorSpec) -> np.ndarray:
     if max_norm(out - out.conj().T) > 1e-10:
         raise RuntimeError("Lamb-shift construction lost Hermiticity")
     return hermitize(out)
-
-
-def liouvillian_action(rho: np.ndarray, h: SystemHamiltonian,
-                       spec: GeneratorSpec) -> np.ndarray:
-    """Right-hand side of a linear master equation in the eigenbasis.
-
-    -i [H + H_LS, rho] + dissipator(rho), with H diagonal and the Lamb shift
-    only for specs built with lamb_shift=True; ``rho`` may be a stack.
-    Raises for Pauli-blocked specs, which act on packed states only, through
-    ``propagate.build_blocked_rhs``.
-    """
-    if spec.pauli_blocked:
-        raise NonlinearGeneratorError(
-            "Pauli-blocked generators act on packed states only; "
-            "use build_blocked_rhs")
-    if h.dim != spec.dim:
-        raise DimensionError("Hamiltonian and generator dimensions differ")
-    rho = as_matrices(rho, spec.dim)
-    heff = effective_hamiltonian(h, spec)
-    return -1j * (heff @ rho - rho @ heff) + dissipator(rho, spec)
 
 
 def effective_hamiltonian(h: SystemHamiltonian,

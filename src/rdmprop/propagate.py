@@ -2,16 +2,18 @@
 
 States are packed into a real vector (diagonal, then scaled real and
 imaginary upper-triangle parts) so every route works on a real equation
-whose flow preserves Hermiticity exactly. Linear generators become a single
-dense real matrix G and are stepped exactly on the sample grid with
-exp(G dt), one exponential per distinct sample interval. Pauli-blocked
-generators become one dense stack of at most 4 + 2m such matrices for m
-subspaces: the free-free part, the three sandwiches of the free and
-blockable coupling parts, and two anticommutator maps per subspace. Each is
-weighted on every packed output entry by a product of two state-dependent
-blocking factors (1 for a free side). Blocked equations are integrated
-adaptively (DOP853 by default). ``Schedule.method`` names a solve_ivp
-method to force adaptive integration for linear generators too.
+whose flow preserves Hermiticity exactly. One assembly,
+``build_packed_generator``, serves every spec. It splits the coupling into
+a free part and a part Pauli blocking scales, and builds one dense stack of
+real maps on packed vectors: the free-free part, and for blocked specs the
+three sandwiches of the free and blockable parts and two anticommutator
+maps per subspace, at most 4 + 2m maps for m subspaces. Each is weighted on
+every packed output entry by a product of two state-dependent blocking
+factors (1 for a free side). A linear spec has no blockable part, so its
+stack is one matrix G, stepped exactly on the sample grid with exp(G dt),
+one exponential per distinct sample interval. Blocked equations are
+integrated adaptively (DOP853 by default). ``Schedule.method`` names a
+solve_ivp method to force adaptive integration for linear generators too.
 
 A ``Trajectory`` keeps the packed eigenbasis samples and the eigenvectors.
 Everything a run reads from it (populations, natural occupations, traces,
@@ -33,7 +35,7 @@ from scipy.linalg import expm
 from .core import DimensionError, NumericalError, OneRdm, PhysicalityError, \
     SystemHamiltonian, max_norm
 from .generators import GeneratorSpec, _sandwich, effective_hamiltonian, \
-    liouvillian_action, superoperator_matrix
+    superoperator_matrix
 
 _SQRT2 = np.sqrt(2.0)
 # samples per block in every pass over a stored trajectory
@@ -93,47 +95,56 @@ def transpose_permuted(packed: np.ndarray, perm: np.ndarray) -> None:
     packed[:, d + row.size:] *= np.where(i < j, -1.0, 1.0)
 
 
-def build_packed_generator(h: SystemHamiltonian,
-                           spec: GeneratorSpec) -> np.ndarray:
-    """Dense real matrix of a linear generator on packed eigenbasis states,
-    from one liouvillian_action (which refuses Pauli-blocked specs) on the
-    stack of all basis states."""
-    basis = unpack_hermitian(np.eye(h.dim * h.dim), h.dim)
-    return pack_hermitian(liouvillian_action(basis, h, spec)).T
+def build_packed_generator(h: SystemHamiltonian, spec: GeneratorSpec):
+    """Right-hand side f(t, y) of the master equation on packed eigenbasis
+    states, linear or Pauli-blocked.
 
-
-def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
-    """Right-hand side of a Pauli-blocked equation on packed vectors.
-
-    M o a = a_free + R a_blk with R = diag(r_sub(i)), r_s = sqrt(chi - n_s),
-    so the generator is one dense stack of at most 4 + 2m packed maps
-    (m subspaces), each weighted on packed output entry (i, k) by u_p u_q,
-    u = (1, r_s): -i[H_eff, .] and D(free, free) by 1; the sandwiches
-    S(blk, free), S(free, blk), S(blk, blk) by r_sub(i), r_sub(k) and both;
-    per subspace s, the anticommutators of free-blk and blk-blk terms
-    through s by r_s and r_s^2. Zero maps are dropped. This is the only
-    evaluator of blocked generators, which act on packed states only: runs
-    integrate it and ``unitality_residual`` evaluates it at chi*1. Factors
-    clamp at zero and nothing raises: populations pass chi by rounding, and
-    for rme also for real; ule can keep them in bounds while natural
-    occupations pass chi. The run audit reports both margins.
+    Blocking makes the coupling M o a = a_free + R a_blk with
+    R = diag(r_sub(i)), r_s = sqrt(chi - n_s); a linear spec has no
+    blockable part (``GeneratorSpec.blocking_split``). The generator is one
+    dense stack of at most 4 + 2m packed maps (m subspaces), each weighted
+    on packed output entry (i, k) by u_p u_q, u = (1, r_s): -i[H_eff, .]
+    and D(free, free) by 1; the sandwiches S(blk, free), S(free, blk),
+    S(blk, blk) by r_sub(i), r_sub(k) and both; per subspace s, the
+    anticommutators of free-blk and blk-blk terms through s by r_s and
+    r_s^2. Zero maps are dropped. A spec without blockable coupling, every
+    linear spec among them, stops after the first map G, before any image
+    of the blockable part is formed: f(t, y) = G @ y, and ``f.matrix`` is
+    G, for exact stepping; otherwise ``f.matrix`` is None. Runs integrate
+    f and ``unitality_residual`` evaluates it at chi*1. Factors clamp at
+    zero and nothing raises: populations pass chi by rounding, and for rme
+    also for real; ule can keep them in bounds while natural occupations
+    pass chi. The run audit reports both margins.
     """
-    if not spec.pauli_blocked:
-        raise ValueError("generator spec is not Pauli-blocked")
+    if h.dim != spec.dim:
+        raise DimensionError("Hamiltonian and generator dimensions differ")
     d, n, m = h.dim, h.dim * h.dim, len(spec.subspaces)
     free, blk = spec.blocking_split
-    sub = spec.level_subspace
     basis = unpack_hermitian(np.eye(n), d)
+
+    def anti(*matrices):
+        a = -0.5 * sum(matrices)
+        out = a @ basis
+        out += basis @ a
+        return out
+
+    heff = effective_hamiltonian(h, spec)
+    images, anti_free = _sandwich(spec, free, free, basis)
+    linear = -1j * (heff @ basis - basis @ heff) + images + anti(anti_free)
+    if not any(b.any() for b in blk):
+        matrix = pack_hermitian(linear).T
+
+        def rhs(t, y):
+            return matrix @ y
+
+        rhs.matrix = matrix
+        return rhs
+
+    sub = spec.level_subspace
     # 1 + subspace of the row and of the column of every packed entry
     iu = np.triu_indices(d, 1)
     row, col = sub[np.concatenate([[range(d)] * 2, iu, iu], axis=1)] + 1
     stack, index = np.empty(((4 + 2 * m) * n, n)), []
-
-    def anti(*pairs):
-        a = -0.5 * sum(_sandwich(spec, x, y)[1] for x, y in pairs)
-        out = a @ basis
-        out += basis @ a
-        return out
 
     def add(image, first, second):
         packed = pack_hermitian(image).T
@@ -141,16 +152,15 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
             stack[len(index) * n:][:n] = packed
             index.append(np.broadcast_arrays(first, second, row)[:2])
 
-    heff = effective_hamiltonian(h, spec)
-    add(-1j * (heff @ basis - basis @ heff)
-        + _sandwich(spec, free, free, basis)[0] + anti((free, free)), 0, 0)
+    add(linear, 0, 0)
     add(_sandwich(spec, blk, free, basis)[0], row, 0)
     add(_sandwich(spec, free, blk, basis)[0], 0, col)
     add(_sandwich(spec, blk, blk, basis)[0], row, col)
     for s in range(m):
         part = tuple(np.where((sub == s)[:, None], b, 0.0) for b in blk)
-        add(anti((free, part), (part, free)), s + 1, 0)
-        add(anti((part, part)), s + 1, s + 1)
+        add(anti(_sandwich(spec, free, part)[1],
+                 _sandwich(spec, part, free)[1]), s + 1, 0)
+        add(anti(_sandwich(spec, part, part)[1]), s + 1, s + 1)
 
     stack, ones = stack[:len(index) * n], np.ones(len(index))
     left, right = map(np.array, zip(*index))
@@ -165,6 +175,7 @@ def build_blocked_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
         u = np.sqrt(np.maximum(offset + average @ y[:d], 0.0))
         return ones @ (u[left] * u[right] * (stack @ y).reshape(-1, n))
 
+    rhs.matrix = None
     return rhs
 
 
@@ -337,22 +348,14 @@ def default_t_end(spec: GeneratorSpec) -> float:
 
 def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
                     schedule: Schedule | None = None,
-                    t_eval: np.ndarray | None = None,
-                    verify_expm: bool = False) -> Trajectory:
+                    t_eval: np.ndarray | None = None) -> Trajectory:
     """Propagate one initial state and sample it on a uniform grid.
 
     ``rho0`` is given in the original basis (a matrix or OneRdm). The
     metadata records the route taken as ``method``: "expm" for exact
     stepping, else the solve_ivp method; and as ``unitality_residual`` the
-    function it integrates, evaluated once at chi*1. With ``verify_expm``
-    the linear generator is also propagated through its Kronecker
-    superoperator (``expm_propagate``) and the maximum population deviation
-    is recorded in the metadata; it raises ValueError for a Pauli-blocked
-    spec before any generator is built.
+    function it integrates, evaluated once at chi*1.
     """
-    if verify_expm and spec.pauli_blocked:
-        raise ValueError("verify_expm needs a linear generator: Pauli-blocked "
-                         "generators have no superoperator matrix")
     if schedule is None:
         schedule = Schedule()
     if isinstance(rho0, OneRdm):
@@ -364,8 +367,6 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
     if rho0.shape != (h.dim, h.dim):
         raise DimensionError(f"state shape {rho0.shape} does not match "
                              f"dimension {h.dim}")
-    if h.dim != spec.dim:
-        raise DimensionError("Hamiltonian and generator dimensions differ")
 
     if t_eval is None:
         t_end = schedule.t_end if schedule.t_end is not None \
@@ -379,18 +380,11 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
 
     y0 = pack_hermitian(h.to_eigenbasis(rho0))
     method = schedule.method or ("DOP853" if spec.pauli_blocked else "expm")
-    if spec.pauli_blocked:
-        fun = build_blocked_rhs(h, spec)
-    else:
-        gmat = build_packed_generator(h, spec)
-
-        def fun(t, y):
-            return gmat @ y
-
+    fun = build_packed_generator(h, spec)
     residual = filled_residual(fun, spec)
     started = time.perf_counter()
     if method == "expm":
-        ys, nfev = _step_on_grid(gmat, y0, t_eval), 0
+        ys, nfev = _step_on_grid(fun.matrix, y0, t_eval), 0
     else:
         sol = solve_ivp(fun, (0.0, t_end), y0, method=method, t_eval=t_eval,
                         rtol=schedule.rtol, atol=schedule.atol)
@@ -398,7 +392,6 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
             raise StiffnessError(f"integration stopped early: {sol.message}")
         ys, nfev = sol.y.T, sol.nfev
     elapsed = time.perf_counter() - started
-
 
     metadata = {
         "kind": spec.kind.value,
@@ -414,15 +407,8 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         "wall_time_s": elapsed,
         "unitality_residual": residual,
     }
-    traj = Trajectory(times=t_eval.copy(), packed=ys, basis=h.eigenvectors,
+    return Trajectory(times=t_eval.copy(), packed=ys, basis=h.eigenvectors,
                       chi=spec.chi, metadata=metadata)
-
-    if verify_expm:
-        reference = expm_propagate(h, spec, rho0, t_eval)
-        ref_pops = np.real(np.einsum("tii->ti", h.to_eigenbasis(reference)))
-        deviation = float(np.max(np.abs(ref_pops - traj.populations)))
-        metadata["expm_max_population_deviation"] = deviation
-    return traj
 
 
 def _step_on_grid(generator: np.ndarray, y0: np.ndarray,
@@ -462,7 +448,7 @@ def expm_propagate(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
     return h.from_eigenbasis(out_eig)
 
 
-def integrate(scenario, verify_expm: bool = False) -> Trajectory:
+def integrate(scenario) -> Trajectory:
     """Run a full scenario: build, audit the initial state, propagate.
 
     When the scenario requests hole co-propagation the returned particle
@@ -477,7 +463,7 @@ def integrate(scenario, verify_expm: bool = False) -> Trajectory:
             f"{report.max_eigenvalue:.3e}] violate [0, {setup.rho0.chi}]")
 
     traj = propagate_state(setup.hamiltonian, setup.spec, setup.rho0,
-                           setup.schedule, verify_expm=verify_expm)
+                           setup.schedule)
     traj.metadata["scenario"] = scenario.to_dict()
 
     if scenario.copropagate_hole:

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import propagate as _prop
 from .core import DimensionError, OneRdm, SystemHamiltonian, max_norm
-from .generators import GeneratorSpec, dissipator, liouvillian_action, \
-    particle_hole_transform
+from .generators import GeneratorSpec, dissipator, particle_hole_transform
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,14 +92,11 @@ def constraint_residual(h: SystemHamiltonian, spec: GeneratorSpec,
 def unitality_residual(h: SystemHamiltonian, spec: GeneratorSpec) -> float:
     """Max-norm of the generator applied to the fully filled state.
 
-    Zero (to rounding) exactly when the generator is unital. Pauli-blocked
-    generators act on packed states only, so for them this evaluates
-    ``build_blocked_rhs``, the function a run integrates, at chi*1.
+    Zero (to rounding) exactly when the generator is unital. Evaluates
+    ``build_packed_generator``, the function a run integrates, at chi*1,
+    linear or Pauli-blocked.
     """
-    if spec.pauli_blocked:
-        return _prop.filled_residual(_prop.build_blocked_rhs(h, spec), spec)
-    filled = spec.chi * np.eye(spec.dim, dtype=complex)
-    return max_norm(liouvillian_action(filled, h, spec))
+    return _prop.filled_residual(_prop.build_packed_generator(h, spec), spec)
 
 
 def copropagate_hole(q0, h: SystemHamiltonian, spec: GeneratorSpec,

@@ -21,7 +21,7 @@ from rdmprop.generators import (
     dissipator,
     superoperator_matrix,
 )
-from rdmprop.propagate import Schedule, integrate
+from rdmprop.propagate import Schedule, expm_propagate, integrate
 from rdmprop.representability import constraint_residual, unitality_residual
 from rdmprop.scenario import Scenario
 
@@ -213,8 +213,13 @@ def test_criterion_7_adaptive_rk_matches_matrix_exponential(
                                    clustering_threshold=threshold,
                                    t_end=16000.0, samples=9)
     scenario.schedule = Schedule(t_end=16000.0, samples=9, method="DOP853")
-    traj = integrate(scenario, verify_expm=True)
-    assert traj.metadata["expm_max_population_deviation"] < 1e-8
+    traj = integrate(scenario)
+    setup = scenario.build()
+    states = expm_propagate(setup.hamiltonian, setup.spec, setup.rho0,
+                            traj.times)
+    pops = np.real(np.einsum("tii->ti",
+                             setup.hamiltonian.to_eigenbasis(states)))
+    assert np.max(np.abs(pops - traj.populations)) < 1e-8
 
 
 def test_criterion_7_superoperator_functionals(

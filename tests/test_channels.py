@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmprop.benchmarks import (
@@ -180,6 +180,9 @@ def test_channel_completeness_and_conjugation(seed, d):
 
 
 @settings(max_examples=100, deadline=None)
+# three blocks at exactly -0.1 once averaged to one ulp below -0.1
+@example(seed=0, levels=[(0, 0.0), (0, 1.2e-9), (1, 0.0), (1, 1.2e-9),
+                         (2, 0.0)], density=1.0)
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.lists(st.tuples(st.integers(0, 3),
                           st.sampled_from((0.0, 3e-10, 6e-10, 1.2e-9))),

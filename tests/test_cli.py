@@ -9,7 +9,6 @@ import numpy.testing as npt
 import pytest
 
 import rdmprop.propagate
-import rdmprop.representability
 from rdmprop.bath import spectral_function_ule
 from rdmprop.benchmarks import builtin_three_level
 from rdmprop.channels import cluster
@@ -60,59 +59,30 @@ def test_run_writes_trajectory_and_metadata(tmp_path, capsys):
 @pytest.mark.parametrize("blocked", [False, True])
 def test_run_builds_one_generator_and_reports_its_residual(
         tmp_path, monkeypatch, blocked):
-    # every route to a generator, the audit's included
+    # the one assembly, which the audit's residual goes through too
     calls = []
-    for module, name in ((rdmprop.propagate, "build_packed_generator"),
-                         (rdmprop.propagate, "build_blocked_rhs"),
-                         (rdmprop.propagate, "liouvillian_action"),
-                         (rdmprop.representability, "liouvillian_action")):
-        original = getattr(module, name)
+    original = rdmprop.propagate.build_packed_generator
 
-        def counted(*args, original=original, name=name):
-            calls.append(name)
-            return original(*args)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(rdmprop.propagate, "build_packed_generator", counted)
     extra = ("--blocked",) if blocked else ()
     code = main(["run", *ladder_args(*extra, "--output-dir", str(tmp_path))])
     assert code == 0
-    assert calls == (["build_blocked_rhs"] if blocked else
-                     ["build_packed_generator", "liouvillian_action"])
+    assert len(calls) == 1
 
     meta = json.loads((tmp_path / "three-level-ladder.json").read_text())
     setup = builtin_three_level(kind="ule", temperature=50.0,
                                 pauli_blocked=blocked).build()
     expected = unitality_residual(setup.hamiltonian, setup.spec)
+    # the audit evaluates the very function the run integrated
+    assert meta["unitality_residual"] == expected
     if blocked:
-        # the audit evaluates the very function the run integrated
-        assert meta["unitality_residual"] == expected < 1e-12
+        assert expected < 1e-12
     else:
-        assert meta["unitality_residual"] == pytest.approx(expected,
-                                                           rel=1e-12)
         assert expected > 1e-4
-
-
-def test_blocked_verify_expm_exits_two_before_building_a_generator(
-        tmp_path, monkeypatch, capsys):
-    # a blocked generator has no superoperator to check against, so the run
-    # stops before it builds or integrates anything
-    built = []
-    original = rdmprop.propagate.build_blocked_rhs
-
-    def counted(*args):
-        built.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(rdmprop.propagate, "build_blocked_rhs", counted)
-    out = tmp_path / "out"
-    code = main(["run", "--benchmark", "three-level", "--kind", "ule",
-                 "--blocked", "--verify-expm", "--samples", "50",
-                 "--output-dir", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert built == []
-    assert not out.exists()
 
 
 def test_run_sweep_and_bench_never_form_the_state_stack(tmp_path,

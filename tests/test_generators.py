@@ -25,11 +25,10 @@ from rdmprop.generators import (
     build_rate_table,
     dissipator,
     lamb_shift_hamiltonian,
-    liouvillian_action,
     particle_hole_transform,
     superoperator_matrix,
 )
-from rdmprop.propagate import build_blocked_rhs, pack_hermitian, \
+from rdmprop.propagate import build_packed_generator, pack_hermitian, \
     unpack_hermitian
 from rdmprop.representability import unitality_residual
 
@@ -296,7 +295,7 @@ def test_per_block_terms_reproduce_linear_dissipator(three_rme, rng):
 def blocked_rhs_at(setup, rho):
     """Unpacked blocked right-hand side at ``rho``: the function a run
     integrates."""
-    rhs = build_blocked_rhs(setup.hamiltonian, setup.spec)
+    rhs = build_packed_generator(setup.hamiltonian, setup.spec)
     return unpack_hermitian(rhs(0.0, pack_hermitian(rho)), setup.spec.dim)
 
 
@@ -307,7 +306,7 @@ def test_subspace_occupancies_average_degenerate_shells(benzene_ule_blocked):
     oracle = Oracle(setup.hamiltonian, setup.spec)
     npt.assert_allclose(oracle.root(rho) ** 2, [0.0, 1.0, 1.5, 1.75],
                         atol=1e-15)
-    rhs = build_blocked_rhs(setup.hamiltonian, setup.spec)
+    rhs = build_packed_generator(setup.hamiltonian, setup.spec)
     y = pack_hermitian(rho)
     assert max_norm(rhs(0.0, y) - oracle.blocked_rhs(y)) < 1e-12
     # factors read off one level of each shell would change the flow
@@ -324,19 +323,11 @@ def test_blocking_factors_clamp_at_zero(benzene_ule_blocked):
                         atol=1e-15)
     # occupancies past chi or below zero clamp the factor at zero or leave
     # it above sqrt(chi); nothing raises
-    rhs = build_blocked_rhs(setup.hamiltonian, setup.spec)
+    rhs = build_packed_generator(setup.hamiltonian, setup.spec)
     for occ in ([2.0, 1.0, 1.0, 0.5, 0.5, 0.0], [2.5, 1, 1, 0, 0, 0],
                 [-0.5, 1, 1, 1, 1, 1]):
         y = pack_hermitian(np.diag(occ).astype(complex))
         assert max_norm(rhs(0.0, y) - oracle.blocked_rhs(y)) < 1e-12
-
-
-def test_liouvillian_action_refuses_blocked_specs():
-    setup = builtin_three_level(kind="ule", pauli_blocked=True,
-                                temperature=50.0).build()
-    rho = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    with pytest.raises(NonlinearGeneratorError):
-        liouvillian_action(rho, setup.hamiltonian, setup.spec)
 
 
 def test_blocked_generator_annihilates_filled_state():
@@ -466,8 +457,8 @@ def test_superoperator_matches_action_route(three_rme, benzene_ume, rng):
         rho = random_state(rng, spec.dim, spec.chi)
         via_sup = (sup @ rho.flatten(order="F")).reshape(
             (spec.dim, spec.dim), order="F")
-        via_action = liouvillian_action(rho, setup.hamiltonian, spec)
-        assert max_norm(via_sup - via_action) < 1e-12
+        via_oracle = Oracle(setup.hamiltonian, spec).liouvillian(rho)
+        assert max_norm(via_sup - via_oracle) < 1e-12
 
 
 def test_superoperator_refuses_blocked_specs():

@@ -25,9 +25,9 @@ import rdmprop.bath
 import rdmprop.generators
 from rdmprop.bath import BathModel
 from rdmprop.core import CouplingOperator, SystemHamiltonian, max_norm
-from rdmprop.generators import build_generator, liouvillian_action
-from rdmprop.propagate import build_blocked_rhs, build_packed_generator, \
-    pack_hermitian, unpack_hermitian
+from rdmprop.generators import build_generator
+from rdmprop.propagate import build_packed_generator, pack_hermitian, \
+    unpack_hermitian
 from rdmprop.representability import unitality_residual
 
 from oracle import Oracle
@@ -100,13 +100,13 @@ def test_linear_generator_matches_oracle(kind, seed, d, split, lamb,
                            clustering_threshold=threshold)
     oracle = Oracle(h, spec)
     rho = random_state(rng, d, 1.0)
-    drho = liouvillian_action(rho, h, spec)
+    gmat = build_packed_generator(h, spec).matrix
+    drho = unpack_hermitian(gmat @ pack_hermitian(rho), d)
     assert_trace_and_hermiticity(drho)
     assert max_norm(drho - oracle.liouvillian(rho)) < TOL
     if lamb:
         assert max_norm(spec.lamb_hamiltonian() - oracle.lamb) < TOL
-    assert max_norm(build_packed_generator(h, spec)
-                    - oracle.packed_generator()) < TOL
+    assert max_norm(gmat - oracle.packed_generator()) < TOL
 
 
 @pytest.mark.parametrize("kind", ["rme", "ume", "ule"])
@@ -125,7 +125,7 @@ def test_blocked_generator_matches_oracle(kind, seed, d, split, lamb,
                            pauli_blocked=True)
     oracle = Oracle(h, spec)
     rho = random_state(rng, d, chi)
-    rhs = build_blocked_rhs(h, spec)
+    rhs = build_packed_generator(h, spec)
     y = pack_hermitian(rho)
     drho = unpack_hermitian(rhs(0.0, y), d)
     assert_trace_and_hermiticity(drho)
@@ -145,6 +145,25 @@ def test_blocked_generator_matches_oracle(kind, seed, d, split, lamb,
     assert unitality_residual(h, spec) < TOL
 
 
+@pytest.mark.parametrize("kind", ["rme", "ume", "ule"])
+@pytest.mark.parametrize("d,split", [(8, None), (16, 1e-10)])
+def test_linear_is_blocked_at_unit_vacancy(kind, d, split):
+    # every subspace holds chi - 1 per level, so every blocking factor is 1
+    h, a, rng = random_system(11, d, split)
+    chi = 2.0
+    specs = [build_generator(h, a, BATH, kind, chi=chi, lamb_shift=True,
+                             clustering_threshold=0.02, pauli_blocked=blocked)
+             for blocked in (False, True)]
+    gmat = build_packed_generator(h, specs[0]).matrix
+    rhs = build_packed_generator(h, specs[1])
+    assert rhs.matrix is None
+    for _ in range(3):
+        rho = random_state(rng, d, chi)
+        np.fill_diagonal(rho, chi - 1.0)
+        y = pack_hermitian(rho)
+        assert max_norm(rhs(0.0, y) - gmat @ y) < TOL
+
+
 def test_blocked_build_memory_at_d16():
     """A blocked build keeps one stack of at most 4 + 2m packed maps and
     never holds much more than that while it builds."""
@@ -154,7 +173,7 @@ def test_blocked_build_memory_at_d16():
     m = len(spec.subspaces)
     tracemalloc.start()
     try:
-        rhs = build_blocked_rhs(h, spec)
+        rhs = build_packed_generator(h, spec)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

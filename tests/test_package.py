@@ -24,3 +24,10 @@ def test_test_only_bath_helpers_are_not_exported():
                  "rme_lamb"):
         assert not hasattr(rdmprop, name)
         assert not hasattr(rdmprop.bath, name)
+
+
+def test_second_generator_route_is_gone():
+    # build_packed_generator is the one packed assembly, linear or blocked
+    assert not hasattr(rdmprop, "liouvillian_action")
+    assert not hasattr(rdmprop.generators, "liouvillian_action")
+    assert not hasattr(rdmprop.propagate, "build_blocked_rhs")

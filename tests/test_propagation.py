@@ -14,15 +14,10 @@ from rdmprop.core import (
     PhysicalityError,
     SystemHamiltonian,
 )
-from rdmprop.generators import (
-    NonlinearGeneratorError,
-    build_generator,
-    liouvillian_action,
-)
+from rdmprop.generators import build_generator
 from rdmprop.propagate import (
     Schedule,
     Trajectory,
-    build_blocked_rhs,
     build_packed_generator,
     default_t_end,
     expm_propagate,
@@ -32,7 +27,7 @@ from rdmprop.propagate import (
     unpack_hermitian,
 )
 
-from oracle import union_values
+from oracle import Oracle, union_values
 
 
 def random_hermitian(rng, d):
@@ -115,26 +110,32 @@ def test_zero_coupling_evolution_is_stationary():
 
 def test_packed_generator_reproduces_liouvillian_action(rng):
     setup = builtin_three_level(kind="ule", temperature=50.0).build()
-    gmat = build_packed_generator(setup.hamiltonian, setup.spec)
+    gmat = build_packed_generator(setup.hamiltonian, setup.spec).matrix
     rho = random_hermitian(rng, 3)
-    direct = liouvillian_action(rho, setup.hamiltonian, setup.spec)
+    direct = Oracle(setup.hamiltonian, setup.spec).liouvillian(rho)
     npt.assert_allclose(unpack_hermitian(gmat @ pack_hermitian(rho), 3),
                         direct, atol=1e-13)
 
 
-def test_packed_generator_rejects_blocked_specs():
-    setup = builtin_three_level(kind="ule", pauli_blocked=True,
-                                temperature=50.0).build()
-    with pytest.raises(NonlinearGeneratorError):
-        build_packed_generator(setup.hamiltonian, setup.spec)
+def test_packed_generator_has_a_matrix_for_linear_specs_only(rng):
     linear = builtin_three_level(kind="ule", temperature=50.0).build()
-    with pytest.raises(ValueError):
-        build_blocked_rhs(linear.hamiltonian, linear.spec)
+    rhs = build_packed_generator(linear.hamiltonian, linear.spec)
+    y = pack_hermitian(random_hermitian(rng, 3))
+    assert rhs.matrix.shape == (9, 9)
+    assert np.array_equal(rhs(0.0, y), rhs.matrix @ y)
+    blocked = builtin_three_level(kind="ule", pauli_blocked=True,
+                                  temperature=50.0).build()
+    assert build_packed_generator(blocked.hamiltonian,
+                                  blocked.spec).matrix is None
+    six_levels = builtin_benzene().build().hamiltonian
+    for spec in (linear.spec, blocked.spec):
+        with pytest.raises(DimensionError):
+            build_packed_generator(six_levels, spec)
 
 
 def test_blocked_rhs_survives_overfull_rounding_excursions():
     setup = builtin_benzene(kind="ule", pauli_blocked=True).build()
-    rhs = build_blocked_rhs(setup.hamiltonian, setup.spec)
+    rhs = build_packed_generator(setup.hamiltonian, setup.spec)
     overfull = (2.0 + 1e-9) * np.eye(6, dtype=complex)
     dy = rhs(0.0, pack_hermitian(setup.hamiltonian.to_eigenbasis(overfull)))
     assert np.all(np.isfinite(dy))
@@ -142,11 +143,14 @@ def test_blocked_rhs_survives_overfull_rounding_excursions():
 
 def test_adaptive_and_exponential_routes_agree():
     setup = builtin_three_level(kind="ule", temperature=50.0).build()
+    schedule = Schedule(t_end=16000.0, samples=17, method="DOP853")
     traj = propagate_state(setup.hamiltonian, setup.spec, setup.rho0,
-                           Schedule(t_end=16000.0, samples=17,
-                                    method="DOP853"),
-                           verify_expm=True)
-    assert traj.metadata["expm_max_population_deviation"] < 1e-8
+                           schedule)
+    states = expm_propagate(setup.hamiltonian, setup.spec, setup.rho0,
+                            traj.times)
+    pops = np.real(np.einsum("tii->ti",
+                             setup.hamiltonian.to_eigenbasis(states)))
+    assert np.max(np.abs(pops - traj.populations)) < 1e-8
 
 
 def test_exponential_route_handles_nonuniform_grids():
