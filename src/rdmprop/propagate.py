@@ -10,20 +10,24 @@ three sandwiches of the free and blockable parts and two anticommutator
 maps per subspace, at most 4 + 2m maps for m subspaces. Each is weighted on
 every packed output entry by a product of two state-dependent blocking
 factors (1 for a free side). A linear spec has no blockable part, so its
-stack is one matrix G, stepped exactly on the sample grid with exp(G dt),
-one exponential per distinct sample interval. Blocked equations are
-integrated adaptively (DOP853 by default). ``Schedule.method`` names a
-solve_ivp method to force adaptive integration for linear generators too.
+stack is one matrix G, stepped exactly on the sample grid: a uniform grid
+in blocks of about sqrt(N) samples, each one product with a power of
+exp(G dt), and any other grid with one exponential per interval. Blocked
+equations are integrated adaptively (DOP853 by default).
+``Schedule.method`` names a solve_ivp method to force adaptive integration
+for linear generators too.
 
 A ``Trajectory`` keeps the packed eigenbasis samples and the eigenvectors.
 Everything a run reads from it (populations, natural occupations, traces,
 audits, the hole defect, CSV rows) is computed over blocks of
-``BLOCK_SAMPLES`` samples; the full stack of states is formed only when
-read.
+``BLOCK_SAMPLES`` samples. Occupations and traces are unitarily invariant,
+so they are taken in the eigenbasis; only the hole defect is rotated to
+the original basis, and the full stack of states is formed only when read.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -226,12 +230,14 @@ class Trajectory:
     ``packed`` holds one packed eigenbasis sample per time
     (``pack_hermitian`` layout) and ``basis`` the unitary that maps a
     sample to the original basis, rho = basis @ unpack(y) @ basis^+. The
-    populations are the packed diagonal. Natural occupations, traces and
-    the Hermiticity defect come from one pass over the samples in blocks
-    of ``BLOCK_SAMPLES`` (``state_blocks``) and are cached. ``states``, the
-    (n, d, d) stack in the original basis, is formed only when read.
-    ``defect`` is filled by hole co-propagation with the complement
-    mismatch per sample.
+    populations are the packed diagonal. Natural occupations and traces
+    come from one pass over the unpacked eigenbasis samples in blocks of
+    ``BLOCK_SAMPLES`` (``state_blocks``) and are cached; the rotation to
+    the original basis leaves both unchanged. A packed sample unpacks to
+    an exactly Hermitian matrix, so the Hermiticity defect is 0.0.
+    ``states``, the (n, d, d) stack in the original basis, is formed only
+    when read. ``defect`` is filled by hole co-propagation with the
+    complement mismatch per sample.
     """
 
     times: np.ndarray
@@ -271,8 +277,8 @@ class Trajectory:
 
     @cached_property
     def occupations(self) -> np.ndarray:
-        """Natural occupations per sample, ascending: the eigenvalues of the
-        Hermitian part of each state."""
+        """Natural occupations per sample, ascending: the eigenvalues of
+        each state."""
         return self._scanned("occupations")
 
     @cached_property
@@ -280,10 +286,11 @@ class Trajectory:
         """Real part of the trace of each state."""
         return self._scanned("traces")
 
-    @cached_property
+    @property
     def hermiticity_defect(self) -> float:
-        """Largest entry of rho - rho^+ over all states."""
-        return self._scanned("hermiticity_defect")
+        """Largest entry of rho - rho^+ over all states: 0.0, which packed
+        storage guarantees."""
+        return 0.0
 
     def state(self, k: int) -> OneRdm:
         return OneRdm(self.to_original(
@@ -295,18 +302,18 @@ class Trajectory:
 
 
 def state_blocks(*trajs: Trajectory):
-    """Original-basis states of trajectories on one time grid, in blocks.
+    """Eigenbasis states of trajectories on one time grid, in blocks.
 
     Yields ``(rows, blocks)``: the slice of up to ``BLOCK_SAMPLES`` sample
-    indices and one fresh (k, d, d) stack per trajectory, which the caller
-    may overwrite. Each block is unpacked and rotated once, and the natural
-    occupations, traces and Hermiticity defect are taken from it; a
-    completed pass caches them on every trajectory, so reading them later
-    costs no second pass.
+    indices and one fresh (k, d, d) stack of unpacked eigenbasis samples
+    per trajectory, which the caller may overwrite. The natural
+    occupations and traces are taken from each block before it is
+    yielded; a completed pass caches them on every trajectory, so reading
+    them later costs no second pass.
     """
     n = len(trajs[0])
-    found = [{"occupations": np.empty((n, t.dim)), "traces": np.empty(n),
-              "hermiticity_defect": 0.0} for t in trajs]
+    found = [{"occupations": np.empty((n, t.dim)), "traces": np.empty(n)}
+             for t in trajs]
     for start in range(0, n, BLOCK_SAMPLES):
         rows = slice(start, start + BLOCK_SAMPLES)
         yield rows, [_reduce_block(t, rows, f) for t, f in zip(trajs, found)]
@@ -315,17 +322,11 @@ def state_blocks(*trajs: Trajectory):
 
 
 def _reduce_block(traj: Trajectory, rows: slice, found: dict) -> np.ndarray:
-    """Rotate one block of samples to the original basis and record its
-    occupations, traces and Hermiticity defect in ``found``."""
-    states = traj.to_original(unpack_hermitian(traj.packed[rows], traj.dim))
-    other = np.conj(np.swapaxes(states, -1, -2))
-    herm = other + states
-    herm *= 0.5
-    found["occupations"][rows] = np.linalg.eigvalsh(herm)
+    """Unpack one block of eigenbasis samples and record its occupations
+    and traces in ``found``."""
+    states = unpack_hermitian(traj.packed[rows], traj.dim)
+    found["occupations"][rows] = np.linalg.eigvalsh(states)
     found["traces"][rows] = np.real(np.trace(states, axis1=-2, axis2=-1))
-    np.subtract(states, other, out=other)
-    found["hermiticity_defect"] = max(found["hermiticity_defect"],
-                                      max_norm(other))
     return states
 
 
@@ -416,16 +417,31 @@ def _step_on_grid(generator: np.ndarray, y0: np.ndarray,
     """Exact samples y(t) = exp(generator t) y0 of a linear equation.
 
     ``y0`` is the state at t = 0; a grid starting at t_0 > 0 first applies
-    exp(generator t_0). A uniform grid reuses one exponential; otherwise
-    each interval gets its own. Returns shape (len(times), len(y0)).
+    exp(generator t_0). A uniform grid of N samples is stepped in blocks of
+    B = 2^floor(log2 sqrt(N)): the first B samples with E = exp(generator
+    dt), each later block as one product of the block before with
+    E^B = exp(generator B dt), taken as its own exponential (squaring E
+    chains more roundings). Any other grid gets one exponential per
+    interval. Returns shape (len(times), len(y0)).
     """
     out = np.empty((times.size, y0.size), dtype=np.result_type(generator, y0))
     out[0] = y0 if times[0] == 0.0 else expm(generator * times[0]) @ y0
     steps = np.diff(times)
-    uniform = steps.size and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-    step = expm(generator * steps[0]) if uniform else None
-    for k, dt in enumerate(steps, start=1):
-        out[k] = (step if uniform else expm(generator * dt)) @ out[k - 1]
+    if not (steps.size and np.allclose(steps, steps[0], rtol=1e-9,
+                                       atol=0.0)):
+        for k, dt in enumerate(steps, start=1):
+            out[k] = expm(generator * dt) @ out[k - 1]
+        return out
+    step = expm(generator * steps[0])
+    block = 1 << (math.isqrt(times.size).bit_length() - 1)
+    for k in range(1, block):
+        out[k] = step @ out[k - 1]
+    # samples are rows, so a block advances by the transpose of E^B
+    leap = expm(generator * (block * steps[0])).T
+    for start in range(block, times.size, block):
+        rows = out[start:start + block]
+        np.matmul(out[start - block:start - block + len(rows)], leap,
+                  out=rows)
     return out
 
 

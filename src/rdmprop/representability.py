@@ -115,7 +115,9 @@ def copropagate_hole(q0, h: SystemHamiltonian, spec: GeneratorSpec,
     are an exact permutation, and transposing conjugates, so its samples
     are the hole solver's with packed entries permuted and the imaginary
     block's signs flipped. One blockwise pass over both trajectories forms
-    the defect and caches both spectra.
+    q - (chi*1 - rho) in those coordinates, rotates that one stack to the
+    original basis for the defect, and caches both spectra. A supplied
+    particle trajectory must be stored in the eigenbasis of ``h``.
     """
     if isinstance(q0, OneRdm):
         q0 = q0.data
@@ -127,6 +129,9 @@ def copropagate_hole(q0, h: SystemHamiltonian, spec: GeneratorSpec,
     if particle_trajectory is None:
         rho0 = spec.chi * np.eye(h.dim) - q0
         particle_trajectory = _prop.propagate_state(h, spec, rho0, schedule)
+    elif not np.array_equal(particle_trajectory.basis, h.eigenvectors):
+        raise ValueError("particle trajectory is not stored in the "
+                         "eigenbasis of the Hamiltonian")
     times = particle_trajectory.times
 
     hole = particle_hole_transform(h, spec)
@@ -144,9 +149,10 @@ def copropagate_hole(q0, h: SystemHamiltonian, spec: GeneratorSpec,
     filled = spec.chi * np.eye(h.dim)
     defect = np.empty(len(times))
     for rows, (rho, q) in _prop.state_blocks(particle_trajectory, q_traj):
-        # q - (chi*1 - rho), formed in the particle block
+        # q - (chi*1 - rho) in eigenbasis coordinates, rotated once
         np.subtract(filled, rho, out=rho)
-        defect[rows] = np.abs(np.subtract(q, rho, out=rho)).max(axis=(-2, -1))
+        np.subtract(q, rho, out=rho)
+        defect[rows] = np.abs(q_traj.to_original(rho)).max(axis=(-2, -1))
     q_traj.defect = defect
     return q_traj
 
@@ -169,12 +175,14 @@ class TrajectoryAudit:
 
 
 def audit_trajectory(traj, tol: float = 1e-6) -> TrajectoryAudit:
-    """Reduce a trajectory's spectrum, traces, and Hermiticity drift.
+    """Reduce a trajectory's spectrum, populations and traces.
 
     A state violates when a natural occupation leaves [-tol, chi + tol].
-    Trace drift is measured against the initial state. Occupations, traces
-    and the Hermiticity defect are the trajectory's cached per-sample
-    reductions, from one blockwise pass over its packed samples.
+    Trace drift is measured against the initial state. Occupations and
+    traces are the trajectory's cached per-sample reductions, from one
+    blockwise pass over its unpacked eigenbasis samples. The Hermiticity
+    defect is the trajectory's 0.0: packed samples are Hermitian by
+    construction, and no pass is run for it.
     """
     occ = traj.occupations
     bad = (occ[:, 0] < -tol) | (occ[:, -1] > traj.chi + tol)

@@ -1,10 +1,13 @@
 """Packed-vector integration, matrix-exponential cross-checks, scheduling."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from rdmprop.bath import BathModel, spectral_function_ule
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
@@ -13,11 +16,13 @@ from rdmprop.core import (
     DimensionError,
     PhysicalityError,
     SystemHamiltonian,
+    max_norm,
 )
-from rdmprop.generators import build_generator
+from rdmprop.generators import build_generator, superoperator_matrix
 from rdmprop.propagate import (
     Schedule,
     Trajectory,
+    _step_on_grid,
     build_packed_generator,
     default_t_end,
     expm_propagate,
@@ -171,6 +176,60 @@ def test_exponential_route_reuses_uniform_offset_grids():
                            Schedule(t_end=3000.0), t_eval=times)
     pops = np.real(np.einsum("tii->ti", states))
     npt.assert_allclose(pops, traj.populations, atol=1e-8)
+
+
+@pytest.fixture(scope="module")
+def benzene_rme():
+    """Linear benzene rme: its set-up, packed generator and initial
+    state."""
+    setup = builtin_benzene(kind="rme").build()
+    h = setup.hamiltonian
+    return (setup, build_packed_generator(h, setup.spec).matrix,
+            pack_hermitian(h.to_eigenbasis(setup.rho0.data)))
+
+
+def _chosen_samples(n):
+    """Ends, the edges of the first stepping blocks and a spread of
+    interior samples of an n-sample grid."""
+    block = 1 << (math.isqrt(n).bit_length() - 1)
+    edges = [block - 1, block, 2 * block - 1, 2 * block, n - block - 1]
+    picks = np.r_[0, 1, n - 2, n - 1, edges, np.linspace(0, n - 1, 7)]
+    return np.unique(np.clip(picks.astype(int), 0, n - 1))
+
+
+@pytest.mark.parametrize("t0", [0.0, 3000.0])
+@pytest.mark.parametrize("samples", [2, 3, 16, 17, 128, 129, 20000])
+def test_uniform_stepping_matches_direct_exponentials(benzene_rme, samples,
+                                                      t0):
+    _, gmat, y0 = benzene_rme
+    times = np.linspace(t0, t0 + 16000.0, samples)
+    ys = _step_on_grid(gmat, y0, times)
+    assert ys.shape == (samples, 36)
+    for k in _chosen_samples(samples):
+        assert max_norm(ys[k] - expm(gmat * times[k]) @ y0) <= 1e-12, k
+
+
+@pytest.mark.parametrize("samples", [3, 129, 20000])
+def test_kronecker_stepping_matches_direct_exponentials(benzene_rme,
+                                                        samples):
+    setup = benzene_rme[0]
+    h, spec = setup.hamiltonian, setup.spec
+    sup = superoperator_matrix(h, spec)
+    vec = h.to_eigenbasis(setup.rho0.data).flatten(order="F")
+    times = np.linspace(1000.0, 17000.0, samples)
+    states = expm_propagate(h, spec, setup.rho0, times)
+    for k in _chosen_samples(samples):
+        direct = (expm(sup * times[k]) @ vec).reshape(6, 6, order="F")
+        assert max_norm(states[k] - h.from_eigenbasis(direct)) <= 1e-12, k
+
+
+def test_nonuniform_stepping_takes_one_exponential_per_interval(benzene_rme):
+    _, gmat, y = benzene_rme
+    times = np.array([0.0, 700.0, 1000.0, 5000.0, 5001.0])
+    ys = _step_on_grid(gmat, y, times)
+    for k, dt in enumerate(np.diff(times), start=1):
+        y = expm(gmat * dt) @ y
+        assert np.array_equal(ys[k], y), k
 
 
 def test_trace_is_conserved_along_trajectories(

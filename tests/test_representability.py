@@ -133,6 +133,11 @@ def test_copropagation_uses_supplied_particle_trajectory(three_ule):
                             schedule=schedule, particle_trajectory=particle)
     npt.assert_allclose(hole.times, particle.times, atol=0.0)
     assert hole.defect[0] < 1e-12
+    # the defect is formed in the particle eigenbasis, so it must match
+    particle.basis = particle.basis[:, ::-1]
+    with pytest.raises(ValueError, match="eigenbasis"):
+        copropagate_hole(q0, three_ule.hamiltonian, three_ule.spec,
+                         schedule=schedule, particle_trajectory=particle)
 
 
 def test_copropagation_rejects_mismatched_shapes(three_ule):
@@ -214,7 +219,8 @@ def _audit_per_sample(traj, tol=1e-6):
 
 
 def _csv_per_row(traj):
-    """Reference trajectory CSV text: one eigvalsh and one trace per row."""
+    """Reference trajectory CSV text: one eigvalsh and one trace per row,
+    of the unpacked eigenbasis sample (both are unitarily invariant)."""
     d = traj.dim
     header = ["time"] + [f"pop_{k}" for k in range(d)] + ["min_eigenvalue",
                                                           "trace"]
@@ -222,14 +228,27 @@ def _csv_per_row(traj):
         header.append("hole_defect")
     lines = [f"# format: {TRAJECTORY_FORMAT}", ",".join(header)]
     for k in range(len(traj)):
-        state = traj.states[k]
-        eigs = np.linalg.eigvalsh(0.5 * (state + state.conj().T))
-        row = [traj.times[k], *traj.populations[k], eigs[0],
-               np.real(np.trace(state))]
+        state = unpack_hermitian(traj.packed[k], d)
+        row = [traj.times[k], *traj.populations[k],
+               np.linalg.eigvalsh(state)[0], np.real(np.trace(state))]
         if traj.defect is not None:
             row.append(traj.defect[k])
         lines.append(",".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def test_identity_basis_reductions_equal_original_basis_ones(
+        benzene_unblocked_trajectories, benzene_blocked_trajectories):
+    # with identity eigenvectors the eigenbasis reductions are the
+    # original-basis ones bit for bit, so the CSV columns are unchanged
+    for group in (benzene_unblocked_trajectories,
+                  benzene_blocked_trajectories):
+        for kind, traj in group.items():
+            assert np.array_equal(traj.basis, np.eye(6)), kind
+            npt.assert_array_equal(traj.occupations,
+                                   np.linalg.eigvalsh(traj.states))
+            npt.assert_array_equal(traj.traces, np.real(
+                np.trace(traj.states, axis1=-2, axis2=-1)))
 
 
 def test_audit_equals_per_sample_scan(benzene_unblocked_trajectories):
