@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 # CODATA Boltzmann constant in Hartree per Kelvin.
 K_B = 3.166811563e-6
@@ -144,7 +145,7 @@ def _gauss_sums(f, lo, hi, owner, count: int, order: int, params) -> np.ndarray:
     """Order-``order`` Gauss-Legendre sums of ``f(w, *params[owner])`` over
     the panels [lo, hi] of each integral 0..count-1, panels grouped by
     owner; node by node, then panel by panel, in a fixed order."""
-    x, wt = np.polynomial.legendre.leggauss(order)
+    x, wt = leggauss(order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     ends = np.cumsum(np.bincount(owner, minlength=count))
     out = np.zeros(count)

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# np.unique imports numpy.ma on its first call; load it with the package
+import numpy.ma  # noqa: F401
 
 from .core import CouplingOperator, DimensionError, SystemHamiltonian, max_norm
 

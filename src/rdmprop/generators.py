@@ -36,7 +36,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .bath import BathModel, spectral_function_ule, ule_lamb_coefficient, \
     ule_rate, xi_integral
@@ -386,7 +385,7 @@ def dissipator(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
 def _sandwich(spec: GeneratorSpec, x, y, rho=None, factors=None):
     """Sandwich of D(X, Y) applied to ``rho`` (a state, a stack, or None)
     and its anticommutator matrix, over ``factors`` (default: the rate
-    factors). ume contracts its pair-of-pairs lists as sparse maps."""
+    factors). ume scatters its pair-of-pairs lists."""
     d = spec.dim
     out = None if rho is None else np.zeros(np.shape(rho), dtype=complex)
     anti = np.zeros((d, d), dtype=complex)
@@ -408,10 +407,10 @@ def _sandwich(spec: GeneratorSpec, x, y, rho=None, factors=None):
             row = i == k
             np.add.at(anti, (l[row], j[row]), coeff[row])
             if out is not None:
-                s = sparse.csr_array((coeff, (i * d + k, j * d + l)),
-                                     shape=(d * d, d * d))
-                flat = np.reshape(rho, (-1, d * d))
-                out += (s @ flat.T).T.reshape(out.shape)
+                flat = np.reshape(rho, (-1, d * d)).T
+                image = np.zeros((d * d, flat.shape[1]), dtype=complex)
+                np.add.at(image, i * d + k, coeff[:, None] * flat[j * d + l])
+                out += image.T.reshape(out.shape)
     return out, anti
 
 

@@ -13,9 +13,11 @@ factors (1 for a free side). A linear spec has no blockable part, so its
 stack is one matrix G, stepped exactly on the sample grid: a uniform grid
 in blocks of about sqrt(N) samples, each one product with a power of
 exp(G dt), and any other grid with one exponential per interval. Blocked
-equations are integrated adaptively (DOP853 by default).
-``Schedule.method`` names a solve_ivp method to force adaptive integration
-for linear generators too.
+equations are integrated adaptively, by default with the numpy port of
+DOP853 in ``_numerics``, whose samples equal scipy's ``solve_ivp``'s; the
+exponential is that module's too. ``Schedule.method`` names a solve_ivp
+method to force adaptive integration for linear generators too. Only a
+method other than DOP853 imports scipy, so runs need numpy alone.
 
 A ``Trajectory`` keeps the packed eigenbasis samples and the eigenvectors.
 Everything a run reads from it (populations, natural occupations, traces,
@@ -33,9 +35,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
+from ._numerics import StiffnessError, dop853, expm
 from .core import DimensionError, NumericalError, OneRdm, PhysicalityError, \
     SystemHamiltonian, max_norm
 from .generators import GeneratorSpec, _sandwich, effective_hamiltonian, \
@@ -44,10 +45,6 @@ from .generators import GeneratorSpec, _sandwich, effective_hamiltonian, \
 _SQRT2 = np.sqrt(2.0)
 # samples per block in every pass over a stored trajectory
 BLOCK_SAMPLES = 1024
-
-
-class StiffnessError(RuntimeError):
-    """The ODE solver failed to reach the end of the requested interval."""
 
 
 def pack_hermitian(m: np.ndarray) -> np.ndarray:
@@ -191,6 +188,8 @@ def filled_residual(fun, spec: GeneratorSpec) -> float:
 
 
 ADAPTIVE_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
+# the smallest relative tolerance an adaptive solver can honour
+RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
 @dataclass
@@ -221,6 +220,9 @@ class Schedule:
             if value is not None and not 0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value}")
+        if self.rtol < RTOL_FLOOR:
+            raise ValueError(f"rtol must be at least {RTOL_FLOOR:.3g} "
+                             f"(100 machine epsilons), got {self.rtol}")
 
 
 @dataclass(eq=False)
@@ -386,7 +388,10 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
     started = time.perf_counter()
     if method == "expm":
         ys, nfev = _step_on_grid(fun.matrix, y0, t_eval), 0
+    elif method == "DOP853":
+        ys, nfev = dop853(fun, y0, t_eval, schedule.rtol, schedule.atol)
     else:
+        from scipy.integrate import solve_ivp
         sol = solve_ivp(fun, (0.0, t_end), y0, method=method, t_eval=t_eval,
                         rtol=schedule.rtol, atol=schedule.atol)
         if not sol.success:

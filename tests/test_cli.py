@@ -272,6 +272,17 @@ def test_scenario_with_a_non_finite_field_exits_two(tmp_path, capsys,
     assert {"lambda": "lam"}.get(key, key) in err
 
 
+def test_scenario_with_rtol_below_the_solver_floor_exits_two(tmp_path,
+                                                             capsys):
+    schedule = {"t_end": 100.0, "samples": 5, "rtol": 1e-20}
+    path = _two_level_file(tmp_path, {"lambda": 0.01, "temperature": 50.0},
+                           schedule)
+    code = main(["run", "--scenario", path, "--output-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scenario.schedule" in err and "rtol" in err
+
+
 def _two_level_file(tmp_path, bath, schedule):
     path = tmp_path / "two-level.json"
     path.write_text(json.dumps({

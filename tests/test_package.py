@@ -1,6 +1,11 @@
 """The package namespace exports exactly what it imports."""
 
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import rdmprop
 
@@ -31,3 +36,36 @@ def test_second_generator_route_is_gone():
     assert not hasattr(rdmprop, "liouvillian_action")
     assert not hasattr(rdmprop.generators, "liouvillian_action")
     assert not hasattr(rdmprop.propagate, "build_blocked_rhs")
+
+
+RUNS = """
+import json, sys
+import rdmprop.cli
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+before = set(sys.modules)
+out = sys.argv[1]
+for argv in (
+        ["run", "--benchmark", "three-level", "--kind", "rme"],
+        ["run", "--benchmark", "three-level", "--kind", "ule", "--blocked"],
+        ["run", "--benchmark", "benzene", "--kind", "ume", "--threshold",
+         "0.091", "--blocked"],
+        ["spectra", "--lambda", "0.01", "--temperature", "300", "--points",
+         "41"]):
+    if argv[0] == "run":
+        argv += ["--t-end", "2000", "--samples", "20"]
+    assert rdmprop.cli.main(argv + ["--output-dir", out]) == 0, argv
+print(json.dumps([scipy, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_runs_import_numpy_alone(tmp_path):
+    # a fresh interpreter: importing the command line loads no scipy, and
+    # linear, blocked, ume and spectra runs import nothing more
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(rdmprop.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", RUNS, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    scipy, imported = json.loads(done.stdout.splitlines()[-1])
+    assert scipy == []
+    assert imported == []

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from rdmprop._numerics import expm as numpy_expm
 from rdmprop.bath import BathModel, spectral_function_ule
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.core import (
@@ -20,6 +21,7 @@ from rdmprop.core import (
 )
 from rdmprop.generators import build_generator, superoperator_matrix
 from rdmprop.propagate import (
+    RTOL_FLOOR,
     Schedule,
     Trajectory,
     _step_on_grid,
@@ -76,6 +78,14 @@ def test_schedule_validation():
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match=field):
                 Schedule(**{field: value})
+
+
+def test_schedule_rejects_rtol_below_the_solver_floor():
+    # below 100 machine epsilons no adaptive solver can honour rtol, and
+    # none may raise it silently
+    with pytest.raises(ValueError, match="rtol"):
+        Schedule(rtol=1e-20)
+    assert Schedule(rtol=RTOL_FLOOR).rtol == RTOL_FLOOR
 
 
 def test_default_t_end_is_twenty_slowest_lifetimes():
@@ -228,7 +238,7 @@ def test_nonuniform_stepping_takes_one_exponential_per_interval(benzene_rme):
     times = np.array([0.0, 700.0, 1000.0, 5000.0, 5001.0])
     ys = _step_on_grid(gmat, y, times)
     for k, dt in enumerate(np.diff(times), start=1):
-        y = expm(gmat * dt) @ y
+        y = numpy_expm(gmat * dt) @ y
         assert np.array_equal(ys[k], y), k
 
 
