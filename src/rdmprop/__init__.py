@@ -14,13 +14,11 @@ from .channels import ChannelSet, FrequencyClusters, cluster, decompose
 from .core import AuditReport, CouplingOperator, DimensionError, \
     NumericalError, OneRdm, PhysicalityError, SystemHamiltonian, hermitize, \
     spectral_audit
-from .generators import GeneratorSpec, HoleSystem, MEKind, \
-    NonlinearGeneratorError, RateTable, build_generator, build_rate_table, \
-    dissipator, lamb_shift_hamiltonian, particle_hole_transform, \
-    superoperator_matrix
+from .generators import GeneratorSpec, HoleSystem, MEKind, RateTable, \
+    build_generator, build_rate_table, dissipator, lamb_shift_hamiltonian, \
+    particle_hole_transform
 from .propagate import Schedule, StiffnessError, Trajectory, default_t_end, \
-    expm_propagate, integrate, pack_hermitian, propagate_state, \
-    unpack_hermitian
+    integrate, pack_hermitian, propagate_state, unpack_hermitian
 from .representability import ChannelAsymmetry, ConstraintReport, \
     TrajectoryAudit, audit_trajectory, constraint_residual, \
     copropagate_hole, unitality_residual
@@ -32,7 +30,7 @@ __all__ = [
     "AuditReport", "BathModel", "BENCHMARKS", "ChannelAsymmetry",
     "ChannelSet", "ConstraintReport",
     "CouplingOperator", "DimensionError", "FrequencyClusters",
-    "GeneratorSpec", "HoleSystem", "MEKind", "NonlinearGeneratorError",
+    "GeneratorSpec", "HoleSystem", "MEKind",
     "NumericalError", "OneRdm", "PhysicalityError", "QuadratureError",
     "RateTable", "Scenario", "ScenarioError", "Schedule",
     "StiffnessError", "SystemHamiltonian", "Trajectory", "TrajectoryAudit",
@@ -40,12 +38,12 @@ __all__ = [
     "build_rate_table", "builtin_benzene", "builtin_three_level", "cluster",
     "constraint_residual", "copropagate_hole", "decompose", "default_t_end",
     "dissipator", "drude_lorentz",
-    "expm_propagate", "hermitize", "integrate", "lamb_shift_hamiltonian",
+    "hermitize", "integrate", "lamb_shift_hamiltonian",
     "load_scenario", "pack_hermitian",
     "particle_hole_transform", "propagate_state",
     "sample_spectra", "save_scenario", "spectral_audit",
     "spectral_function_ule",
-    "superoperator_matrix", "ule_lamb_coefficient",
+    "ule_lamb_coefficient",
     "ule_rate", "unitality_residual", "unpack_hermitian", "xi_integral",
     "__version__",
 ]

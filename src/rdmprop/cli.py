@@ -25,7 +25,7 @@ import numpy as np
 from .bath import BathModel, QuadratureError, sample_spectra
 from .benchmarks import BENCHMARKS
 from .core import NumericalError, PhysicalityError, spectral_audit
-from .generators import MEKind, NonlinearGeneratorError
+from .generators import MEKind
 from .output import resolve_output_dir, write_channels_csv, \
     write_metadata_json, write_spectra_csv, write_sweep_csv, \
     write_trajectory_csv
@@ -371,7 +371,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (StiffnessError, QuadratureError, PhysicalityError,
-            NonlinearGeneratorError, NumericalError, OSError) as err:
+            NumericalError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ValueError as err:

@@ -25,8 +25,7 @@ rows, so the blocked generator stays trace- and Hermiticity-preserving and
 annihilates the filled state chi*1 exactly. With every factor 1 it is the
 linear generator, and ``propagate.build_packed_generator`` assembles both
 on packed states from the sandwich here; ``dissipator`` acts on full
-matrices for the filled-state residual, and ``superoperator_matrix`` is
-the Kronecker cross-check.
+matrices for the filled-state residual.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ class MEKind(str, Enum):
     RME = "rme"
     UME = "ume"
     ULE = "ule"
-
-
-class NonlinearGeneratorError(RuntimeError):
-    """A linear-only operation was requested for a Pauli-blocked generator."""
 
 
 @dataclass(eq=False)
@@ -446,24 +441,3 @@ def effective_hamiltonian(h: SystemHamiltonian,
     heff = np.diag(h.energies).astype(complex)
     return heff + spec.lamb_hamiltonian() if spec.lamb_shift else heff
 
-
-def superoperator_matrix(h: SystemHamiltonian, spec: GeneratorSpec) -> np.ndarray:
-    """Dense complex matrix of the generator on column-stacked states.
-
-    Kronecker products, with the sandwich's images of the unit matrices as
-    columns: apart from the sandwich, independent of the packed route, so
-    the two cross-check each other. Raises for Pauli-blocked specs, whose
-    generator is not a linear map.
-    """
-    if spec.pauli_blocked:
-        raise NonlinearGeneratorError(
-            "Pauli-blocked generators have no superoperator matrix")
-    d = spec.dim
-    eye = np.eye(d)
-    heff = effective_hamiltonian(h, spec)
-    # E_jl at column j + d l; images column-stacked
-    units = np.eye(d * d).reshape(d * d, d, d).transpose(0, 2, 1)
-    images, anti = _sandwich(spec, spec.couplings, spec.couplings, units)
-    sup = images.transpose(0, 2, 1).reshape(d * d, d * d).T
-    sup = sup - 1j * (np.kron(eye, heff) - np.kron(heff.T, eye))
-    return sup - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))

@@ -13,11 +13,10 @@ factors (1 for a free side). A linear spec has no blockable part, so its
 stack is one matrix G, stepped exactly on the sample grid: a uniform grid
 in blocks of about sqrt(N) samples, each one product with a power of
 exp(G dt), and any other grid with one exponential per interval. Blocked
-equations are integrated adaptively, by default with the numpy port of
-DOP853 in ``_numerics``, whose samples equal scipy's ``solve_ivp``'s; the
-exponential is that module's too. ``Schedule.method`` names a solve_ivp
-method to force adaptive integration for linear generators too. Only a
-method other than DOP853 imports scipy, so runs need numpy alone.
+equations are integrated adaptively by the numpy port of DOP853 in
+``_numerics``, whose samples equal scipy's ``solve_ivp``'s; the exponential
+is that module's too, so runs need numpy alone. ``Schedule.method``
+"DOP853" forces adaptive integration for linear generators too.
 
 A ``Trajectory`` keeps the packed eigenbasis samples and the eigenvectors.
 Everything a run reads from it (populations, natural occupations, traces,
@@ -39,8 +38,7 @@ import numpy as np
 from ._numerics import StiffnessError, dop853, expm
 from .core import DimensionError, NumericalError, OneRdm, PhysicalityError, \
     SystemHamiltonian, max_norm
-from .generators import GeneratorSpec, _sandwich, effective_hamiltonian, \
-    superoperator_matrix
+from .generators import GeneratorSpec, _sandwich, effective_hamiltonian
 
 _SQRT2 = np.sqrt(2.0)
 # samples per block in every pass over a stored trajectory
@@ -187,7 +185,6 @@ def filled_residual(fun, spec: GeneratorSpec) -> float:
     return max_norm(unpack_hermitian(fun(0.0, filled), spec.dim))
 
 
-ADAPTIVE_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
 # the smallest relative tolerance an adaptive solver can honour
 RTOL_FLOOR = 100 * np.finfo(float).eps
 
@@ -198,7 +195,7 @@ class Schedule:
 
     ``method`` None takes the route the generator's structure allows: exact
     stepping on the sample grid for linear generators, DOP853 for blocked
-    ones. A solve_ivp method name forces adaptive integration for both.
+    ones. "DOP853", the only method named, forces it for both.
     ``rtol`` and ``atol`` apply to adaptive integration only.
     """
 
@@ -209,9 +206,8 @@ class Schedule:
     method: str | None = None
 
     def __post_init__(self):
-        if self.method is not None and self.method not in ADAPTIVE_METHODS:
-            raise ValueError(f"method must be one of "
-                             f"{', '.join(ADAPTIVE_METHODS)} or omitted, "
+        if self.method not in (None, "DOP853"):
+            raise ValueError(f"method must be DOP853 or omitted, "
                              f"got {self.method!r}")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
@@ -356,7 +352,7 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
 
     ``rho0`` is given in the original basis (a matrix or OneRdm). The
     metadata records the route taken as ``method``: "expm" for exact
-    stepping, else the solve_ivp method; and as ``unitality_residual`` the
+    stepping, else "DOP853"; and as ``unitality_residual`` the
     function it integrates, evaluated once at chi*1.
     """
     if schedule is None:
@@ -388,15 +384,8 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
     started = time.perf_counter()
     if method == "expm":
         ys, nfev = _step_on_grid(fun.matrix, y0, t_eval), 0
-    elif method == "DOP853":
-        ys, nfev = dop853(fun, y0, t_eval, schedule.rtol, schedule.atol)
     else:
-        from scipy.integrate import solve_ivp
-        sol = solve_ivp(fun, (0.0, t_end), y0, method=method, t_eval=t_eval,
-                        rtol=schedule.rtol, atol=schedule.atol)
-        if not sol.success:
-            raise StiffnessError(f"integration stopped early: {sol.message}")
-        ys, nfev = sol.y.T, sol.nfev
+        ys, nfev = dop853(fun, y0, t_eval, schedule.rtol, schedule.atol)
     elapsed = time.perf_counter() - started
 
     metadata = {
@@ -448,25 +437,6 @@ def _step_on_grid(generator: np.ndarray, y0: np.ndarray,
         np.matmul(out[start - block:start - block + len(rows)], leap,
                   out=rows)
     return out
-
-
-def expm_propagate(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
-                   times: np.ndarray) -> np.ndarray:
-    """Independent propagation route through the Kronecker superoperator.
-
-    Raises for Pauli-blocked specs (no linear superoperator exists). Steps
-    the column-major vectorised eigenbasis state with ``_step_on_grid``.
-    Returns states in the original basis, shaped (n, d, d).
-    """
-    if isinstance(rho0, OneRdm):
-        rho0 = rho0.data
-    sup = superoperator_matrix(h, spec)
-    d = h.dim
-    vec = h.to_eigenbasis(np.asarray(rho0, dtype=complex)).flatten(order="F")
-    vecs = _step_on_grid(sup, vec, np.asarray(times, dtype=float))
-    # row-major reshape of a column-major vector gives the transpose
-    out_eig = vecs.reshape(-1, d, d).transpose(0, 2, 1)
-    return h.from_eigenbasis(out_eig)
 
 
 def integrate(scenario) -> Trajectory:

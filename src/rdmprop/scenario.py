@@ -44,6 +44,21 @@ def _parse_real(obj, path: str) -> float:
     return float(z.real)
 
 
+def _parse_int(obj, path: str) -> int:
+    """A JSON integer, or a float with an integral value such as 400.0."""
+    if isinstance(obj, bool) or not (
+            isinstance(obj, int)
+            or isinstance(obj, float) and obj.is_integer()):
+        raise ScenarioError(f"{path}: expected an integer, got {obj!r}")
+    return int(obj)
+
+
+def _parse_bool(obj, path: str) -> bool:
+    if not isinstance(obj, bool):
+        raise ScenarioError(f"{path}: expected a boolean, got {obj!r}")
+    return obj
+
+
 def _parse_matrix(obj, path: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ScenarioError(f"{path}: expected a non-empty list of rows")
@@ -190,7 +205,8 @@ class Scenario:
             raise ScenarioError("scenario.hamiltonian: expected an object")
         _check_keys(hd, {"energies", "eigenvectors", "matrix",
                          "degeneracy_tol"}, "scenario.hamiltonian")
-        tol = hd.get("degeneracy_tol", 1e-9)
+        tol = _parse_real(hd.get("degeneracy_tol", 1e-9),
+                          "scenario.hamiltonian.degeneracy_tol")
         try:
             if "matrix" in hd:
                 if "energies" in hd or "eigenvectors" in hd:
@@ -263,17 +279,18 @@ class Scenario:
             raise ScenarioError("scenario.bath: expected an object")
         _check_keys(bd, {"lambda", "temperature", "pv_cutoff", "pv_points"},
                     "scenario.bath")
+        lam, temperature = (
+            _parse_real(_require(bd, key, "scenario.bath"),
+                        f"scenario.bath.{key}")
+            for key in ("lambda", "temperature"))
+        pv_cutoff = (_parse_real(bd["pv_cutoff"], "scenario.bath.pv_cutoff")
+                     if "pv_cutoff" in bd else None)
+        pv_points = _parse_int(bd.get("pv_points", 2048),
+                               "scenario.bath.pv_points")
         try:
-            bath = BathModel(
-                lam=float(_require(bd, "lambda", "scenario.bath")),
-                temperature=float(_require(bd, "temperature",
-                                           "scenario.bath")),
-                pv_cutoff=(float(bd["pv_cutoff"])
-                           if "pv_cutoff" in bd else None),
-                pv_points=int(bd.get("pv_points", 2048)))
-        except (TypeError, ValueError) as err:
-            if isinstance(err, ScenarioError):
-                raise
+            bath = BathModel(lam=lam, temperature=temperature,
+                             pv_cutoff=pv_cutoff, pv_points=pv_points)
+        except ValueError as err:
             raise ScenarioError(f"scenario.bath: {err}") from err
 
         gd = _require(d, "generator", "scenario")
@@ -290,7 +307,11 @@ class Scenario:
                 f"expected one of {[m.value for m in MEKind]}") from None
         threshold = gd.get("clustering_threshold")
         if threshold is not None:
-            threshold = float(threshold)
+            threshold = _parse_real(threshold,
+                                    "scenario.generator.clustering_threshold")
+        pauli_blocked, lamb_shift = (
+            _parse_bool(gd.get(key, False), f"scenario.generator.{key}")
+            for key in ("pauli_blocked", "lamb_shift"))
         if kind is MEKind.UME and threshold is None:
             raise ScenarioError("scenario.generator: ume needs "
                                 "clustering_threshold")
@@ -300,34 +321,24 @@ class Scenario:
             raise ScenarioError("scenario.schedule: expected an object")
         _check_keys(sched_d, {"t_end", "samples", "rtol", "atol", "method"},
                     "scenario.schedule")
+        reals = {key: _parse_real(sched_d[key], f"scenario.schedule.{key}")
+                 for key in ("t_end", "rtol", "atol") if key in sched_d}
+        samples = _parse_int(sched_d.get("samples", 400),
+                             "scenario.schedule.samples")
         try:
-            schedule = Schedule(
-                t_end=(float(sched_d["t_end"]) if "t_end" in sched_d
-                       else None),
-                samples=int(sched_d.get("samples", 400)),
-                rtol=float(sched_d.get("rtol", 1e-9)),
-                atol=float(sched_d.get("atol", 1e-11)),
-                method=sched_d.get("method"))
-        except (TypeError, ValueError) as err:
+            schedule = Schedule(samples=samples,
+                                method=sched_d.get("method"), **reals)
+        except ValueError as err:
             raise ScenarioError(f"scenario.schedule: {err}") from err
 
-        cop = d.get("copropagate_hole", False)
-        if not isinstance(cop, bool):
-            raise ScenarioError("scenario.copropagate_hole: expected a "
-                                "boolean")
+        cop = _parse_bool(d.get("copropagate_hole", False),
+                          "scenario.copropagate_hole")
 
-        try:
-            return cls(name=name, chi=float(chi), hamiltonian=h,
-                       coupling_operators=tuple(ops), initial_state=rho0,
-                       bath=bath, kind=kind,
-                       clustering_threshold=threshold,
-                       pauli_blocked=bool(gd.get("pauli_blocked", False)),
-                       lamb_shift=bool(gd.get("lamb_shift", False)),
-                       schedule=schedule, copropagate_hole=cop)
-        except ValueError as err:
-            if isinstance(err, ScenarioError):
-                raise
-            raise ScenarioError(f"scenario: {err}") from err
+        return cls(name=name, chi=float(chi), hamiltonian=h,
+                   coupling_operators=tuple(ops), initial_state=rho0,
+                   bath=bath, kind=kind, clustering_threshold=threshold,
+                   pauli_blocked=pauli_blocked, lamb_shift=lamb_shift,
+                   schedule=schedule, copropagate_hole=cop)
 
 
 def load_scenario(path) -> Scenario:

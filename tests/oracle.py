@@ -18,6 +18,10 @@ operators it cuts from the coupling itself, by label and by subspace. Pair
 sums are contracted with numpy instead of Python loops so the oracle stays
 usable at d = 16.
 
+The Kronecker route is built on the same pair sums: the complex generator
+on column-stacked states, one probe of ``Oracle.liouvillian`` per unit
+matrix, exponentiated by scipy once per sample (``expm_propagate``).
+
 The module also keeps the ule dissipator in Lindblad form, one jump
 operator per coupling, a reader of level-pair arrays by frequency, and
 lookups by frequency of a channel operator and of a cluster. It keeps the
@@ -31,6 +35,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from rdmprop import bath as _bath
 from rdmprop.core import as_matrices
@@ -396,6 +401,16 @@ class Oracle:
                         for idx in self.spec.subspaces])
         return np.sqrt(np.clip(self.spec.chi - occ, 0.0, None))
 
+    def superoperator(self):
+        """Complex matrix of the linear generator on column-stacked
+        states: column j + d l is the image of the unit matrix E_jl."""
+        if self.spec.pauli_blocked:
+            raise ValueError("a Pauli-blocked generator is not linear")
+        d = self.h.dim
+        cols = [self.liouvillian(e.reshape(d, d, order="F")).ravel(order="F")
+                for e in np.eye(d * d)]
+        return np.array(cols).T
+
     def packed_generator(self):
         """Real packed matrix of the linear generator, one probe per column."""
         d = self.h.dim
@@ -407,3 +422,14 @@ class Oracle:
         """Packed right-hand side of the blocked equation at packed state y."""
         rho = unpack_hermitian(y, self.h.dim)
         return pack_hermitian(self.liouvillian(rho, self.root(rho)))
+
+
+def expm_propagate(h, spec, rho0, times):
+    """States in the original basis at ``times``, shaped (n, d, d): the
+    Kronecker superoperator of the oracle, exponentiated once per sample."""
+    sup = Oracle(h, spec).superoperator()
+    d = h.dim
+    vec = h.to_eigenbasis(np.asarray(getattr(rho0, "data", rho0),
+                                     dtype=complex)).ravel(order="F")
+    return h.from_eigenbasis(np.array(
+        [(expm(sup * t) @ vec).reshape(d, d, order="F") for t in times]))

@@ -15,18 +15,13 @@ import pytest
 from rdmprop.bath import K_B, BathModel, spectral_function_ule, xi_integral
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.core import CouplingOperator, SystemHamiltonian, max_norm
-from rdmprop.generators import (
-    MEKind,
-    build_generator,
-    dissipator,
-    superoperator_matrix,
-)
-from rdmprop.propagate import Schedule, expm_propagate, integrate
+from rdmprop.generators import MEKind, build_generator, dissipator
+from rdmprop.propagate import Schedule, integrate
 from rdmprop.representability import constraint_residual, unitality_residual
 from rdmprop.scenario import Scenario
 
-from oracle import Oracle, channel_operator, dissipator_ule, rme_rates, \
-    spectral_function_redfield, union_values
+from oracle import Oracle, channel_operator, dissipator_ule, \
+    expm_propagate, rme_rates, spectral_function_redfield, union_values
 
 BENCH_FREQS = (0.169, 0.260, 0.491, 0.5)
 STEADY_BLOCKED = np.array([2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
@@ -229,7 +224,7 @@ def test_criterion_7_superoperator_functionals(
                            *benzene_unblocked_trajectories.values())]
     assert len(setups) == 6
     for setup in setups:
-        sup = superoperator_matrix(setup.hamiltonian, setup.spec)
+        sup = Oracle(setup.hamiltonian, setup.spec).superoperator()
         d = setup.spec.dim
         # the trace functional is a left null vector of every generator
         trace_row = np.eye(d).flatten(order="F") @ sup

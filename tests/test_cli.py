@@ -350,11 +350,38 @@ def test_spectra_at_the_largest_bath_widths_exits_one(tmp_path, capsys):
 
 
 def test_run_with_an_unknown_schedule_method_exits_two(tmp_path, capsys):
-    path = _two_level_file(tmp_path, {"lambda": 0.01, "temperature": 50.0},
-                           {"method": "DOP835"})
-    code = main(["run", "--scenario", path, "--output-dir", str(tmp_path)])
+    for method in ("DOP835", "RK45"):
+        path = _two_level_file(tmp_path,
+                               {"lambda": 0.01, "temperature": 50.0},
+                               {"method": method})
+        code = main(["run", "--scenario", path, "--output-dir",
+                     str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "scenario.schedule" in err and method in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("generator", "pauli_blocked", "false"),
+    ("generator", "lamb_shift", "no"),
+    ("schedule", "samples", 5.9),
+    ("bath", "pv_points", 2048.7),
+    ("bath", "lambda", True),
+    ("generator", "clustering_threshold", [1]),
+    ("hamiltonian", "degeneracy_tol", "x"),
+])
+def test_scenario_with_a_mistyped_field_exits_two(tmp_path, capsys,
+                                                  section, key, value):
+    # fields are checked, not coerced: each exits 2 and names the field
+    d = builtin_three_level(kind="ule", temperature=50.0, t_end=400.0,
+                            samples=5).to_dict()
+    d[section][key] = value
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(d))
+    code = main(["run", "--scenario", str(path), "--output-dir",
+                 str(tmp_path)])
     assert code == 2
-    assert "DOP835" in capsys.readouterr().err
+    assert f"scenario.{section}.{key}" in capsys.readouterr().err
 
 
 def test_bad_option_value_exits_two(capsys):

@@ -20,13 +20,11 @@ from rdmprop.core import (
 )
 from rdmprop.generators import (
     MEKind,
-    NonlinearGeneratorError,
     build_generator,
     build_rate_table,
     dissipator,
     lamb_shift_hamiltonian,
     particle_hole_transform,
-    superoperator_matrix,
 )
 from rdmprop.propagate import build_packed_generator, pack_hermitian, \
     unpack_hermitian
@@ -451,20 +449,24 @@ def test_benzene_one_sided_lamb_is_diagonal():
 
 
 def test_superoperator_matches_action_route(three_rme, benzene_ume, rng):
+    # the oracle's Kronecker matrix against the package's packed route
     for setup in (three_rme, benzene_ume):
         spec = setup.spec
-        sup = superoperator_matrix(setup.hamiltonian, spec)
+        sup = Oracle(setup.hamiltonian, spec).superoperator()
         rho = random_state(rng, spec.dim, spec.chi)
         via_sup = (sup @ rho.flatten(order="F")).reshape(
             (spec.dim, spec.dim), order="F")
-        via_oracle = Oracle(setup.hamiltonian, spec).liouvillian(rho)
-        assert max_norm(via_sup - via_oracle) < 1e-12
+        fun = build_packed_generator(setup.hamiltonian, spec)
+        via_packed = unpack_hermitian(fun(0.0, pack_hermitian(rho)), spec.dim)
+        assert max_norm(via_sup - via_packed) < 1e-12
 
 
 def test_superoperator_refuses_blocked_specs():
+    # a blocked generator has no matrix; the oracle must not hand back the
+    # linear one in its place
     setup = builtin_benzene(kind="ule", pauli_blocked=True).build()
-    with pytest.raises(NonlinearGeneratorError):
-        superoperator_matrix(setup.hamiltonian, setup.spec)
+    with pytest.raises(ValueError, match="not linear"):
+        Oracle(setup.hamiltonian, setup.spec).superoperator()
 
 
 def test_symmetrized_tables_are_mirror_even(three_rme, benzene_ume,

@@ -11,8 +11,10 @@ from rdmprop._numerics import StiffnessError, dop853, expm
 from rdmprop.bath import BathModel
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.core import CouplingOperator, SystemHamiltonian
-from rdmprop.generators import build_generator, superoperator_matrix
+from rdmprop.generators import build_generator
 from rdmprop.propagate import build_packed_generator, pack_hermitian
+
+from oracle import Oracle
 
 BUILTINS = {"benzene": builtin_benzene, "three-level": builtin_three_level}
 # 0.01 and 0.1 reach Pade degrees 3 and 5, the others 7, 9 and 13
@@ -36,7 +38,7 @@ def generator(request):
     if route == "packed":
         trace = pack_hermitian(np.eye(h.dim))
         return build_packed_generator(h, spec).matrix, trace
-    return superoperator_matrix(h, spec), np.eye(h.dim).flatten(order="F")
+    return Oracle(h, spec).superoperator(), np.eye(h.dim).flatten(order="F")
 
 
 @pytest.mark.parametrize("t", TIMES)

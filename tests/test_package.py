@@ -38,6 +38,16 @@ def test_second_generator_route_is_gone():
     assert not hasattr(rdmprop.propagate, "build_blocked_rhs")
 
 
+def test_kronecker_route_is_gone():
+    # the superoperator and its propagation live in tests/oracle.py
+    for module, name in ((rdmprop.generators, "superoperator_matrix"),
+                         (rdmprop.generators, "NonlinearGeneratorError"),
+                         (rdmprop.propagate, "expm_propagate"),
+                         (rdmprop.propagate, "ADAPTIVE_METHODS")):
+        assert not hasattr(rdmprop, name)
+        assert not hasattr(module, name)
+
+
 RUNS = """
 import json, sys
 import rdmprop.cli
@@ -58,14 +68,53 @@ print(json.dumps([scipy, sorted(set(sys.modules) - before)]))
 """
 
 
-def test_runs_import_numpy_alone(tmp_path):
-    # a fresh interpreter: importing the command line loads no scipy, and
-    # linear, blocked, ume and spectra runs import nothing more
+def _fresh_interpreter(script, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(rdmprop.__file__).parents[1]),
          os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", RUNS, str(tmp_path)],
-                          env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def test_runs_import_numpy_alone(tmp_path):
+    # a fresh interpreter: importing the command line loads no scipy, and
+    # linear, blocked, ume and spectra runs import nothing more
+    done = _fresh_interpreter(RUNS, str(tmp_path))
     scipy, imported = json.loads(done.stdout.splitlines()[-1])
     assert scipy == []
     assert imported == []
+
+
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import rdmprop.cli
+out = sys.argv[1]
+short = ["--t-end", "400", "--samples", "5", "--output-dir", out]
+ladder = ["--benchmark", "three-level", "--kind", "ule", *short]
+commands = [["run", "--benchmark", "three-level", "--kind", kind, *blocked,
+             *short]
+            for kind in ("rme", "ume", "ule")
+            for blocked in ([], ["--blocked"])]
+commands += [
+    ["run", *ladder, "--copropagate-hole"],
+    ["audit", "--benchmark", "three-level", "--kind", "rme",
+     "--output-dir", out],
+    ["audit", "--benchmark", "three-level", "--kind", "rme", "--blocked",
+     "--output-dir", out],
+    ["spectra", "--lambda", "0.01", "--temperature", "300", "--points", "41",
+     "--output-dir", out],
+    ["bench", "three-level", "--me", "ule", *short],
+    ["sweep", *ladder, "--param", "bath.lambda", "--values", "0.005,0.01",
+     "--jobs", "1"]]
+for argv in commands:
+    assert rdmprop.cli.main(argv) == 0, argv
+print(len(commands))
+"""
+
+
+def test_every_command_runs_with_scipy_unimportable(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable, every
+    # command exits 0
+    done = _fresh_interpreter(WITHOUT_SCIPY, str(tmp_path))
+    assert done.stdout.splitlines()[-1] == "12"

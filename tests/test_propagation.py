@@ -19,7 +19,7 @@ from rdmprop.core import (
     SystemHamiltonian,
     max_norm,
 )
-from rdmprop.generators import build_generator, superoperator_matrix
+from rdmprop.generators import build_generator
 from rdmprop.propagate import (
     RTOL_FLOOR,
     Schedule,
@@ -27,14 +27,13 @@ from rdmprop.propagate import (
     _step_on_grid,
     build_packed_generator,
     default_t_end,
-    expm_propagate,
     integrate,
     pack_hermitian,
     propagate_state,
     unpack_hermitian,
 )
 
-from oracle import Oracle, union_values
+from oracle import Oracle, expm_propagate, union_values
 
 
 def random_hermitian(rng, d):
@@ -219,20 +218,6 @@ def test_uniform_stepping_matches_direct_exponentials(benzene_rme, samples,
         assert max_norm(ys[k] - expm(gmat * times[k]) @ y0) <= 1e-12, k
 
 
-@pytest.mark.parametrize("samples", [3, 129, 20000])
-def test_kronecker_stepping_matches_direct_exponentials(benzene_rme,
-                                                        samples):
-    setup = benzene_rme[0]
-    h, spec = setup.hamiltonian, setup.spec
-    sup = superoperator_matrix(h, spec)
-    vec = h.to_eigenbasis(setup.rho0.data).flatten(order="F")
-    times = np.linspace(1000.0, 17000.0, samples)
-    states = expm_propagate(h, spec, setup.rho0, times)
-    for k in _chosen_samples(samples):
-        direct = (expm(sup * times[k]) @ vec).reshape(6, 6, order="F")
-        assert max_norm(states[k] - h.from_eigenbasis(direct)) <= 1e-12, k
-
-
 def test_nonuniform_stepping_takes_one_exponential_per_interval(benzene_rme):
     _, gmat, y = benzene_rme
     times = np.array([0.0, 700.0, 1000.0, 5000.0, 5001.0])
@@ -391,10 +376,12 @@ def test_metadata_records_the_route_taken():
     assert blocked.metadata["method"] == "DOP853"
     assert blocked.metadata["rhs_evaluations"] > 0
     forced = _unblocked("three-level", "ume")
-    forced.schedule = Schedule(t_end=400.0, samples=5, method="RK45")
+    forced.schedule = Schedule(t_end=400.0, samples=5, method="DOP853")
     forced = integrate(forced)
-    assert forced.metadata["method"] == "RK45"
+    assert forced.metadata["method"] == "DOP853"
     assert forced.metadata["rhs_evaluations"] > 0
+    with pytest.raises(ValueError, match="DOP853 or omitted.*'RK45'"):
+        Schedule(t_end=400.0, samples=5, method="RK45")
 
 
 def test_hole_copropagation_takes_the_exact_route():

@@ -177,12 +177,12 @@ def test_load_scenario_reports_missing_files(tmp_path):
 
 def test_schedule_and_flags_parse():
     d = minimal_dict()
-    d["schedule"] = {"method": "RK45", "samples": 7, "rtol": 1e-8,
+    d["schedule"] = {"method": "DOP853", "samples": 7, "rtol": 1e-8,
                      "atol": 1e-10, "t_end": 250.0}
     d["generator"].update(pauli_blocked=True, lamb_shift=True)
     d["copropagate_hole"] = True
     scenario = Scenario.from_dict(d)
-    assert scenario.schedule.method == "RK45"
+    assert scenario.schedule.method == "DOP853"
     assert scenario.schedule.samples == 7
     assert scenario.schedule.t_end == 250.0
     assert scenario.pauli_blocked
@@ -190,14 +190,27 @@ def test_schedule_and_flags_parse():
     assert scenario.copropagate_hole
     out = scenario.to_dict()
     assert out["generator"]["pauli_blocked"] is True
-    assert out["schedule"]["method"] == "RK45"
+    assert out["schedule"]["method"] == "DOP853"
 
 
 def test_unknown_schedule_method_is_rejected():
+    for method in ("DOP835", "RK45"):
+        d = minimal_dict()
+        d["schedule"] = {"method": method}
+        with pytest.raises(ScenarioError,
+                           match=f"scenario.schedule.*{method}"):
+            Scenario.from_dict(d)
+
+
+def test_integral_float_counts_are_accepted():
     d = minimal_dict()
-    d["schedule"] = {"method": "DOP835"}
-    with pytest.raises(ScenarioError, match="scenario.schedule.*DOP835"):
-        Scenario.from_dict(d)
+    d["schedule"] = {"samples": 400.0}
+    d["bath"]["pv_points"] = 4096.0
+    scenario = Scenario.from_dict(d)
+    assert scenario.schedule.samples == 400
+    assert isinstance(scenario.schedule.samples, int)
+    assert scenario.bath.pv_points == 4096
+    assert isinstance(scenario.bath.pv_points, int)
 
 
 def test_integer_chi_is_accepted():
