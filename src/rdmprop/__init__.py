@@ -15,7 +15,7 @@ from .core import AuditReport, CouplingOperator, DimensionError, \
     NumericalError, OneRdm, PhysicalityError, SystemHamiltonian, hermitize, \
     spectral_audit
 from .generators import GeneratorSpec, HoleSystem, MEKind, RateTable, \
-    build_generator, build_rate_table, dissipator, lamb_shift_hamiltonian, \
+    build_generator, build_rate_table, lamb_shift_hamiltonian, \
     particle_hole_transform
 from .propagate import Schedule, StiffnessError, Trajectory, default_t_end, \
     integrate, pack_hermitian, propagate_state, unpack_hermitian
@@ -37,7 +37,7 @@ __all__ = [
     "audit_trajectory", "bose_einstein", "build_generator",
     "build_rate_table", "builtin_benzene", "builtin_three_level", "cluster",
     "constraint_residual", "copropagate_hole", "decompose", "default_t_end",
-    "dissipator", "drude_lorentz",
+    "drude_lorentz",
     "hermitize", "integrate", "lamb_shift_hamiltonian",
     "load_scenario", "pack_hermitian",
     "particle_hole_transform", "propagate_state",

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -29,40 +29,48 @@ from .generators import MEKind
 from .output import resolve_output_dir, write_channels_csv, \
     write_metadata_json, write_spectra_csv, write_sweep_csv, \
     write_trajectory_csv
-from .propagate import Schedule, StiffnessError, integrate
+from .propagate import StiffnessError, integrate
 from .representability import audit_trajectory, constraint_residual, \
     unitality_residual
 from .scenario import Scenario, ScenarioError, load_scenario
 
 
-def _add_source_options(p: argparse.ArgumentParser, benchmark_default=None):
+def _add_source_options(p: argparse.ArgumentParser, generator=True,
+                        propagation=True):
+    """Declare the source, the overrides a command reads (the others read
+    None) and the output location; return the group of sources."""
     src = p.add_mutually_exclusive_group()
     src.add_argument("--scenario", metavar="PATH",
                      help="scenario JSON file")
     src.add_argument("--benchmark", choices=sorted(BENCHMARKS),
-                     default=benchmark_default,
                      help="built-in scenario")
-    p.add_argument("--kind", choices=[m.value for m in MEKind],
-                   help="override the generator kind")
-    p.add_argument("--blocked", action="store_true", default=None,
-                   help="enable Pauli blocking")
-    p.add_argument("--lamb-shift", action="store_true", default=None,
-                   help="include the bath-induced level shift")
-    p.add_argument("--threshold", type=float, metavar="W",
-                   help="frequency clustering threshold (ume)")
+    p.set_defaults(kind=None, blocked=None, lamb_shift=None, threshold=None,
+                   t_end=None, samples=None, copropagate_hole=None)
+    if generator:
+        p.add_argument("--kind", choices=[m.value for m in MEKind],
+                       help="override the generator kind")
+        p.add_argument("--blocked", action="store_true", default=None,
+                       help="enable Pauli blocking")
+        p.add_argument("--lamb-shift", action="store_true", default=None,
+                       help="include the bath-induced level shift")
+        p.add_argument("--threshold", type=float, metavar="W",
+                       help="frequency clustering threshold (ume)")
     p.add_argument("--temperature", type=float, metavar="K",
                    help="override the bath temperature")
-    p.add_argument("--t-end", type=float, metavar="T",
-                   help="override the integration window")
-    p.add_argument("--samples", type=int, metavar="N",
-                   help="override the number of stored samples")
-    p.add_argument("--copropagate-hole", action="store_true", default=None,
-                   help="co-propagate the 1-hole RDM and record the defect")
+    if propagation:
+        p.add_argument("--t-end", type=float, metavar="T",
+                       help="override the integration window")
+        p.add_argument("--samples", type=int, metavar="N",
+                       help="override the number of stored samples")
+        p.add_argument("--copropagate-hole", action="store_true",
+                       default=None, help="co-propagate the 1-hole RDM and "
+                                          "record the defect")
     p.add_argument("--output-dir", metavar="DIR",
                    help="where to write outputs (default: "
                         "$RDMPROP_OUTPUT_DIR or cwd)")
     p.add_argument("--prefix", metavar="NAME",
                    help="output file stem (default: scenario name)")
+    return src
 
 
 def _override_generator(scenario: Scenario, args) -> None:
@@ -77,12 +85,10 @@ def _override_generator(scenario: Scenario, args) -> None:
         scenario.clustering_threshold = args.threshold
     if scenario.kind is MEKind.UME and scenario.clustering_threshold is None:
         scenario.clustering_threshold = 0.0
-    if args.t_end is not None or args.samples is not None:
-        s = scenario.schedule
-        scenario.schedule = Schedule(
-            t_end=args.t_end if args.t_end is not None else s.t_end,
-            samples=args.samples if args.samples is not None else s.samples,
-            rtol=s.rtol, atol=s.atol, method=s.method)
+    if args.t_end is not None:
+        scenario.schedule = replace(scenario.schedule, t_end=args.t_end)
+    if args.samples is not None:
+        scenario.schedule = replace(scenario.schedule, samples=args.samples)
 
 
 def _resolve_scenario(args) -> Scenario:
@@ -316,13 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_audit = sub.add_parser("audit", help="algebraic audits, no propagation")
-    _add_source_options(p_audit)
+    _add_source_options(p_audit, propagation=False)
     p_audit.set_defaults(func=_cmd_audit)
 
     p_spec = sub.add_parser("spectra", help="tabulate bath rate functions")
-    _add_source_options(p_spec)
-    p_spec.add_argument("--lambda", dest="lam", type=float, metavar="L",
-                        help="bath coupling scale (with --temperature)")
+    _add_source_options(p_spec, generator=False, propagation=False) \
+        .add_argument("--lambda", dest="lam", type=float, metavar="L",
+                      help="bath coupling scale, in place of a source")
     p_spec.add_argument("--omega-min", type=float, default=-1.0)
     p_spec.add_argument("--omega-max", type=float, default=1.0)
     p_spec.add_argument("--points", type=int, default=101)

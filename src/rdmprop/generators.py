@@ -23,9 +23,9 @@ M_ij = sqrt(chi - n_sub(i)) on blocks between two different subspaces
 (outside the ume zero-frequency cluster) and 1 elsewhere. The mask scales
 rows, so the blocked generator stays trace- and Hermiticity-preserving and
 annihilates the filled state chi*1 exactly. With every factor 1 it is the
-linear generator, and ``propagate.build_packed_generator`` assembles both
-on packed states from the sandwich here; ``dissipator`` acts on full
-matrices for the filled-state residual.
+linear generator. ``propagate.build_packed_generator`` assembles both on
+packed states from the sandwich here; it is the one evaluation of a
+dissipator, which runs integrate and the filled-state audits read.
 """
 
 from __future__ import annotations
@@ -368,13 +368,6 @@ def particle_hole_transform(h: SystemHamiltonian,
         clustering_threshold=threshold, pauli_blocked=spec.pauli_blocked,
         lamb_shift=spec.lamb_shift)
     return HoleSystem(hamiltonian=h_hole, spec=spec_hole)
-
-
-def dissipator(rho: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
-    """Linear dissipator D(a, a) rho of the module docstring. ``rho`` may be
-    a stack."""
-    out, anti = _sandwich(spec, spec.couplings, spec.couplings, rho)
-    return out - 0.5 * (anti @ rho + rho @ anti)
 
 
 def _sandwich(spec: GeneratorSpec, x, y, rho=None, factors=None):

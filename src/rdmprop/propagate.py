@@ -9,14 +9,14 @@ real maps on packed vectors: the free-free part, and for blocked specs the
 three sandwiches of the free and blockable parts and two anticommutator
 maps per subspace, at most 4 + 2m maps for m subspaces. Each is weighted on
 every packed output entry by a product of two state-dependent blocking
-factors (1 for a free side). A linear spec has no blockable part, so its
-stack is one matrix G, stepped exactly on the sample grid: a uniform grid
-in blocks of about sqrt(N) samples, each one product with a power of
-exp(G dt), and any other grid with one exponential per interval. Blocked
-equations are integrated adaptively by the numpy port of DOP853 in
-``_numerics``, whose samples equal scipy's ``solve_ivp``'s; the exponential
-is that module's too, so runs need numpy alone. ``Schedule.method``
-"DOP853" forces adaptive integration for linear generators too.
+factors (1 for a free side). The generator decides the stepping: a spec
+without blockable coupling, every linear spec among them, has a stack of
+one matrix G, stepped exactly on the uniform sample grid in blocks of
+about sqrt(N) samples, each one product with a power of exp(G dt). Any
+other spec is integrated adaptively by the numpy port of DOP853 in
+``_numerics``, whose samples equal scipy's ``solve_ivp``'s; the
+exponential is that module's too, so runs need numpy alone. The schedule
+decides the grid: ``samples`` points from 0 to ``t_end``.
 
 A ``Trajectory`` keeps the packed eigenbasis samples and the eigenvectors.
 Everything a run reads from it (populations, natural occupations, traces,
@@ -110,10 +110,11 @@ def build_packed_generator(h: SystemHamiltonian, spec: GeneratorSpec):
     linear spec among them, stops after the first map G, before any image
     of the blockable part is formed: f(t, y) = G @ y, and ``f.matrix`` is
     G, for exact stepping; otherwise ``f.matrix`` is None. Runs integrate
-    f and ``unitality_residual`` evaluates it at chi*1. Factors clamp at
-    zero and nothing raises: populations pass chi by rounding, and for rme
-    also for real; ule can keep them in bounds while natural occupations
-    pass chi. The run audit reports both margins.
+    f, and the unitality and constraint audits evaluate it at chi*1
+    (``filled_image``). Factors clamp at zero and nothing raises:
+    populations pass chi by rounding, and for rme also for real; ule can
+    keep them in bounds while natural occupations pass chi. The run audit
+    reports both margins.
     """
     if h.dim != spec.dim:
         raise DimensionError("Hamiltonian and generator dimensions differ")
@@ -178,11 +179,11 @@ def build_packed_generator(h: SystemHamiltonian, spec: GeneratorSpec):
     return rhs
 
 
-def filled_residual(fun, spec: GeneratorSpec) -> float:
-    """Max-norm of the packed right-hand side ``fun`` at the filled state
-    chi*1, unpacked: zero exactly when the generator is unital."""
+def filled_image(fun, spec: GeneratorSpec) -> np.ndarray:
+    """The packed right-hand side ``fun`` at the filled state chi*1,
+    unpacked: zero exactly when the generator is unital."""
     filled = pack_hermitian(spec.chi * np.eye(spec.dim))
-    return max_norm(unpack_hermitian(fun(0.0, filled), spec.dim))
+    return unpack_hermitian(fun(0.0, filled), spec.dim)
 
 
 # the smallest relative tolerance an adaptive solver can honour
@@ -191,24 +192,16 @@ RTOL_FLOOR = 100 * np.finfo(float).eps
 
 @dataclass
 class Schedule:
-    """Integration window and solver settings.
-
-    ``method`` None takes the route the generator's structure allows: exact
-    stepping on the sample grid for linear generators, DOP853 for blocked
-    ones. "DOP853", the only method named, forces it for both.
-    ``rtol`` and ``atol`` apply to adaptive integration only.
-    """
+    """Sample grid and solver tolerances: ``samples`` uniform times from 0
+    to ``t_end`` (None: ``default_t_end``). ``rtol`` and ``atol`` apply to
+    adaptive integration only, which the generator decides on."""
 
     t_end: float | None = None
     samples: int = 400
     rtol: float = 1e-9
     atol: float = 1e-11
-    method: str | None = None
 
     def __post_init__(self):
-        if self.method not in (None, "DOP853"):
-            raise ValueError(f"method must be DOP853 or omitted, "
-                             f"got {self.method!r}")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
         for name in ("t_end", "rtol", "atol"):
@@ -346,14 +339,14 @@ def default_t_end(spec: GeneratorSpec) -> float:
 
 
 def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
-                    schedule: Schedule | None = None,
-                    t_eval: np.ndarray | None = None) -> Trajectory:
-    """Propagate one initial state and sample it on a uniform grid.
+                    schedule: Schedule | None = None) -> Trajectory:
+    """Propagate one initial state and sample it on the schedule's grid.
 
     ``rho0`` is given in the original basis (a matrix or OneRdm). The
-    metadata records the route taken as ``method``: "expm" for exact
-    stepping, else "DOP853"; and as ``unitality_residual`` the
-    function it integrates, evaluated once at chi*1.
+    generator picks the route, recorded in the metadata as ``method``:
+    "expm", exact stepping, when ``build_packed_generator`` returns a
+    matrix, else "DOP853". ``unitality_residual`` records the function it
+    integrates, evaluated once at chi*1.
     """
     if schedule is None:
         schedule = Schedule()
@@ -367,25 +360,18 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         raise DimensionError(f"state shape {rho0.shape} does not match "
                              f"dimension {h.dim}")
 
-    if t_eval is None:
-        t_end = schedule.t_end if schedule.t_end is not None \
-            else default_t_end(spec)
-        t_eval = np.linspace(0.0, t_end, schedule.samples)
-    else:
-        t_eval = np.asarray(t_eval, dtype=float)
-        t_end = float(t_eval[-1])
-        if t_eval[0] < 0.0 or np.any(np.diff(t_eval) < 0.0):
-            raise ValueError("t_eval must be non-negative and sorted")
+    t_end = schedule.t_end or default_t_end(spec)
+    times = np.linspace(0.0, t_end, schedule.samples)
 
     y0 = pack_hermitian(h.to_eigenbasis(rho0))
-    method = schedule.method or ("DOP853" if spec.pauli_blocked else "expm")
     fun = build_packed_generator(h, spec)
-    residual = filled_residual(fun, spec)
+    residual = max_norm(filled_image(fun, spec))
+    method = "DOP853" if fun.matrix is None else "expm"
     started = time.perf_counter()
     if method == "expm":
-        ys, nfev = _step_on_grid(fun.matrix, y0, t_eval), 0
+        ys, nfev = _step_on_grid(fun.matrix, y0, times), 0
     else:
-        ys, nfev = dop853(fun, y0, t_eval, schedule.rtol, schedule.atol)
+        ys, nfev = dop853(fun, y0, times, schedule.rtol, schedule.atol)
     elapsed = time.perf_counter() - started
 
     metadata = {
@@ -394,7 +380,7 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         "lamb_shift": spec.lamb_shift,
         "chi": spec.chi,
         "t_end": t_end,
-        "samples": int(len(t_eval)),
+        "samples": int(len(times)),
         "method": method,
         "rtol": schedule.rtol,
         "atol": schedule.atol,
@@ -402,36 +388,29 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         "wall_time_s": elapsed,
         "unitality_residual": residual,
     }
-    return Trajectory(times=t_eval.copy(), packed=ys, basis=h.eigenvectors,
+    return Trajectory(times=times, packed=ys, basis=h.eigenvectors,
                       chi=spec.chi, metadata=metadata)
 
 
 def _step_on_grid(generator: np.ndarray, y0: np.ndarray,
                  times: np.ndarray) -> np.ndarray:
-    """Exact samples y(t) = exp(generator t) y0 of a linear equation.
+    """Exact samples y(t) = exp(generator t) y0 of a linear equation on a
+    uniform grid ``times`` from t = 0, y0 being the state there.
 
-    ``y0`` is the state at t = 0; a grid starting at t_0 > 0 first applies
-    exp(generator t_0). A uniform grid of N samples is stepped in blocks of
-    B = 2^floor(log2 sqrt(N)): the first B samples with E = exp(generator
-    dt), each later block as one product of the block before with
-    E^B = exp(generator B dt), taken as its own exponential (squaring E
-    chains more roundings). Any other grid gets one exponential per
-    interval. Returns shape (len(times), len(y0)).
+    N samples are stepped in blocks of B = 2^floor(log2 sqrt(N)): the first
+    B samples with E = exp(generator dt), each later block as one product
+    of the block before with E^B = exp(generator B dt), taken as its own
+    exponential (squaring E chains more roundings). Returns shape
+    (len(times), len(y0)).
     """
     out = np.empty((times.size, y0.size), dtype=np.result_type(generator, y0))
-    out[0] = y0 if times[0] == 0.0 else expm(generator * times[0]) @ y0
-    steps = np.diff(times)
-    if not (steps.size and np.allclose(steps, steps[0], rtol=1e-9,
-                                       atol=0.0)):
-        for k, dt in enumerate(steps, start=1):
-            out[k] = expm(generator * dt) @ out[k - 1]
-        return out
-    step = expm(generator * steps[0])
+    out[0] = y0
+    step = expm(generator * times[1])
     block = 1 << (math.isqrt(times.size).bit_length() - 1)
     for k in range(1, block):
         out[k] = step @ out[k - 1]
     # samples are rows, so a block advances by the transpose of E^B
-    leap = expm(generator * (block * steps[0])).T
+    leap = expm(generator * (block * times[1])).T
     for start in range(block, times.size, block):
         rows = out[start:start + block]
         np.matmul(out[start - block:start - block + len(rows)], leap,
@@ -460,8 +439,8 @@ def integrate(scenario) -> Trajectory:
     if scenario.copropagate_hole:
         from .representability import copropagate_hole as _cop
         q0 = setup.rho0.complement()
-        hole_traj = _cop(q0, setup.hamiltonian, setup.spec,
-                         schedule=setup.schedule, particle_trajectory=traj)
+        hole_traj = _cop(q0, setup.hamiltonian, setup.spec, setup.schedule,
+                         traj)
         traj.defect = hole_traj.defect
         traj.hole = hole_traj
     return traj

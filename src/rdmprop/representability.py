@@ -9,13 +9,13 @@ co-propagation test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import propagate as _prop
-from .core import DimensionError, OneRdm, SystemHamiltonian, max_norm
-from .generators import GeneratorSpec, dissipator, particle_hole_transform
+from .core import DimensionError, SystemHamiltonian, max_norm
+from .generators import GeneratorSpec, particle_hole_transform
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,12 +31,12 @@ class ChannelAsymmetry:
 class ConstraintReport:
     """Unitality audit of a linear generator.
 
-    ``residual_matrix`` is the full dissipator applied to the filled state,
-    divided by chi so the number is filling-independent. ``per_channel``
-    decomposes the commutator part into emission/absorption rate asymmetries,
-    one entry per positive Bohr frequency; ``pair_sum_norm`` is the norm of
-    that decomposition alone (it omits any cross-frequency contributions,
-    which the full residual includes).
+    ``residual_matrix`` is the generator a run integrates applied to the
+    filled state, divided by chi so the number is filling-independent.
+    ``per_channel`` decomposes the commutator part into emission/absorption
+    rate asymmetries, one entry per positive Bohr frequency;
+    ``pair_sum_norm`` is the norm of that decomposition alone (it omits any
+    cross-frequency contributions, which the full residual includes).
     """
 
     residual_matrix: np.ndarray
@@ -49,7 +49,9 @@ class ConstraintReport:
 
 def constraint_residual(h: SystemHamiltonian, spec: GeneratorSpec,
                         tol: float = 1e-10) -> ConstraintReport:
-    """Evaluate the filled-state residual of a linear generator.
+    """Evaluate the filled-state residual of a linear generator: the
+    image of ``build_packed_generator`` at chi*1, which
+    ``unitality_residual`` reduces to its norm.
 
     Raises ValueError for Pauli-blocked specs; those are unital by
     construction and should be checked with unitality_residual instead.
@@ -57,8 +59,8 @@ def constraint_residual(h: SystemHamiltonian, spec: GeneratorSpec,
     if spec.pauli_blocked:
         raise ValueError("constraint_residual audits linear generators; "
                          "use unitality_residual for blocked specs")
-    filled = spec.chi * np.eye(spec.dim, dtype=complex)
-    residual = dissipator(filled, spec) / spec.chi
+    residual = _prop.filled_image(_prop.build_packed_generator(h, spec),
+                                  spec) / spec.chi
 
     # diagonal pair rate minus that of the mirror pair (j, i), per frequency
     freqs = spec.frequencies
@@ -96,18 +98,21 @@ def unitality_residual(h: SystemHamiltonian, spec: GeneratorSpec) -> float:
     ``build_packed_generator``, the function a run integrates, at chi*1,
     linear or Pauli-blocked.
     """
-    return _prop.filled_residual(_prop.build_packed_generator(h, spec), spec)
+    return max_norm(_prop.filled_image(_prop.build_packed_generator(h, spec),
+                                       spec))
 
 
 def copropagate_hole(q0, h: SystemHamiltonian, spec: GeneratorSpec,
-                     schedule=None, particle_trajectory=None):
+                     schedule: _prop.Schedule, particle: _prop.Trajectory):
     """Propagate the 1-hole RDM under the hole-picture generator.
 
     The hole generator comes from applying the same master-equation
     construction to the hole system (negated spectrum, transposed coupling,
-    identical bath). The returned trajectory carries the co-propagation
-    defect ||q(t) - (chi - rho(t))||_max against the particle trajectory,
-    which is propagated here from rho0 = chi*1 - q0 when not supplied.
+    identical bath). The hole is stepped on ``schedule`` with ``t_end``
+    pinned to the particle's last time, so that it is sampled on the
+    particle's grid even when the two pictures' default end times differ.
+    The returned trajectory carries the co-propagation defect
+    ||q(t) - (chi - rho(t))||_max against ``particle``.
 
     ``q0`` is the initial hole RDM in the same (original) basis as particle
     states; its spectrum must lie in [0, chi]. The hole trajectory keeps
@@ -116,28 +121,26 @@ def copropagate_hole(q0, h: SystemHamiltonian, spec: GeneratorSpec,
     are the hole solver's with packed entries permuted and the imaginary
     block's signs flipped. One blockwise pass over both trajectories forms
     q - (chi*1 - rho) in those coordinates, rotates that one stack to the
-    original basis for the defect, and caches both spectra. A supplied
-    particle trajectory must be stored in the eigenbasis of ``h``.
+    original basis for the defect, and caches both spectra. ``particle``
+    must be stored in the eigenbasis of ``h`` and sampled on ``schedule``.
     """
-    if isinstance(q0, OneRdm):
-        q0 = q0.data
-    q0 = np.asarray(q0, dtype=complex)
+    q0 = np.asarray(getattr(q0, "data", q0), dtype=complex)
     if q0.shape != (h.dim, h.dim):
         raise DimensionError(f"hole state shape {q0.shape} does not match "
                              f"dimension {h.dim}")
 
-    if particle_trajectory is None:
-        rho0 = spec.chi * np.eye(h.dim) - q0
-        particle_trajectory = _prop.propagate_state(h, spec, rho0, schedule)
-    elif not np.array_equal(particle_trajectory.basis, h.eigenvectors):
+    if not np.array_equal(particle.basis, h.eigenvectors):
         raise ValueError("particle trajectory is not stored in the "
                          "eigenbasis of the Hamiltonian")
-    times = particle_trajectory.times
+    times = particle.times
 
     hole = particle_hole_transform(h, spec)
-    sigma0 = h.to_eigenbasis(q0).T.copy()
-    hole_traj = _prop.propagate_state(hole.hamiltonian, hole.spec, sigma0,
-                                      schedule, t_eval=times)
+    hole_traj = _prop.propagate_state(
+        hole.hamiltonian, hole.spec, h.to_eigenbasis(q0).T.copy(),
+        replace(schedule, t_end=float(times[-1])))
+    if not np.array_equal(hole_traj.times, times):
+        raise ValueError("particle trajectory is not sampled on the "
+                         "schedule's grid")
     _prop.transpose_permuted(hole_traj.packed, hole.hamiltonian.eigenvectors)
     metadata = dict(hole_traj.metadata)
     metadata.update({"picture": "hole", "kind": spec.kind.value,
@@ -148,7 +151,7 @@ def copropagate_hole(q0, h: SystemHamiltonian, spec: GeneratorSpec,
 
     filled = spec.chi * np.eye(h.dim)
     defect = np.empty(len(times))
-    for rows, (rho, q) in _prop.state_blocks(particle_trajectory, q_traj):
+    for rows, (rho, q) in _prop.state_blocks(particle, q_traj):
         # q - (chi*1 - rho) in eigenbasis coordinates, rotated once
         np.subtract(filled, rho, out=rho)
         np.subtract(q, rho, out=rho)

@@ -9,7 +9,7 @@ numbers when real or as two-element [re, im] arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +100,20 @@ def _check_keys(d: dict, allowed: set, path: str):
         raise ScenarioError(f"{path}: unknown keys {sorted(extra)}")
 
 
+def _non_default(obj, names) -> dict:
+    """The fields ``names`` of a dataclass that differ from its defaults."""
+    defaults = {f.name: f.default for f in fields(obj)}
+    return {name: getattr(obj, name) for name in names
+            if getattr(obj, name) != defaults[name]}
+
+
+def _parse_present(d: dict, parsers: dict, path: str) -> dict:
+    """The keys of ``d`` that ``parsers`` names, parsed: absent ones keep
+    the defaults of the dataclass they are passed to."""
+    return {key: parse(d[key], f"{path}.{key}")
+            for key, parse in parsers.items() if key in d}
+
+
 @dataclass(frozen=True, eq=False)
 class RunSetup:
     """Built objects ready for propagation."""
@@ -146,28 +160,14 @@ class Scenario:
         vecs = self.hamiltonian.eigenvectors
         if not np.allclose(vecs, np.eye(self.hamiltonian.dim), atol=1e-15):
             h["eigenvectors"] = _format_matrix(vecs)
-        if self.hamiltonian.degeneracy_tol != 1e-9:
-            h["degeneracy_tol"] = self.hamiltonian.degeneracy_tol
+        h.update(_non_default(self.hamiltonian, ("degeneracy_tol",)))
         bath = {"lambda": self.bath.lam, "temperature": self.bath.temperature}
-        if self.bath.pv_cutoff is not None:
-            bath["pv_cutoff"] = self.bath.pv_cutoff
-        if self.bath.pv_points != 2048:
-            bath["pv_points"] = self.bath.pv_points
+        bath.update(_non_default(self.bath, ("pv_cutoff", "pv_points")))
         gen = {"kind": self.kind.value}
-        if self.clustering_threshold is not None:
-            gen["clustering_threshold"] = self.clustering_threshold
-        if self.pauli_blocked:
-            gen["pauli_blocked"] = True
-        if self.lamb_shift:
-            gen["lamb_shift"] = True
-        sched = {}
-        if self.schedule.t_end is not None:
-            sched["t_end"] = self.schedule.t_end
-        for key, default in (("samples", 400), ("rtol", 1e-9),
-                             ("atol", 1e-11), ("method", None)):
-            value = getattr(self.schedule, key)
-            if value != default:
-                sched[key] = value
+        gen.update(_non_default(self, ("clustering_threshold",
+                                       "pauli_blocked", "lamb_shift")))
+        sched = _non_default(self.schedule,
+                             ("t_end", "samples", "rtol", "atol"))
         out = {
             "name": self.name,
             "chi": self.chi,
@@ -205,8 +205,8 @@ class Scenario:
             raise ScenarioError("scenario.hamiltonian: expected an object")
         _check_keys(hd, {"energies", "eigenvectors", "matrix",
                          "degeneracy_tol"}, "scenario.hamiltonian")
-        tol = _parse_real(hd.get("degeneracy_tol", 1e-9),
-                          "scenario.hamiltonian.degeneracy_tol")
+        tol = _parse_present(hd, {"degeneracy_tol": _parse_real},
+                             "scenario.hamiltonian")
         try:
             if "matrix" in hd:
                 if "energies" in hd or "eigenvectors" in hd:
@@ -215,7 +215,7 @@ class Scenario:
                         "energies/eigenvectors, not both")
                 h = SystemHamiltonian.from_matrix(
                     _parse_matrix(hd["matrix"], "scenario.hamiltonian.matrix"),
-                    degeneracy_tol=tol)
+                    **tol)
             else:
                 energies = _require(hd, "energies", "scenario.hamiltonian")
                 if not isinstance(energies, list) or not energies:
@@ -227,11 +227,9 @@ class Scenario:
                 if "eigenvectors" in hd:
                     vecs = _parse_matrix(hd["eigenvectors"],
                                          "scenario.hamiltonian.eigenvectors")
-                    h = SystemHamiltonian(np.array(energies), vecs,
-                                          degeneracy_tol=tol)
+                    h = SystemHamiltonian(np.array(energies), vecs, **tol)
                 else:
-                    h = SystemHamiltonian.from_energies(energies,
-                                                        degeneracy_tol=tol)
+                    h = SystemHamiltonian.from_energies(energies, **tol)
         except ValueError as err:
             if isinstance(err, ScenarioError):
                 raise
@@ -283,13 +281,11 @@ class Scenario:
             _parse_real(_require(bd, key, "scenario.bath"),
                         f"scenario.bath.{key}")
             for key in ("lambda", "temperature"))
-        pv_cutoff = (_parse_real(bd["pv_cutoff"], "scenario.bath.pv_cutoff")
-                     if "pv_cutoff" in bd else None)
-        pv_points = _parse_int(bd.get("pv_points", 2048),
-                               "scenario.bath.pv_points")
+        quadrature = _parse_present(bd, {"pv_cutoff": _parse_real,
+                                         "pv_points": _parse_int},
+                                    "scenario.bath")
         try:
-            bath = BathModel(lam=lam, temperature=temperature,
-                             pv_cutoff=pv_cutoff, pv_points=pv_points)
+            bath = BathModel(lam=lam, temperature=temperature, **quadrature)
         except ValueError as err:
             raise ScenarioError(f"scenario.bath: {err}") from err
 
@@ -309,9 +305,9 @@ class Scenario:
         if threshold is not None:
             threshold = _parse_real(threshold,
                                     "scenario.generator.clustering_threshold")
-        pauli_blocked, lamb_shift = (
-            _parse_bool(gd.get(key, False), f"scenario.generator.{key}")
-            for key in ("pauli_blocked", "lamb_shift"))
+        flags = _parse_present(gd, {"pauli_blocked": _parse_bool,
+                                    "lamb_shift": _parse_bool},
+                               "scenario.generator")
         if kind is MEKind.UME and threshold is None:
             raise ScenarioError("scenario.generator: ume needs "
                                 "clustering_threshold")
@@ -319,26 +315,21 @@ class Scenario:
         sched_d = d.get("schedule", {})
         if not isinstance(sched_d, dict):
             raise ScenarioError("scenario.schedule: expected an object")
-        _check_keys(sched_d, {"t_end", "samples", "rtol", "atol", "method"},
-                    "scenario.schedule")
-        reals = {key: _parse_real(sched_d[key], f"scenario.schedule.{key}")
-                 for key in ("t_end", "rtol", "atol") if key in sched_d}
-        samples = _parse_int(sched_d.get("samples", 400),
-                             "scenario.schedule.samples")
+        parsers = {"t_end": _parse_real, "samples": _parse_int,
+                   "rtol": _parse_real, "atol": _parse_real}
+        _check_keys(sched_d, set(parsers), "scenario.schedule")
         try:
-            schedule = Schedule(samples=samples,
-                                method=sched_d.get("method"), **reals)
+            schedule = Schedule(**_parse_present(sched_d, parsers,
+                                                 "scenario.schedule"))
         except ValueError as err:
             raise ScenarioError(f"scenario.schedule: {err}") from err
 
-        cop = _parse_bool(d.get("copropagate_hole", False),
-                          "scenario.copropagate_hole")
-
+        flags.update(_parse_present(d, {"copropagate_hole": _parse_bool},
+                                    "scenario"))
         return cls(name=name, chi=float(chi), hamiltonian=h,
                    coupling_operators=tuple(ops), initial_state=rho0,
                    bath=bath, kind=kind, clustering_threshold=threshold,
-                   pauli_blocked=pauli_blocked, lamb_shift=lamb_shift,
-                   schedule=schedule, copropagate_hole=cop)
+                   schedule=schedule, **flags)
 
 
 def load_scenario(path) -> Scenario:

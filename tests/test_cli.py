@@ -262,7 +262,7 @@ def test_run_rejects_a_nan_clustering_threshold(tmp_path, capsys):
 def test_scenario_with_a_non_finite_field_exits_two(tmp_path, capsys,
                                                    section, key, value):
     bath = {"lambda": 0.01, "temperature": 50.0}
-    schedule = {"t_end": 100.0, "samples": 5, "method": "DOP853"}
+    schedule = {"t_end": 100.0, "samples": 5}
     {"bath": bath, "schedule": schedule}[section][key] = value
     path = _two_level_file(tmp_path, bath, schedule)
     code = main(["run", "--scenario", path, "--output-dir", str(tmp_path)])
@@ -350,7 +350,8 @@ def test_spectra_at_the_largest_bath_widths_exits_one(tmp_path, capsys):
 
 
 def test_run_with_an_unknown_schedule_method_exits_two(tmp_path, capsys):
-    for method in ("DOP835", "RK45"):
+    # the generator picks the route, so a scenario names no method
+    for method in ("DOP853", "RK45"):
         path = _two_level_file(tmp_path,
                                {"lambda": 0.01, "temperature": 50.0},
                                {"method": method})
@@ -358,7 +359,38 @@ def test_run_with_an_unknown_schedule_method_exits_two(tmp_path, capsys):
                      str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "scenario.schedule" in err and method in err
+        assert "scenario.schedule: unknown keys ['method']" in err
+
+
+@pytest.mark.parametrize("command, option", [
+    (["spectra", "--lambda", "0.01"], ["--kind", "rme"]),
+    (["spectra", "--lambda", "0.01"], ["--blocked"]),
+    (["spectra", "--lambda", "0.01"], ["--lamb-shift"]),
+    (["spectra", "--lambda", "0.01"], ["--threshold", "0.1"]),
+    (["spectra", "--lambda", "0.01"], ["--t-end", "5"]),
+    (["spectra", "--lambda", "0.01"], ["--samples", "3"]),
+    (["spectra", "--lambda", "0.01"], ["--copropagate-hole"]),
+    (["audit", "--benchmark", "three-level"], ["--t-end", "5"]),
+    (["audit", "--benchmark", "three-level"], ["--samples", "3"]),
+    (["audit", "--benchmark", "three-level"], ["--copropagate-hole"]),
+], ids=lambda argv: argv[0])
+def test_commands_reject_options_they_do_not_read(tmp_path, capsys, command,
+                                                  option):
+    assert main([*command, *option, "--output-dir", str(tmp_path)]) == 2
+    assert f"unrecognized arguments: {' '.join(option)}" \
+        in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("source", [["--benchmark", "benzene"],
+                                    ["--scenario", "any.json"]])
+def test_spectra_lambda_excludes_a_scenario_bath(tmp_path, capsys, source):
+    code = main(["spectra", *source, "--lambda", "0.5", "--output-dir",
+                 str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--lambda" in err and source[0] in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("section, key, value", [

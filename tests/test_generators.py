@@ -20,9 +20,9 @@ from rdmprop.core import (
 )
 from rdmprop.generators import (
     MEKind,
+    _sandwich,
     build_generator,
     build_rate_table,
-    dissipator,
     lamb_shift_hamiltonian,
     particle_hole_transform,
 )
@@ -46,6 +46,13 @@ def random_state(rng, d, chi):
     c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     w = c @ c.conj().T
     return w * (0.9 * chi / np.linalg.eigvalsh(w).max())
+
+
+def dissipator(rho, spec):
+    """Linear dissipator D(a, a) rho on full matrices, from the sandwich
+    the packed generator is assembled from."""
+    out, anti = _sandwich(spec, spec.couplings, spec.couplings, rho)
+    return out - 0.5 * (anti @ rho + rho @ anti)
 
 
 def build_benchmark_spec(scenario):

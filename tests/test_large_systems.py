@@ -6,7 +6,9 @@ by 1e-8, on either side of the degeneracy tolerance 1e-9: the first pairs
 merge into two-level subspaces, the second stay apart and give Bohr
 frequencies of +-1e-8. Every kind is checked blocked and unblocked, with
 and without the Lamb shift, against the channel-pair oracle in
-``oracle.py``.
+``oracle.py``. The filled-state constraint is checked on the baseline
+family of sorted uniform spectra with one random coupling at d in {8, 16,
+32}.
 
 The principal-value quadratures are replaced by closed forms in this module.
 The identities hold for any real coefficients, and the oracle reads the same
@@ -26,9 +28,10 @@ import rdmprop.generators
 from rdmprop.bath import BathModel
 from rdmprop.core import CouplingOperator, SystemHamiltonian, max_norm
 from rdmprop.generators import build_generator
-from rdmprop.propagate import build_packed_generator, pack_hermitian, \
-    unpack_hermitian
-from rdmprop.representability import unitality_residual
+from rdmprop.propagate import Schedule, build_packed_generator, \
+    pack_hermitian, propagate_state, unpack_hermitian
+from rdmprop.representability import constraint_residual, \
+    unitality_residual
 
 from oracle import Oracle
 
@@ -199,3 +202,35 @@ def test_blocked_generator_is_unital_for_any_shell_size(kind, shells, chi):
                            pauli_blocked=True)
     assert spec.subspaces[0] == tuple(range(shells[0]))
     assert unitality_residual(h, spec) < TOL
+
+
+def baseline_system(d, seed=0):
+    """Sorted uniform energies on [0, 1] and one coupling 0.3 (g + g^+) / 2
+    with complex Gaussian g."""
+    rng = np.random.default_rng(seed)
+    energies = np.sort(rng.uniform(0.0, 1.0, d))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (SystemHamiltonian.from_energies(energies),
+            CouplingOperator("x", 0.15 * (g + g.conj().T)))
+
+
+@pytest.mark.parametrize("kind", ["ule", "ume"])
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_constraint_beyond_six_levels(kind, d):
+    h, a = baseline_system(d)
+    raw = build_generator(h, a, BATH, kind, chi=1.0,
+                          clustering_threshold=0.0)
+    # the raw residual is the sum over channel pairs of their rate
+    # asymmetries, read from the generator a run integrates
+    report = constraint_residual(h, raw)
+    assert report.pair_sum_norm == pytest.approx(report.residual_norm,
+                                                 rel=1e-12)
+    assert report.residual_norm == unitality_residual(h, raw)
+    # symmetrized rates annihilate chi*1 and keep occupations in [0, chi]
+    spec = raw.symmetrized()
+    assert unitality_residual(h, spec) <= TOL
+    rho0 = np.diag(np.repeat([1.0, 0.0], d // 2)).astype(complex)
+    traj = propagate_state(h, spec, rho0, Schedule(t_end=200.0, samples=50))
+    assert traj.metadata["method"] == "expm"
+    assert traj.occupations.min() >= -1e-10
+    assert traj.occupations.max() <= spec.chi + 1e-10

@@ -1,5 +1,6 @@
 """Packed-vector integration, matrix-exponential cross-checks, scheduling."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from rdmprop._numerics import expm as numpy_expm
+from rdmprop._numerics import dop853
 from rdmprop.bath import BathModel, spectral_function_ule
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.core import (
@@ -19,7 +20,8 @@ from rdmprop.core import (
     SystemHamiltonian,
     max_norm,
 )
-from rdmprop.generators import build_generator
+from rdmprop.cli import main
+from rdmprop.generators import build_generator, particle_hole_transform
 from rdmprop.propagate import (
     RTOL_FLOOR,
     Schedule,
@@ -30,8 +32,10 @@ from rdmprop.propagate import (
     integrate,
     pack_hermitian,
     propagate_state,
+    transpose_permuted,
     unpack_hermitian,
 )
+from rdmprop.scenario import Scenario
 
 from oracle import Oracle, expm_propagate, union_values
 
@@ -39,6 +43,19 @@ from oracle import Oracle, expm_propagate, union_values
 def random_hermitian(rng, d):
     b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return 0.5 * (b + b.conj().T)
+
+
+def dop853_trajectory(h, spec, rho0, schedule):
+    """DOP853 on the packed generator, linear or not, at the schedule's
+    tolerances and on its grid: the adaptive cross-check of exact
+    stepping."""
+    times = np.linspace(0.0, schedule.t_end, schedule.samples)
+    rho0 = np.asarray(getattr(rho0, "data", rho0), dtype=complex)
+    ys, _ = dop853(build_packed_generator(h, spec),
+                   pack_hermitian(h.to_eigenbasis(rho0)), times,
+                   schedule.rtol, schedule.atol)
+    return Trajectory(times=times, packed=ys, basis=h.eigenvectors,
+                      chi=spec.chi)
 
 
 @settings(max_examples=80, deadline=None)
@@ -70,9 +87,6 @@ def test_schedule_validation():
         Schedule(atol=-1e-12)
     with pytest.raises(ValueError):
         Schedule(t_end=0.0)
-    with pytest.raises(ValueError, match="rk45"):
-        Schedule(method="rk45")
-    assert Schedule().method is None
     for field in ("t_end", "rtol", "atol"):
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match=field):
@@ -157,34 +171,14 @@ def test_blocked_rhs_survives_overfull_rounding_excursions():
 
 def test_adaptive_and_exponential_routes_agree():
     setup = builtin_three_level(kind="ule", temperature=50.0).build()
-    schedule = Schedule(t_end=16000.0, samples=17, method="DOP853")
-    traj = propagate_state(setup.hamiltonian, setup.spec, setup.rho0,
-                           schedule)
+    schedule = Schedule(t_end=16000.0, samples=17)
+    traj = dop853_trajectory(setup.hamiltonian, setup.spec, setup.rho0,
+                             schedule)
     states = expm_propagate(setup.hamiltonian, setup.spec, setup.rho0,
                             traj.times)
     pops = np.real(np.einsum("tii->ti",
                              setup.hamiltonian.to_eigenbasis(states)))
     assert np.max(np.abs(pops - traj.populations)) < 1e-8
-
-
-def test_exponential_route_handles_nonuniform_grids():
-    setup = builtin_three_level(kind="ule", temperature=50.0).build()
-    times = np.array([0.0, 700.0, 1000.0, 5000.0])
-    states = expm_propagate(setup.hamiltonian, setup.spec, setup.rho0, times)
-    traj = propagate_state(setup.hamiltonian, setup.spec, setup.rho0,
-                           Schedule(t_end=5000.0), t_eval=times)
-    pops = np.real(np.einsum("tii->ti", states))
-    npt.assert_allclose(pops, traj.populations, atol=1e-8)
-
-
-def test_exponential_route_reuses_uniform_offset_grids():
-    setup = builtin_three_level(kind="ule", temperature=50.0).build()
-    times = np.array([1000.0, 2000.0, 3000.0])
-    states = expm_propagate(setup.hamiltonian, setup.spec, setup.rho0, times)
-    traj = propagate_state(setup.hamiltonian, setup.spec, setup.rho0,
-                           Schedule(t_end=3000.0), t_eval=times)
-    pops = np.real(np.einsum("tii->ti", states))
-    npt.assert_allclose(pops, traj.populations, atol=1e-8)
 
 
 @pytest.fixture(scope="module")
@@ -210,21 +204,14 @@ def _chosen_samples(n):
 @pytest.mark.parametrize("samples", [2, 3, 16, 17, 128, 129, 20000])
 def test_uniform_stepping_matches_direct_exponentials(benzene_rme, samples,
                                                       t0):
+    # stepping from the state reached at t0 on a grid from 0
     _, gmat, y0 = benzene_rme
-    times = np.linspace(t0, t0 + 16000.0, samples)
-    ys = _step_on_grid(gmat, y0, times)
+    times = np.linspace(0.0, 16000.0, samples)
+    ys = _step_on_grid(gmat, expm(gmat * t0) @ y0, times)
     assert ys.shape == (samples, 36)
     for k in _chosen_samples(samples):
-        assert max_norm(ys[k] - expm(gmat * times[k]) @ y0) <= 1e-12, k
-
-
-def test_nonuniform_stepping_takes_one_exponential_per_interval(benzene_rme):
-    _, gmat, y = benzene_rme
-    times = np.array([0.0, 700.0, 1000.0, 5000.0, 5001.0])
-    ys = _step_on_grid(gmat, y, times)
-    for k, dt in enumerate(np.diff(times), start=1):
-        y = numpy_expm(gmat * dt) @ y
-        assert np.array_equal(ys[k], y), k
+        assert max_norm(ys[k] - expm(gmat * (t0 + times[k])) @ y0) \
+            <= 1e-12, k
 
 
 def test_trace_is_conserved_along_trajectories(
@@ -238,14 +225,13 @@ def test_trace_is_conserved_along_trajectories(
 
 
 def test_halving_tolerances_barely_moves_final_populations():
-    base = builtin_benzene(kind="ule", t_end=16000.0, samples=9)
-    base.schedule = Schedule(t_end=16000.0, samples=9, method="DOP853")
-    tight = builtin_benzene(kind="ule", t_end=16000.0, samples=9)
-    tight.schedule = Schedule(t_end=16000.0, samples=9,
-                              rtol=0.5e-9, atol=0.5e-11, method="DOP853")
-    a, b = integrate(base), integrate(tight)
+    setup = builtin_benzene(kind="ule").build()
+    base = Schedule(t_end=16000.0, samples=9)
+    tight = Schedule(t_end=16000.0, samples=9, rtol=0.5e-9, atol=0.5e-11)
+    a, b = (dop853_trajectory(setup.hamiltonian, setup.spec, setup.rho0,
+                              schedule) for schedule in (base, tight))
     dev = float(np.max(np.abs(a.populations[-1] - b.populations[-1])))
-    assert dev < 10.0 * base.schedule.rtol
+    assert dev < 10.0 * base.rtol
 
 
 def test_lamb_shift_leaves_steady_populations_in_place():
@@ -333,38 +319,55 @@ def _unblocked(system, kind, **kwargs):
 @pytest.mark.parametrize("system", ["three-level", "benzene"])
 def test_exact_route_matches_tight_adaptive_integration(system, kind):
     exact = integrate(_unblocked(system, kind, samples=41))
-    adaptive = _unblocked(system, kind)
-    adaptive.schedule = Schedule(t_end=16000.0, samples=41, rtol=1e-11,
-                                 atol=1e-13, method="DOP853")
-    reference = integrate(adaptive)
+    setup = _unblocked(system, kind).build()
+    reference = dop853_trajectory(
+        setup.hamiltonian, setup.spec, setup.rho0,
+        Schedule(t_end=16000.0, samples=41, rtol=1e-11, atol=1e-13))
     assert exact.metadata["method"] == "expm"
-    assert reference.metadata["method"] == "DOP853"
     deviation = float(np.max(np.abs(exact.states - reference.states)))
     assert deviation < 1e-8, deviation
     traces = np.real(np.einsum("tii->t", exact.states))
     assert float(np.max(np.abs(traces - traces[0]))) < 1e-12
 
 
-@pytest.mark.parametrize("times", [[0.0, 700.0, 1000.0, 5000.0],
-                                   [1000.0, 2000.0, 3000.0],
-                                   [300.0, 700.0, 5000.0],
-                                   [2500.0]])
+@pytest.mark.parametrize("times", [[0.0, 2500.0, 5000.0],
+                                   [0.0, 1000.0, 2000.0, 3000.0],
+                                   [0.0, 700.0, 1400.0, 2100.0, 2800.0],
+                                   [0.0, 2500.0]])
 def test_exact_route_matches_kronecker_route_on_any_grid(times):
+    # any schedule grid: samples uniform times from 0 to t_end
     setup = builtin_benzene(kind="rme").build()
     times = np.array(times)
     states = expm_propagate(setup.hamiltonian, setup.spec, setup.rho0, times)
     traj = propagate_state(setup.hamiltonian, setup.spec, setup.rho0,
-                           t_eval=times)
+                           Schedule(t_end=times[-1], samples=times.size))
     assert traj.metadata["method"] == "expm"
+    assert np.array_equal(traj.times, times)
     npt.assert_allclose(traj.states, states, atol=1e-12)
 
 
-def test_propagation_rejects_unsorted_or_negative_grids():
-    setup = builtin_three_level(kind="ule").build()
-    for times in ([0.0, 200.0, 100.0], [-1.0, 0.0, 1.0]):
-        with pytest.raises(ValueError, match="t_eval"):
-            propagate_state(setup.hamiltonian, setup.spec, setup.rho0,
-                            t_eval=np.array(times))
+def test_blocked_spec_without_blockable_coupling_steps_exactly():
+    # the coupling stays inside the degenerate pair, so blocking scales
+    # nothing: the blocked equation is linear and is stepped exactly
+    h = SystemHamiltonian.from_energies([0.0, 0.0, 0.4])
+    a = np.zeros((3, 3), dtype=complex)
+    a[:2, :2] = [[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.1]]
+    bath = BathModel(lam=0.01, temperature=300.0)
+    linear, blocked = (build_generator(h, CouplingOperator("x", a), bath,
+                                       "ule", chi=1.0, pauli_blocked=b)
+                       for b in (False, True))
+    rho0 = np.array([[0.5, 0.3, 0.0], [0.3, 0.4, 0.1], [0.0, 0.1, 0.2]],
+                    dtype=complex)
+    traj = propagate_state(h, blocked, rho0, Schedule(t_end=2000.0,
+                                                      samples=9))
+    assert traj.metadata["method"] == "expm"
+    assert traj.metadata["rhs_evaluations"] == 0
+    states = expm_propagate(h, linear, rho0, traj.times)
+    npt.assert_allclose(traj.states, states, atol=1e-12)
+    oracle = Oracle(h, blocked)
+    for y in traj.packed:
+        assert max_norm(build_packed_generator(h, blocked).matrix @ y
+                        - oracle.blocked_rhs(y)) < 1e-12
 
 
 def test_metadata_records_the_route_taken():
@@ -375,13 +378,6 @@ def test_metadata_records_the_route_taken():
                                             t_end=400.0, samples=5))
     assert blocked.metadata["method"] == "DOP853"
     assert blocked.metadata["rhs_evaluations"] > 0
-    forced = _unblocked("three-level", "ume")
-    forced.schedule = Schedule(t_end=400.0, samples=5, method="DOP853")
-    forced = integrate(forced)
-    assert forced.metadata["method"] == "DOP853"
-    assert forced.metadata["rhs_evaluations"] > 0
-    with pytest.raises(ValueError, match="DOP853 or omitted.*'RK45'"):
-        Schedule(t_end=400.0, samples=5, method="RK45")
 
 
 def test_hole_copropagation_takes_the_exact_route():
@@ -389,24 +385,33 @@ def test_hole_copropagation_takes_the_exact_route():
                                  copropagate_hole=True))
     assert exact.hole.metadata["method"] == "expm"
     assert exact.hole.metadata["rhs_evaluations"] == 0
-    adaptive = _unblocked("benzene", "rme", copropagate_hole=True)
-    adaptive.schedule = Schedule(t_end=16000.0, samples=9, rtol=1e-11,
-                                 atol=1e-13, method="DOP853")
-    adaptive = integrate(adaptive)
-    assert adaptive.hole.metadata["method"] == "DOP853"
-    npt.assert_allclose(exact.hole.states, adaptive.hole.states, atol=1e-8)
-    npt.assert_allclose(exact.defect, adaptive.defect, atol=1e-8)
+    setup = _unblocked("benzene", "rme").build()
+    h, spec = setup.hamiltonian, setup.spec
+    schedule = Schedule(t_end=16000.0, samples=9, rtol=1e-11, atol=1e-13)
+    particle = dop853_trajectory(h, spec, setup.rho0, schedule)
+    hole = particle_hole_transform(h, spec)
+    q0 = h.to_eigenbasis(setup.rho0.complement().data).T
+    adaptive = dop853_trajectory(hole.hamiltonian, hole.spec, q0, schedule)
+    transpose_permuted(adaptive.packed, hole.hamiltonian.eigenvectors)
+    adaptive.basis = h.eigenvectors
+    defect = np.abs(adaptive.states - (spec.chi * np.eye(6)
+                                       - particle.states)).max(axis=(1, 2))
+    npt.assert_allclose(exact.hole.states, adaptive.states, atol=1e-8)
+    npt.assert_allclose(exact.defect, defect, atol=1e-8)
 
 
-def test_scenario_roundtrip_keeps_default_and_explicit_method_apart():
-    from rdmprop.scenario import Scenario
-
+def test_scenario_roundtrip_keeps_default_and_explicit_method_apart(
+        tmp_path, capsys):
+    # the generator picks the route; a scenario naming one exits 2
     default = builtin_three_level(kind="ule", t_end=400.0, samples=5)
-    explicit = builtin_three_level(kind="ule", t_end=400.0, samples=5)
-    explicit.schedule = Schedule(t_end=400.0, samples=5, method="DOP853")
     assert "method" not in default.to_dict()["schedule"]
-    assert explicit.to_dict()["schedule"]["method"] == "DOP853"
-    assert Scenario.from_dict(default.to_dict()).schedule.method is None
-    assert Scenario.from_dict(explicit.to_dict()).schedule.method == "DOP853"
-    assert integrate(Scenario.from_dict(explicit.to_dict())) \
-        .metadata["method"] == "DOP853"
+    assert integrate(Scenario.from_dict(default.to_dict())) \
+        .metadata["method"] == "expm"
+    explicit = default.to_dict()
+    explicit["schedule"]["method"] = "DOP853"
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(explicit))
+    assert main(["run", "--scenario", str(path), "--output-dir",
+                 str(tmp_path)]) == 2
+    assert "scenario.schedule: unknown keys ['method']" \
+        in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Filled-state residual audits and two-picture co-propagation."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -31,6 +32,15 @@ def three_ule():
 @pytest.fixture(scope="module")
 def benzene_rme():
     return builtin_benzene(kind="rme").build()
+
+
+def copropagate(q0, setup, schedule):
+    """Hole co-propagation against the particle propagated from
+    chi*1 - q0 on ``schedule``."""
+    h, spec = setup.hamiltonian, setup.spec
+    rho0 = spec.chi * np.eye(spec.dim) - getattr(q0, "data", q0)
+    particle = propagate_state(h, spec, rho0, schedule)
+    return copropagate_hole(q0, h, spec, schedule, particle)
 
 
 def test_three_level_residual_shape_and_norm(three_ule):
@@ -100,8 +110,7 @@ def test_copropagation_tracks_complement(three_ule):
     schedule = Schedule(t_end=16000.0, samples=9)
     rho0 = np.diag([1.0, 1.0, 0.0]).astype(complex)
     q0 = OneRdm(rho0, 1.0).complement()
-    hole = copropagate_hole(q0, three_ule.hamiltonian, three_ule.spec,
-                            schedule=schedule)
+    hole = copropagate(q0, three_ule, schedule)
     assert hole.metadata["picture"] == "hole"
     assert hole.metadata["kind"] == "ule"
     assert hole.defect is not None
@@ -115,10 +124,8 @@ def test_copropagation_tracks_complement(three_ule):
 def test_copropagation_accepts_matrix_and_onerdm(three_ule):
     schedule = Schedule(t_end=100.0, samples=5)
     q0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    a = copropagate_hole(q0, three_ule.hamiltonian, three_ule.spec,
-                         schedule=schedule)
-    b = copropagate_hole(OneRdm(q0, 1.0), three_ule.hamiltonian,
-                         three_ule.spec, schedule=schedule)
+    a = copropagate(q0, three_ule, schedule)
+    b = copropagate(OneRdm(q0, 1.0), three_ule, schedule)
     npt.assert_allclose(a.states, b.states, atol=0.0)
     npt.assert_allclose(a.defect, b.defect, atol=0.0)
 
@@ -130,19 +137,37 @@ def test_copropagation_uses_supplied_particle_trajectory(three_ule):
                                schedule)
     q0 = np.eye(3) - rho0
     hole = copropagate_hole(q0, three_ule.hamiltonian, three_ule.spec,
-                            schedule=schedule, particle_trajectory=particle)
+                            schedule, particle)
     npt.assert_allclose(hole.times, particle.times, atol=0.0)
     assert hole.defect[0] < 1e-12
+    # the hole ends where the particle does, not at the schedule's default
+    unpinned = copropagate_hole(q0, three_ule.hamiltonian, three_ule.spec,
+                                replace(schedule, t_end=None), particle)
+    assert np.array_equal(unpinned.times, particle.times)
+    # the particle must be sampled on the schedule the hole steps on
+    with pytest.raises(ValueError, match="grid"):
+        copropagate_hole(q0, three_ule.hamiltonian, three_ule.spec,
+                         replace(schedule, samples=4), particle)
     # the defect is formed in the particle eigenbasis, so it must match
     particle.basis = particle.basis[:, ::-1]
     with pytest.raises(ValueError, match="eigenbasis"):
         copropagate_hole(q0, three_ule.hamiltonian, three_ule.spec,
-                         schedule=schedule, particle_trajectory=particle)
+                         schedule, particle)
+
+
+@pytest.mark.parametrize("t_end", [None, 700.0])
+def test_hole_is_sampled_on_the_particle_grid(t_end):
+    traj = integrate(builtin_three_level(kind="ule", temperature=50.0,
+                                         t_end=t_end, samples=33,
+                                         copropagate_hole=True))
+    assert np.array_equal(traj.hole.times, traj.times)
+    assert traj.hole.metadata["t_end"] == traj.metadata["t_end"]
 
 
 def test_copropagation_rejects_mismatched_shapes(three_ule):
     with pytest.raises(DimensionError):
-        copropagate_hole(np.eye(4), three_ule.hamiltonian, three_ule.spec)
+        copropagate_hole(np.eye(4), three_ule.hamiltonian, three_ule.spec,
+                         Schedule(), None)
 
 
 def test_blocked_copropagation_keeps_pictures_complementary():
@@ -151,8 +176,7 @@ def test_blocked_copropagation_keeps_pictures_complementary():
     setup = scenario.build()
     schedule = Schedule(t_end=16000.0, samples=9, rtol=1e-11, atol=1e-13)
     q0 = setup.rho0.complement()
-    hole = copropagate_hole(q0, setup.hamiltonian, setup.spec,
-                            schedule=schedule)
+    hole = copropagate(q0, setup, schedule)
     assert float(np.max(hole.defect)) < 1e-6
 
 
@@ -374,7 +398,7 @@ def test_packed_trajectory_matches_eager_stacks(tmp_path, kind, blocked):
     pictured = particle_hole_transform(h, setup.spec)
     raw = propagate_state(pictured.hamiltonian, pictured.spec,
                           h.to_eigenbasis(setup.rho0.complement().data).T,
-                          setup.schedule, t_eval=traj.times)
+                          replace(setup.schedule, t_end=traj.times[-1]))
     q_eig = np.transpose(pictured.hamiltonian.from_eigenbasis(
         unpack_hermitian(raw.packed, 4)), (0, 2, 1))
     q_states = h.from_eigenbasis(q_eig)
