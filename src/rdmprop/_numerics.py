@@ -2,13 +2,18 @@
 
 ``expm`` is the scaling-and-squaring algorithm of Al-Mohy & Higham, SIAM
 J. Matrix Anal. Appl. 31, 970 (2009), with exact 1-norms of the matrix
-powers. ``dop853`` follows scipy's ``solve_ivp(method="DOP853")`` operation
-for operation: the same tableau, initial step, error norm, step-size control
-and dense output, so it returns the same samples and evaluation count.
+powers. ``dop853`` follows scipy's ``solve_ivp(method="DOP853")``: the same
+tableau, initial step, error norm, step-size control and dense output. It
+forms each stage point as one product ``[1, h A_s] @ [y; k_0 ... k_(s-1)]``
+and counts evaluations per stage, without wrapping ``fun``. That rounds
+differently from scipy's ``y + h (A_s @ k)``, so it returns the same
+``nfev``, with samples within 1e-12 of ``solve_ivp``'s, unless a last-bit
+difference flips an accept or reject decision.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -187,43 +192,48 @@ def dop853(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
     """Integrate y' = fun(t, y) from y(0) = y0 to t_eval[-1] > 0 and sample
     the dense output at the sorted times ``t_eval`` >= 0.
 
-    Returns the samples, shaped (len(t_eval), len(y0)), and the number of
-    evaluations of ``fun``. Raises StiffnessError when the step size falls
-    below ten units in the last place of t.
+    ``fun`` returns a float array shaped like y. Returns the samples,
+    shaped (len(t_eval), len(y0)), and the number of evaluations of
+    ``fun``: 2 for the initial step, 12 per attempted step and 3 per step
+    with dense output. Raises StiffnessError when the step size falls below
+    ten units in the last place of t.
     """
-    nfev = 0
-
-    def f(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
-
     t, t_bound = 0.0, float(t_eval[-1])
     if not t_bound > t:
         raise ValueError("t_eval must end after t = 0")
     y = np.asarray(y0, dtype=float)
     out = np.empty((len(t_eval), y.size))
-    stages = np.empty((16, y.size))
-    k = stages[:13]
-    fy = f(t, y)
+    # the step's start point, then the 16 stage derivatives; stage s is
+    # evaluated at weights[s, :s + 1] @ points[:s + 1], weights = [1, h A]
+    points = np.empty((17, y.size))
+    k = points[1:]
+    weights = np.ones((16, 17))
+    rows = [weights[s, :s + 1] for s in range(16)]
+    heads = [points[:s + 1] for s in range(16)]
+    c = _C.tolist()
+    grid = np.asarray(t_eval, dtype=float).tolist()
+    fy = fun(t, y)
 
     # initial step: Hairer, Norsett & Wanner, Sec. II.4
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(fy / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound - t)
-    d2 = _rms((f(t + h0, y + h0 * fy) - fy) / scale) / h0
+    d2 = _rms((fun(t + h0, y + h0 * fy) - fy) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, t_bound - t)
+    h_abs = float(min(100 * h0, h1, t_bound - t))
 
+    nfev = 2
     done = 0
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
+        points[0] = y
+        k[0] = fy
         while True:
             if h_abs < min_step:
                 raise StiffnessError(
@@ -231,22 +241,25 @@ def dop853(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
                     "than spacing between numbers.")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
-            k[0] = fy
+            h_abs = abs(h)
+            np.multiply(_A, h, out=weights[:, 1:])
             for s in range(1, 12):
-                dy = np.dot(k[:s].T, _A[s, :s]) * h
-                k[s] = f(t + _C[s] * h, y + dy)
-            y_new = y + h * np.dot(k[:-1].T, _B)
-            k[-1] = f_new = f(t + h, y_new)
+                k[s] = fun(t + c[s] * h, np.dot(rows[s], heads[s]))
+            y_new = np.dot(rows[12], heads[12])
+            k[12] = f_new = fun(t + h, y_new)
+            nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(k.T, _E5) / scale
-            err3 = np.dot(k.T, _E3) / scale
-            err5_2, err3_2 = np.linalg.norm(err5)**2, np.linalg.norm(err3)**2
+            err5 = np.dot(_E5, k[:13])
+            err5 /= scale
+            err3 = np.dot(_E3, k[:13])
+            err3 /= scale
+            err5_2 = float(np.dot(err5, err5))
+            err3_2 = float(np.dot(err3, err3))
             if err5_2 == 0 and err3_2 == 0:
                 error = 0.0
             else:
-                error = np.abs(h) * err5_2 / np.sqrt(
-                    (err5_2 + 0.01 * err3_2) * len(scale))
+                error = h_abs * err5_2 / math.sqrt(
+                    (err5_2 + 0.01 * err3_2) * y.size)
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else \
                     min(_MAX_FACTOR, _SAFETY * error ** (-1 / 8))
@@ -255,22 +268,22 @@ def dop853(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** (-1 / 8))
             rejected = True
 
-        stop = np.searchsorted(t_eval, t_new, side="right")
+        stop = bisect.bisect_right(grid, t_new, done)
         if stop > done:
             # dense output over the step just taken
             for s in range(13, 16):
-                dy = np.dot(stages[:s].T, _A[s, :s]) * h
-                stages[s] = f(t + _C[s] * h, y + dy)
+                k[s] = fun(t + c[s] * h, np.dot(rows[s], heads[s]))
+            nfev += 3
             delta = y_new - y
             coeffs = np.empty((7, y.size))
             coeffs[0] = delta
-            coeffs[1] = h * stages[0] - delta
-            coeffs[2] = 2 * delta - h * (f_new + stages[0])
-            coeffs[3:] = h * np.dot(_D, stages)
+            coeffs[1] = h * k[0] - delta
+            coeffs[2] = 2 * delta - h * (f_new + k[0])
+            coeffs[3:] = h * (_D @ k)
             x = ((t_eval[done:stop] - t) / h)[:, None]
             sample = np.zeros((len(x), y.size))
-            for i, c in enumerate(coeffs[::-1]):
-                sample += c
+            for i, coeff in enumerate(coeffs[::-1]):
+                sample += coeff
                 sample *= x if i % 2 == 0 else 1 - x
             sample += y
             out[done:stop] = sample

@@ -149,7 +149,14 @@ def _cmd_audit(args) -> int:
     outdir = resolve_output_dir(args.output_dir)
     prefix = args.prefix or scenario.name
 
-    unit = unitality_residual(setup.hamiltonian, setup.spec)
+    # a linear spec's constraint report holds the unitality residual too,
+    # so the generator is built once either way
+    if setup.spec.pauli_blocked:
+        con = None
+        unit = unitality_residual(setup.hamiltonian, setup.spec)
+    else:
+        con = constraint_residual(setup.hamiltonian, setup.spec)
+        unit = con.unitality_residual
     initial = spectral_audit(setup.rho0.data, setup.rho0.chi)
     report = {
         "scenario": scenario.to_dict(),
@@ -162,8 +169,7 @@ def _cmd_audit(args) -> int:
         },
     }
     print(f"unitality residual ||L(chi*1)||: {unit:.6e}")
-    if not setup.spec.pauli_blocked:
-        con = constraint_residual(setup.hamiltonian, setup.spec)
+    if con is not None:
         report["constraint"] = {
             "residual_norm": con.residual_norm,
             "pair_sum_norm": con.pair_sum_norm,

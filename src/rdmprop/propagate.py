@@ -4,19 +4,19 @@ States are packed into a real vector (diagonal, then scaled real and
 imaginary upper-triangle parts) so every route works on a real equation
 whose flow preserves Hermiticity exactly. One assembly,
 ``build_packed_generator``, serves every spec. It splits the coupling into
-a free part and a part Pauli blocking scales, and builds one dense stack of
-real maps on packed vectors: the free-free part, and for blocked specs the
-three sandwiches of the free and blockable parts and two anticommutator
-maps per subspace, at most 4 + 2m maps for m subspaces. Each is weighted on
-every packed output entry by a product of two state-dependent blocking
-factors (1 for a free side). The generator decides the stepping: a spec
-without blockable coupling, every linear spec among them, has a stack of
-one matrix G, stepped exactly on the uniform sample grid in blocks of
-about sqrt(N) samples, each one product with a power of exp(G dt). Any
-other spec is integrated adaptively by the numpy port of DOP853 in
-``_numerics``, whose samples equal scipy's ``solve_ivp``'s; the
-exponential is that module's too, so runs need numpy alone. The schedule
-decides the grid: ``samples`` points from 0 to ``t_end``.
+a free part and a part Pauli blocking scales. A spec without blockable
+coupling, every linear spec among them, is one real matrix G on packed
+vectors, stepped exactly on the uniform sample grid in blocks of about
+sqrt(N) samples, each one product with a power of exp(G dt). A blocked
+spec weights the images of the free and blockable parts by products of
+two state-dependent blocking factors. Up to a fixed size in bytes,
+``COMPACT_BYTES``, it is one compact map whose rows are merged by factor
+pair and output entry; above it, an O(K d^3) kernel applies the sandwich
+of the blocked couplings to the unpacked state. Either is integrated
+adaptively by the numpy port of DOP853 in ``_numerics``, which follows
+scipy's ``solve_ivp``; the exponential is that module's too, so runs need
+numpy alone. The schedule decides the grid: ``samples`` points from 0
+to ``t_end``.
 
 A ``Trajectory`` keeps the packed eigenbasis samples and the eigenvectors.
 Everything a run reads from it (populations, natural occupations, traces,
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,6 +43,18 @@ from .generators import GeneratorSpec, _sandwich, effective_hamiltonian
 _SQRT2 = np.sqrt(2.0)
 # samples per block in every pass over a stored trajectory
 BLOCK_SAMPLES = 1024
+# largest bound (4 + 2m) d^4 floats, in bytes, of a blocked generator's
+# compact map; larger generators run the O(K d^3) kernel (crossover near
+# d = 10)
+COMPACT_BYTES = 2**21
+
+
+@lru_cache
+def _upper(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle, row-major."""
+    row, col = np.triu_indices(dim, 1)
+    row.flags.writeable = col.flags.writeable = False
+    return row, col
 
 
 def pack_hermitian(m: np.ndarray) -> np.ndarray:
@@ -54,8 +66,7 @@ def pack_hermitian(m: np.ndarray) -> np.ndarray:
     batch axes are kept.
     """
     m = np.asarray(m)
-    iu = np.triu_indices(m.shape[-1], 1)
-    upper = m[..., iu[0], iu[1]]
+    upper = m[(...,) + _upper(m.shape[-1])]
     return np.concatenate([np.real(np.diagonal(m, axis1=-2, axis2=-1)),
                            _SQRT2 * np.real(upper),
                            _SQRT2 * np.imag(upper)], axis=-1)
@@ -67,13 +78,14 @@ def unpack_hermitian(y: np.ndarray, dim: int) -> np.ndarray:
     if y.shape[-1:] != (dim * dim,):
         raise DimensionError(f"packed length {y.shape[-1:]} does not match "
                              f"dimension {dim}")
-    iu = np.triu_indices(dim, 1)
-    k = iu[0].size
+    row, col = _upper(dim)
+    k = row.size
     upper = (y[..., dim:dim + k] + 1j * y[..., dim + k:]) / _SQRT2
     m = np.zeros(y.shape[:-1] + (dim, dim), dtype=complex)
-    m[..., range(dim), range(dim)] = y[..., :dim]
-    m[..., iu[0], iu[1]] = upper
-    m[..., iu[1], iu[0]] = np.conj(upper)
+    diagonal = np.arange(dim)
+    m[..., diagonal, diagonal] = y[..., :dim]
+    m[..., row, col] = upper
+    m[..., col, row] = np.conj(upper)
     return m
 
 
@@ -100,82 +112,147 @@ def build_packed_generator(h: SystemHamiltonian, spec: GeneratorSpec):
 
     Blocking makes the coupling M o a = a_free + R a_blk with
     R = diag(r_sub(i)), r_s = sqrt(chi - n_s); a linear spec has no
-    blockable part (``GeneratorSpec.blocking_split``). The generator is one
-    dense stack of at most 4 + 2m packed maps (m subspaces), each weighted
-    on packed output entry (i, k) by u_p u_q, u = (1, r_s): -i[H_eff, .]
-    and D(free, free) by 1; the sandwiches S(blk, free), S(free, blk),
-    S(blk, blk) by r_sub(i), r_sub(k) and both; per subspace s, the
-    anticommutators of free-blk and blk-blk terms through s by r_s and
-    r_s^2. Zero maps are dropped. A spec without blockable coupling, every
-    linear spec among them, stops after the first map G, before any image
-    of the blockable part is formed: f(t, y) = G @ y, and ``f.matrix`` is
-    G, for exact stepping; otherwise ``f.matrix`` is None. Runs integrate
-    f, and the unitality and constraint audits evaluate it at chi*1
-    (``filled_image``). Factors clamp at zero and nothing raises:
+    blockable part (``GeneratorSpec.blocking_split``). A spec without
+    blockable coupling, every linear spec among them, is one real matrix G:
+    f(t, y) = G @ y, and ``f.matrix`` is G, for exact stepping. Otherwise
+    ``f.matrix`` is None and f is one of two evaluations of the same
+    generator, both built on ``generators._sandwich``: the compact map of
+    ``_compact_rhs`` while its bound of (4 + 2m) d^4 floats (m subspaces)
+    fits in ``COMPACT_BYTES``, else the O(K d^3) kernel of ``_kernel_rhs``
+    (K coupling and rate-factor pairs), which keeps no d^2 x d^2 map. Runs
+    integrate f, and the unitality and constraint audits evaluate it at
+    chi*1 (``filled_image``). Factors clamp at zero and nothing raises:
     populations pass chi by rounding, and for rme also for real; ule can
-    keep them in bounds while natural occupations pass chi. The run audit
-    reports both margins.
+    keep them in bounds while natural occupations pass chi. A run records
+    the clamps (``blocking`` in its metadata) and the audit both margins.
     """
     if h.dim != spec.dim:
         raise DimensionError("Hamiltonian and generator dimensions differ")
-    d, n, m = h.dim, h.dim * h.dim, len(spec.subspaces)
-    free, blk = spec.blocking_split
-    basis = unpack_hermitian(np.eye(n), d)
-
-    def anti(*matrices):
-        a = -0.5 * sum(matrices)
-        out = a @ basis
-        out += basis @ a
-        return out
-
-    heff = effective_hamiltonian(h, spec)
-    images, anti_free = _sandwich(spec, free, free, basis)
-    linear = -1j * (heff @ basis - basis @ heff) + images + anti(anti_free)
-    if not any(b.any() for b in blk):
-        matrix = pack_hermitian(linear).T
+    d, m = h.dim, len(spec.subspaces)
+    if not any(b.any() for b in spec.blocking_split[1]):
+        matrix = pack_hermitian(_free_images(h, spec)).T
 
         def rhs(t, y):
             return matrix @ y
 
         rhs.matrix = matrix
         return rhs
+    compact = 8 * (4 + 2 * m) * d**4 <= COMPACT_BYTES
+    rhs = (_compact_rhs if compact else _kernel_rhs)(h, spec)
+    rhs.matrix = None
+    return rhs
 
+
+def _free_images(h: SystemHamiltonian, spec: GeneratorSpec) -> np.ndarray:
+    """Images of the packed unit vectors under -i[H_eff, .] and the
+    dissipator of the free coupling, the linear generator."""
+    d = h.dim
+    basis = unpack_hermitian(np.eye(d * d), d)
+    heff = effective_hamiltonian(h, spec)
+    free = spec.blocking_split[0]
+    images, anti = _sandwich(spec, free, free, basis)
+    return -1j * (heff @ basis - basis @ heff) + images + _anti(basis, anti)
+
+
+def _anti(basis: np.ndarray, *matrices) -> np.ndarray:
+    """Images of ``basis`` under -1/2 {sum of ``matrices``, .}."""
+    a = -0.5 * sum(matrices)
+    out = a @ basis
+    out += basis @ a
+    return out
+
+
+def _vacancy_map(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``(average, offset)`` with ``offset + average @ y[:d]`` the squared
+    blocking factors u^2 = (1, chi - n_1, ..., chi - n_m) of a packed state
+    y: row 0 is the free side, row s + 1 the vacancy of subspace s. chi is
+    formed as the filled state forms it, so that u = (1, 0, ..., 0)
+    exactly at chi*1 for any shell size."""
+    d, sub = spec.dim, spec.level_subspace
+    average = np.zeros((len(spec.subspaces) + 1, d))
+    average[sub + 1, range(d)] = -1.0 / np.bincount(sub)[sub]
+    offset = -(average @ np.full(d, spec.chi))
+    offset[0] = 1.0
+    return average, offset
+
+
+def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
+    """Blocked right-hand side as one compact map W.
+
+    The generator is a sum of linear maps weighted on every packed output
+    entry (i, k) by a product u_p u_q of two blocking factors: the free
+    part by 1; the sandwiches S(blk, free), S(free, blk), S(blk, blk) by
+    u_sub(i), u_sub(k) and both; per subspace s, the anticommutators of
+    the free-blk and blk-blk terms through s by u_s and u_s^2. W holds the
+    m + 1 population averages of ``_vacancy_map``, then the rows of those
+    maps merged by (unordered factor pair, output entry), all-zero rows
+    dropped. A call is w = W @ y, u = sqrt(max(offset + w[:m+1], 0)) and
+    one weighted bincount of u_p u_q w over the output entries.
+    """
+    d, n, m = h.dim, h.dim * h.dim, len(spec.subspaces)
+    free, blk = spec.blocking_split
+    basis = unpack_hermitian(np.eye(n), d)
     sub = spec.level_subspace
     # 1 + subspace of the row and of the column of every packed entry
-    iu = np.triu_indices(d, 1)
+    iu = _upper(d)
     row, col = sub[np.concatenate([[range(d)] * 2, iu, iu], axis=1)] + 1
-    stack, index = np.empty(((4 + 2 * m) * n, n)), []
+    maps, keys = [], []
 
     def add(image, first, second):
+        first, second = np.broadcast_arrays(first, second, row)[:2]
+        pair = np.minimum(first, second) * (m + 1) + np.maximum(first, second)
         packed = pack_hermitian(image).T
-        if packed.any() or not index:
-            stack[len(index) * n:][:n] = packed
-            index.append(np.broadcast_arrays(first, second, row)[:2])
+        kept = packed.any(axis=1)
+        maps.append(packed[kept])
+        keys.append((pair * n + np.arange(n))[kept])
 
-    add(linear, 0, 0)
+    add(_free_images(h, spec), 0, 0)
     add(_sandwich(spec, blk, free, basis)[0], row, 0)
     add(_sandwich(spec, free, blk, basis)[0], 0, col)
     add(_sandwich(spec, blk, blk, basis)[0], row, col)
     for s in range(m):
         part = tuple(np.where((sub == s)[:, None], b, 0.0) for b in blk)
-        add(anti(_sandwich(spec, free, part)[1],
-                 _sandwich(spec, part, free)[1]), s + 1, 0)
-        add(anti(_sandwich(spec, part, part)[1]), s + 1, s + 1)
+        add(_anti(basis, _sandwich(spec, free, part)[1],
+                  _sandwich(spec, part, free)[1]), s + 1, 0)
+        add(_anti(basis, _sandwich(spec, part, part)[1]), s + 1, s + 1)
 
-    stack, ones = stack[:len(index) * n], np.ones(len(index))
-    left, right = map(np.array, zip(*index))
-    average = np.zeros((m + 1, d))
-    average[sub + 1, range(d)] = -1.0 / np.bincount(sub)[sub]
-    # the vacancy chi - n_s, with chi as the product the filled state gives,
-    # so that u = (1, 0, ..., 0) exactly at chi*1 for any shell size
-    offset = -(average @ np.full(d, spec.chi))
-    offset[0] = 1.0
+    keys, index = np.unique(np.concatenate(keys), return_inverse=True)
+    merged = np.zeros((keys.size, n))
+    np.add.at(merged, index, np.concatenate(maps))
+    average, offset = _vacancy_map(spec)
+    averages = np.zeros((m + 1, n))
+    averages[:, :d] = average
+    w_map = np.concatenate([averages, merged])
+    pair, out = np.divmod(keys, n)
+    first, second = np.divmod(pair, m + 1)
 
     def rhs(t, y):
-        u = np.sqrt(np.maximum(offset + average @ y[:d], 0.0))
-        return ones @ (u[left] * u[right] * (stack @ y).reshape(-1, n))
+        w = np.dot(w_map, y)
+        u = np.sqrt(np.maximum(offset + w[:m + 1], 0.0))
+        return np.bincount(out, u[first] * u[second] * w[m + 1:], n)
 
-    rhs.matrix = None
+    return rhs
+
+
+def _kernel_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
+    """Blocked right-hand side in O(K d^3) per call: unpack y, scale the
+    blockable rows of every coupling, M o a = a_free + R a_blk, and apply
+    -i[H_eff, rho] plus one ``_sandwich`` of the blocked couplings."""
+    d = h.dim
+    free, blk = spec.blocking_split
+    heff = effective_hamiltonian(h, spec)
+    average, offset = _vacancy_map(spec)
+    sub = spec.level_subspace[:, None] + 1
+
+    def rhs(t, y):
+        rho = unpack_hermitian(y, d)
+        u = np.sqrt(np.maximum(offset + average @ y[:d], 0.0))[sub]
+        x = tuple(f + u * b for f, b in zip(free, blk))
+        out, anti = _sandwich(spec, x, x, rho)
+        out -= 1j * (heff @ rho - rho @ heff)
+        out -= 0.5 * (anti @ rho + rho @ anti)
+        return pack_hermitian(out)
+
     return rhs
 
 
@@ -346,7 +423,11 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
     generator picks the route, recorded in the metadata as ``method``:
     "expm", exact stepping, when ``build_packed_generator`` returns a
     matrix, else "DOP853". ``unitality_residual`` records the function it
-    integrates, evaluated once at chi*1.
+    integrates, evaluated once at chi*1. A Pauli-blocked run also records
+    ``blocking``: the smallest vacancy chi - n_s over samples and
+    subspaces (``min_vacancy``) and the number of samples where some
+    vacancy is negative, so that its blocking factor clamps at zero
+    (``clamped_samples``).
     """
     if schedule is None:
         schedule = Schedule()
@@ -388,6 +469,16 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         "wall_time_s": elapsed,
         "unitality_residual": residual,
     }
+    if spec.pauli_blocked:
+        # vacancies chi - n_s of every sample, as the blocking factors read
+        # them; a negative one is clamped to zero in the generator
+        average, offset = _vacancy_map(spec)
+        vacancy = ys[:, :h.dim] @ average[1:].T + offset[1:]
+        metadata["blocking"] = {
+            "min_vacancy": float(vacancy.min()),
+            "clamped_samples": int(np.count_nonzero(
+                (vacancy < 0.0).any(axis=1))),
+        }
     return Trajectory(times=times, packed=ys, basis=h.eigenvectors,
                       chi=spec.chi, metadata=metadata)
 

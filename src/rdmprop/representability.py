@@ -37,10 +37,13 @@ class ConstraintReport:
     rate asymmetries, one entry per positive Bohr frequency;
     ``pair_sum_norm`` is the norm of that decomposition alone (it omits any
     cross-frequency contributions, which the full residual includes).
+    ``unitality_residual`` is the max-norm of the image before the division
+    by chi, the number ``unitality_residual`` returns.
     """
 
     residual_matrix: np.ndarray
     residual_norm: float
+    unitality_residual: float
     per_channel: tuple[ChannelAsymmetry, ...]
     pair_sum_norm: float
     satisfied: bool
@@ -59,8 +62,8 @@ def constraint_residual(h: SystemHamiltonian, spec: GeneratorSpec,
     if spec.pauli_blocked:
         raise ValueError("constraint_residual audits linear generators; "
                          "use unitality_residual for blocked specs")
-    residual = _prop.filled_image(_prop.build_packed_generator(h, spec),
-                                  spec) / spec.chi
+    image = _prop.filled_image(_prop.build_packed_generator(h, spec), spec)
+    residual = image / spec.chi
 
     # diagonal pair rate minus that of the mirror pair (j, i), per frequency
     freqs = spec.frequencies
@@ -84,6 +87,7 @@ def constraint_residual(h: SystemHamiltonian, spec: GeneratorSpec,
     return ConstraintReport(
         residual_matrix=residual,
         residual_norm=norm,
+        unitality_residual=max_norm(image),
         per_channel=tuple(entries),
         pair_sum_norm=max_norm(pair_sum),
         satisfied=bool(norm < tol),

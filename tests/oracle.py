@@ -112,8 +112,8 @@ def union_values(spec, arrays):
 def _pair_products(ops, coeff):
     """sum_(p, q) coeff[p, q] A_q^+ A_p, and the mixed operators
     C_p = sum_q conj(coeff[p, q]) A_q."""
-    mixed = np.einsum("pq,qij->pij", coeff.conj(), ops)
-    return np.einsum("pji,pjk->ik", mixed.conj(), ops), mixed
+    mixed = np.einsum("pq,qij->pij", coeff.conj(), ops, optimize=True)
+    return np.einsum("pji,pjk->ik", mixed.conj(), ops, optimize=True), mixed
 
 
 def _pair_sum(rho, ops, coeff):

@@ -10,7 +10,7 @@ import pytest
 
 import rdmprop.propagate
 from rdmprop.bath import spectral_function_ule
-from rdmprop.benchmarks import builtin_three_level
+from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.channels import cluster
 from rdmprop.cli import main
 from rdmprop.representability import unitality_residual
@@ -471,6 +471,28 @@ def test_channels_csv_diagonal_rate_is_the_bath_decay_rate(
         at = cluster_center(clusters, w) if kind == "ume" else w
         expected = 2.0 * np.pi * spectral_function_ule(at, bath)
         assert float(r[3]) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_audit_builds_one_generator(tmp_path, monkeypatch, blocked):
+    calls = []
+    original = rdmprop.propagate.build_packed_generator
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rdmprop.propagate, "build_packed_generator", counted)
+    extra = ["--blocked"] if blocked else []
+    code = main(["audit", "--benchmark", "benzene", "--kind", "rme", *extra,
+                 "--output-dir", str(tmp_path), "--prefix", "once"])
+    assert code == 0
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "once.audit.json").read_text())
+    setup = builtin_benzene(kind="rme", pauli_blocked=blocked).build()
+    expected = unitality_residual(setup.hamiltonian, setup.spec)
+    assert report["unitality_residual"] == expected
+    assert ("constraint" in report) is not blocked
 
 
 def test_audit_blocked_has_no_constraint_block(tmp_path):

@@ -1,14 +1,17 @@
 """Invariants and oracle agreement of every generator well beyond d = 6.
 
-Random systems have d in {8, 12, 16} levels (one blocked example has 20).
+Random systems have d in {8, 10, 12, 16} levels (one blocked example has
+20).
 Their spectra are generic, or built from pairs of levels split by 1e-10 or
 by 1e-8, on either side of the degeneracy tolerance 1e-9: the first pairs
 merge into two-level subspaces, the second stay apart and give Bohr
 frequencies of +-1e-8. Every kind is checked blocked and unblocked, with
 and without the Lamb shift, against the channel-pair oracle in
-``oracle.py``. The filled-state constraint is checked on the baseline
-family of sorted uniform spectra with one random coupling at d in {8, 16,
-32}.
+``oracle.py``. The two evaluations of a blocked generator, the compact
+map and the kernel, are compared at d in {8, 10, 12, 16}, and the kernel
+against the oracle at d = 32. The filled-state constraint and the blocked
+d = 32 runs use the baseline family of sorted uniform spectra with one
+random coupling.
 
 The principal-value quadratures are replaced by closed forms in this module.
 The identities hold for any real coefficients, and the oracle reads the same
@@ -28,8 +31,9 @@ import rdmprop.generators
 from rdmprop.bath import BathModel
 from rdmprop.core import CouplingOperator, SystemHamiltonian, max_norm
 from rdmprop.generators import build_generator
-from rdmprop.propagate import Schedule, build_packed_generator, \
-    pack_hermitian, propagate_state, unpack_hermitian
+from rdmprop.propagate import Schedule, _compact_rhs, _kernel_rhs, \
+    build_packed_generator, pack_hermitian, propagate_state, \
+    unpack_hermitian
 from rdmprop.representability import constraint_residual, \
     unitality_residual
 
@@ -134,13 +138,8 @@ def test_blocked_generator_matches_oracle(kind, seed, d, split, lamb,
     assert_trace_and_hermiticity(drho)
     assert max_norm(drho - oracle.liouvillian(rho, oracle.root(rho))) < TOL
     assert max_norm(rhs(0.0, y) - oracle.blocked_rhs(y)) < TOL
-    # clamped factors: one subspace at chi + 0.025, as blocked rme reaches,
-    # then one far past chi and one below zero occupancy
-    for shifts in ({0: chi + 0.025}, {0: chi + 0.025, 1: 1.5 * chi, 2: -0.1}):
-        over = rho.copy()
-        for s, target in shifts.items():
-            idx = list(spec.subspaces[s])
-            over[idx, idx] += target - np.mean(np.real(rho[idx, idx]))
+    # clamped factors
+    for over in list(clamped_states(spec, rho))[1:]:
         y = pack_hermitian(over)
         assert oracle.root(over)[0] == 0.0
         assert max_norm(rhs(0.0, y) - oracle.blocked_rhs(y)) < TOL
@@ -168,23 +167,79 @@ def test_linear_is_blocked_at_unit_vacancy(kind, d, split):
 
 
 def test_blocked_build_memory_at_d16():
-    """A blocked build keeps one stack of at most 4 + 2m packed maps and
-    never holds much more than that while it builds."""
+    """At d = 16 a blocked generator runs the kernel: neither the build
+    nor a call holds a d^2 x d^2 map (8 * 16^4 bytes = 524 kB) or much
+    else."""
     h, a, _ = random_system(7, 16, None)
     a = CouplingOperator("x", 0.3 * a.matrix)
     spec = build_generator(h, a, BATH, "rme", chi=1.0, pauli_blocked=True)
-    m = len(spec.subspaces)
+    assert len(spec.subspaces) == 16
+    y = pack_hermitian(0.5 * np.eye(16))
     tracemalloc.start()
     try:
         rhs = build_packed_generator(h, spec)
         kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = rhs(0.0, y)
+        call_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert m == 16
-    stack_bytes = 8 * (4 + 2 * m) * 16**4
-    assert peak < 32e6
-    assert kept < stack_bytes + 2e5
-    assert rhs(0.0, pack_hermitian(np.eye(16))).shape == (256,)
+    assert peak < 2e5
+    assert kept < 2e5
+    assert call_peak < 2e5
+    assert out.shape == (256,)
+
+
+def clamped_states(spec, rho):
+    """``rho``, then rho with one subspace at chi + 0.025, as blocked rme
+    reaches, then also one far past chi and one below zero occupancy."""
+    yield rho
+    chi = spec.chi
+    for shifts in ({0: chi + 0.025}, {0: chi + 0.025, 1: 1.5 * chi, 2: -0.1}):
+        over = rho.copy()
+        for s, target in shifts.items():
+            idx = list(spec.subspaces[s])
+            over[idx, idx] += target - np.mean(np.real(rho[idx, idx]))
+        yield over
+
+
+@pytest.mark.parametrize("kind", ["rme", "ume", "ule"])
+@pytest.mark.parametrize("d", [8, 10, 12, 16])
+def test_compact_map_and_kernel_agree(kind, d):
+    h, a, rng = random_system(20 + d, d, None)
+    chi = 2.0
+    spec = build_generator(h, a, BATH, kind, chi=chi, lamb_shift=True,
+                           clustering_threshold=0.02, pauli_blocked=True)
+    compact, kernel = _compact_rhs(h, spec), _kernel_rhs(h, spec)
+    route = build_packed_generator(h, spec)
+    assert route.__code__ is (compact if d <= 10 else kernel).__code__
+    for rho in clamped_states(spec, random_state(rng, d, chi)):
+        y = pack_hermitian(rho)
+        assert max_norm(compact(0.0, y) - kernel(0.0, y)) < TOL
+    filled = pack_hermitian(chi * np.eye(d))
+    assert max_norm(compact(0.0, filled)) < TOL
+    assert max_norm(kernel(0.0, filled)) < TOL
+
+
+@pytest.mark.parametrize("kind", ["rme", "ule"])
+def test_blocked_kernel_at_d32(kind):
+    h, a = baseline_system(32)
+    spec = build_generator(h, a, BATH, kind, chi=1.0, pauli_blocked=True)
+    rhs = build_packed_generator(h, spec)
+    assert rhs.__code__ is _kernel_rhs(h, spec).__code__
+    oracle = Oracle(h, spec)
+    rng = np.random.default_rng(3)
+    for rho in list(clamped_states(spec, random_state(rng, 32, 1.0)))[:2]:
+        y = pack_hermitian(rho)
+        assert_trace_and_hermiticity(unpack_hermitian(rhs(0.0, y), 32))
+        assert max_norm(rhs(0.0, y) - oracle.blocked_rhs(y)) < TOL
+    rho0 = np.diag(np.repeat([1.0, 0.0], 16)).astype(complex)
+    traj = propagate_state(h, spec, rho0, Schedule(t_end=200.0, samples=50))
+    assert traj.metadata["method"] == "DOP853"
+    assert np.abs(traj.traces - 16.0).max() < TOL
+    states = traj.states
+    assert max_norm(states - states.conj().transpose(0, 2, 1)) < TOL
 
 
 @pytest.mark.parametrize("kind", ["rme", "ume", "ule"])

@@ -131,6 +131,42 @@ def test_dop853_matches_solve_ivp(case):
     assert nfev == sol.nfev
 
 
+def forced_relaxation(t, y):
+    return -50.0 * (y - np.cos(t))
+
+
+def attempts_per_step(fun, y0, t_end, rtol, atol):
+    """scipy's DOP853 stepped by hand: its evaluations per accepted step,
+    12 per attempt, so any count above 12 is a rejected step."""
+    solver = DOP853(fun, 0.0, y0, t_end, rtol=rtol, atol=atol)
+    counts = []
+    while solver.status == "running":
+        before = solver.nfev
+        solver.step()
+        counts.append(solver.nfev - before)
+    return counts
+
+
+@pytest.mark.parametrize("samples", [2, 5000])
+def test_dop853_counts_every_evaluation(samples):
+    y0, t_eval = np.array([0.0, 2.0]), np.linspace(0.0, 10.0, samples)
+    assert max(attempts_per_step(forced_relaxation, y0, 10.0, 1e-9,
+                                 1e-11)) > 12
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        return forced_relaxation(t, y)
+
+    ours, nfev = dop853(counted, y0, t_eval, 1e-9, 1e-11)
+    assert nfev == calls
+    sol = solve_ivp(forced_relaxation, (0.0, 10.0), y0, method="DOP853",
+                    t_eval=t_eval, rtol=1e-9, atol=1e-11)
+    assert nfev == sol.nfev
+    assert np.max(np.abs(ours - sol.y.T)) <= 1e-12
+
+
 def test_dop853_raises_when_the_step_underflows():
     def blow_up(t, y):
         return y * y

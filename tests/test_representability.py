@@ -360,6 +360,21 @@ def test_blocked_rme_pushes_populations_and_occupations_past_chi():
     assert report.max_eigenvalue == pytest.approx(1.3531, abs=1e-3)
 
 
+def test_blocked_run_records_its_clamps():
+    # every level is its own subspace, so the vacancies are 1 - n_i
+    d = dict(RANDOM_D4, generator={"kind": "rme", "pauli_blocked": True})
+    traj = integrate(Scenario.from_dict(d))
+    blocking = traj.metadata["blocking"]
+    vacancy = 1.0 - traj.populations
+    assert blocking["min_vacancy"] == pytest.approx(-0.02499, abs=1e-4)
+    assert abs(blocking["min_vacancy"] - vacancy.min()) <= 1e-15
+    clamped = int((vacancy < 0.0).any(axis=1).sum())
+    assert blocking["clamped_samples"] == clamped == 26
+    linear = integrate(Scenario.from_dict(dict(RANDOM_D4,
+                                               generator={"kind": "rme"})))
+    assert "blocking" not in linear.metadata
+
+
 def _rotated_random_d4(kind, blocked):
     """RANDOM_D4 in a random unitary basis, given as matrices, so the
     eigenvectors are far from the identity; 2,500 samples span several
