@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -118,7 +119,8 @@ def _cmd_run(args) -> int:
     outdir = resolve_output_dir(args.output_dir)
     prefix = args.prefix or scenario.name
 
-    csv_path = write_trajectory_csv(traj, outdir / f"{prefix}.csv")
+    hole_path = None if traj.hole is None else outdir / f"{prefix}.hole.csv"
+    csv_path = write_trajectory_csv(traj, outdir / f"{prefix}.csv", hole_path)
     audit = audit_trajectory(traj)
     meta = dict(traj.metadata)
     meta["audit"] = {key: value for key, value in asdict(audit).items()
@@ -126,9 +128,6 @@ def _cmd_run(args) -> int:
     if traj.defect is not None:
         meta["max_hole_defect"] = float(np.max(traj.defect))
     meta_path = write_metadata_json(meta, outdir / f"{prefix}.json")
-
-    if traj.hole is not None:
-        write_trajectory_csv(traj.hole, outdir / f"{prefix}.hole.csv")
 
     print(f"wrote {csv_path} and {meta_path}")
     print(f"final populations: "
@@ -290,6 +289,8 @@ def _parse_sweep_values(args) -> list:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError(f"--jobs must be at least 1, got {args.jobs}")
     scenario = _resolve_scenario(args)
     values = _parse_sweep_values(args)
     if not values:
@@ -300,10 +301,13 @@ def _cmd_sweep(args) -> int:
 
     payloads = [(i, base, args.param, v, str(outdir), prefix)
                 for i, v in enumerate(values)]
-    if args.jobs == 1:
+    # a forking pool starts all its workers at once, so it gets no more
+    # than the grid and the machine can use
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    if workers == 1:
         rows = [_sweep_worker(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
     rows.sort(key=lambda r: r[0])
 
@@ -366,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--linspace", metavar="START:STOP:COUNT",
                       help="uniform grid")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel workers (default 1)")
+                         help="parallel workers, at most one per grid "
+                              "point and CPU (default 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -2,13 +2,16 @@
 
 Every CSV starts with a `# format:` line naming its layout so downstream
 tooling can dispatch without guessing. Floats are written with repr so
-round-tripping is lossless.
+round-tripping is lossless. Float tables are formatted ``BLOCK_SAMPLES``
+rows at a time by ``format_rows``, which formats each distinct value of a
+block once.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -39,29 +42,77 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_trajectory_csv(traj, path) -> Path:
-    """One row per sample: time, eigenbasis populations, minimum eigenvalue,
-    trace, and the hole co-propagation defect when present.
+def format_rows(*blocks) -> list[str]:
+    """CSV text of each 2-D float block: one line per row, every value as
+    its repr, so the text equals ``",".join(map(repr, row))`` lines.
 
-    Rows are formatted and written to the open file ``BLOCK_SAMPLES`` at a
-    time, from the trajectory's packed populations and cached reductions.
+    One ``np.unique`` over the bit patterns of all blocks (so -0.0 and 0.0
+    stay apart) finds their distinct values; each is formatted once, as a
+    ``"v,"`` and a ``"v\\n"`` token, and a block's text is its tokens,
+    gathered through the inverse index and joined.
     """
-    path = Path(path)
-    d = traj.dim
-    header = ["time"] + [f"pop_{k}" for k in range(d)] + ["min_eigenvalue",
-                                                          "trace"]
+    bits = [np.ascontiguousarray(b, dtype=np.float64).view(np.int64)
+            for b in blocks]
+    unique, inverse = np.unique(np.concatenate([b.ravel() for b in bits]),
+                                return_inverse=True)
+    text = list(map(repr, unique.view(np.float64).tolist()))
+    tokens = np.array([t + "," for t in text] + [t + "\n" for t in text],
+                      dtype=object)
+    out, start = [], 0
+    for b in bits:
+        index = inverse[start:start + b.size].reshape(b.shape)
+        start += b.size
+        index[:, -1] += len(text)
+        out.append("".join(tokens[index.ravel()].tolist()))
+    return out
+
+
+def _write_tables(paths, headers, tables) -> None:
+    """Write each table, a list of column arrays (n rows, one or more
+    columns each) with one n for all tables, as a CSV under its header
+    lines. Rows go out ``BLOCK_SAMPLES`` at a time, and the blocks of all
+    tables at one position are formatted together."""
+    with ExitStack() as stack:
+        outs = [stack.enter_context(Path(p).open("w")) for p in paths]
+        for out, header in zip(outs, headers):
+            out.write("".join(line + "\n" for line in header))
+        for start in range(0, len(tables[0][0]), BLOCK_SAMPLES):
+            blocks = [np.hstack([c[start:start + BLOCK_SAMPLES]
+                                 for c in table]) for table in tables]
+            for out, text in zip(outs, format_rows(*blocks)):
+                out.write(text)
+
+
+def _trajectory_table(traj):
+    header = ["time"] + [f"pop_{k}" for k in range(traj.dim)] + [
+        "min_eigenvalue", "trace"]
     columns = [traj.times[:, None], traj.populations,
                traj.occupations[:, :1], traj.traces[:, None]]
     if traj.defect is not None:
         header.append("hole_defect")
         columns.append(traj.defect[:, None])
-    with path.open("w") as out:
-        out.write(f"# format: {TRAJECTORY_FORMAT}\n{','.join(header)}\n")
-        for start in range(0, len(traj), BLOCK_SAMPLES):
-            rows = np.hstack([c[start:start + BLOCK_SAMPLES] for c in columns])
-            out.write("".join(",".join(map(repr, row)) + "\n"
-                              for row in rows.tolist()))
-    return path
+    return [f"# format: {TRAJECTORY_FORMAT}", ",".join(header)], columns
+
+
+def write_trajectory_csv(traj, path, hole_path=None) -> Path:
+    """One row per sample: time, eigenbasis populations, minimum eigenvalue,
+    trace, and the hole co-propagation defect when present.
+
+    Rows are formatted and written ``BLOCK_SAMPLES`` at a time, from the
+    trajectory's packed populations and cached reductions. With
+    ``hole_path``, the co-propagated hole trajectory ``traj.hole`` is
+    written there in the same pass, so the values both files hold (the
+    times and the defect) are formatted once. Returns ``path``.
+    """
+    trajs, paths = [traj], [path]
+    if hole_path is not None:
+        if traj.hole is None:
+            raise ValueError("the trajectory has no co-propagated hole")
+        trajs.append(traj.hole)
+        paths.append(hole_path)
+    headers, tables = zip(*map(_trajectory_table, trajs))
+    _write_tables(paths, headers, tables)
+    return Path(path)
 
 
 def _jsonable(obj):
@@ -88,13 +139,10 @@ def write_metadata_json(data: dict, path) -> Path:
 def write_spectra_csv(columns, path) -> Path:
     """Bath spectral table from the columns omega, gamma_hat, decay_rate and
     lamb_xi: one row per frequency sample."""
-    path = Path(path)
-    lines = [f"# format: {SPECTRA_FORMAT}",
-             "omega,gamma_hat,decay_rate,lamb_xi"]
-    for row in zip(*(np.asarray(c).tolist() for c in columns)):
-        lines.append(",".join(map(_fmt, row)))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    _write_tables([path], [[f"# format: {SPECTRA_FORMAT}",
+                            "omega,gamma_hat,decay_rate,lamb_xi"]],
+                  [[np.asarray(c, dtype=float)[:, None] for c in columns]])
+    return Path(path)
 
 
 def write_channels_csv(spec, path) -> Path:

@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import rdmprop.cli
 import rdmprop.propagate
 from rdmprop.bath import spectral_function_ule
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
@@ -600,6 +601,52 @@ def test_sweep_parallel_workers_match_serial(tmp_path):
     a = (tmp_path / "serial" / "three-level-ladder.sweep.csv").read_bytes()
     b = (tmp_path / "par" / "three-level-ladder.sweep.csv").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("jobs, points, cpus, workers", [
+    (64, 2, 8, 2), (3, 4, 8, 3), (64, 4, 2, 2), (4, 3, None, None),
+    (1, 3, 8, None), (2, 1, 8, None)])
+def test_sweep_pool_is_bounded_by_grid_and_cpus(tmp_path, monkeypatch, jobs,
+                                                points, cpus, workers):
+    # a recording stand-in for the pool: no process starts, the points run
+    # in this process, and the pool size is kept (None: no pool)
+    created = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(rdmprop.cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(rdmprop.cli.os, "cpu_count", lambda: cpus)
+    values = ",".join(str(50 + 50 * k) for k in range(points))
+    code = main(["sweep", *ladder_args(), "--param", "bath.temperature",
+                 "--values", values, "--jobs", str(jobs),
+                 "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert created == ([] if workers is None else [workers])
+    _, _, rows = read_csv(tmp_path / "three-level-ladder.sweep.csv")
+    assert [r[0] for r in rows] == [str(k) for k in range(points)]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, monkeypatch, capsys,
+                                          jobs):
+    monkeypatch.setattr(rdmprop.cli, "ProcessPoolExecutor", None)
+    code = main(["sweep", *ladder_args(), "--param", "bath.temperature",
+                 "--values", "50,300", "--jobs", jobs,
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_linspace_grid(tmp_path):

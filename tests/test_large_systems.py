@@ -9,9 +9,9 @@ frequencies of +-1e-8. Every kind is checked blocked and unblocked, with
 and without the Lamb shift, against the channel-pair oracle in
 ``oracle.py``. The two evaluations of a blocked generator, the compact
 map and the kernel, are compared at d in {8, 10, 12, 16}, and the kernel
-against the oracle at d = 32. The filled-state constraint and the blocked
-d = 32 runs use the baseline family of sorted uniform spectra with one
-random coupling.
+against the oracle at d = 32. The filled-state constraint, detailed
+balance and the blocked d = 32 runs use the baseline family of sorted
+uniform spectra with one random coupling.
 
 The principal-value quadratures are replaced by closed forms in this module.
 The identities hold for any real coefficients, and the oracle reads the same
@@ -22,6 +22,7 @@ quadratures would take seconds to minutes per system.
 import tracemalloc
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -289,3 +290,26 @@ def test_constraint_beyond_six_levels(kind, d):
     assert traj.metadata["method"] == "expm"
     assert traj.occupations.min() >= -1e-10
     assert traj.occupations.max() <= spec.chi + 1e-10
+
+
+@pytest.mark.parametrize("kind", ["rme", "ule", "ume"])
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_detailed_balance_beyond_six_levels(kind, d):
+    # the decay rates of a level pair and of its mirror, at the negated
+    # frequency, differ by the Boltzmann factor exp(-w/kT) of the pair
+    h, a = baseline_system(d)
+    spec = build_generator(h, a, BATH, kind, chi=1.0,
+                           clustering_threshold=0.0)
+    (rate,) = spec.decay_rate_arrays()
+    (position,) = spec.union_positions
+    w = np.append(spec.frequencies, np.nan)[position]
+    assert np.array_equal(w, -w.T, equal_nan=True)
+    assert np.all(rate.imag == 0.0)
+    up = w > 0
+    emission, absorption = rate.real[up], rate.real.T[up]
+    boltzmann = np.exp(-w[up] / BATH.thermal_energy)
+    # pairs whose absorption rate leaves the normal float range are skipped
+    kept = boltzmann * emission >= np.finfo(float).tiny
+    assert kept.sum() >= d
+    npt.assert_allclose(absorption[kept], boltzmann[kept] * emission[kept],
+                        rtol=1e-12, atol=0.0)

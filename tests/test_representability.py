@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import rdmprop.output
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.core import DimensionError, OneRdm, max_norm
 from rdmprop.output import TRAJECTORY_FORMAT, write_trajectory_csv
@@ -283,8 +284,10 @@ def test_audit_equals_per_sample_scan(benzene_unblocked_trajectories):
     assert {key: getattr(report, key) for key in expected} == expected
 
 
-def test_trajectory_csv_equals_per_row_writer(tmp_path):
-    # a Hamiltonian given as a matrix has non-identity eigenvectors
+def test_trajectory_csv_equals_per_row_writer(tmp_path, monkeypatch):
+    # a Hamiltonian given as a matrix has non-identity eigenvectors; 16-row
+    # blocks split the 41 samples into three, the last one short
+    monkeypatch.setattr(rdmprop.output, "BLOCK_SAMPLES", 16)
     scenario = Scenario.from_dict({
         "name": "chain",
         "chi": 1.0,
@@ -300,9 +303,14 @@ def test_trajectory_csv_equals_per_row_writer(tmp_path):
     })
     traj = integrate(scenario)
     assert traj.defect is not None and traj.hole.defect is not None
+    # particle and hole files in one pass, as `rdmprop run` writes them
+    path = write_trajectory_csv(traj, tmp_path / "particle.csv",
+                                tmp_path / "hole.csv")
+    assert path == tmp_path / "particle.csv"
     for name, t in (("particle", traj), ("hole", traj.hole)):
-        path = write_trajectory_csv(t, tmp_path / f"{name}.csv")
-        assert path.read_text() == _csv_per_row(t)
+        assert (tmp_path / f"{name}.csv").read_text() == _csv_per_row(t)
+    with pytest.raises(ValueError, match="no co-propagated hole"):
+        write_trajectory_csv(traj.hole, tmp_path / "a.csv", tmp_path / "b.csv")
 
 
 # perfbench's random_system(4, 1): seeded non-degenerate levels and one
@@ -463,8 +471,8 @@ def test_dense_copropagated_run_keeps_packed_samples(tmp_path):
     try:
         traj = integrate(scenario)
         audit_trajectory(traj)
-        write_trajectory_csv(traj, tmp_path / "dense.csv")
-        write_trajectory_csv(traj.hole, tmp_path / "dense.hole.csv")
+        write_trajectory_csv(traj, tmp_path / "dense.csv",
+                             tmp_path / "dense.hole.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
