@@ -6,8 +6,8 @@ full-Fourier-transform spectral function Gamma_hat (universal Lindblad
 equation), the one-sided spectral function pi Gamma_hat + i xi with its
 Cauchy principal-value integral xi (Redfield and unified equations), and the
 principal-value Lamb-shift coefficient S_hat of the universal Lindblad
-equation. Each has one evaluation path: one occupancy, one Gamma_hat, and
-one composite Gauss-Legendre rule on graded panels of fixed order, whose
+equation. Each has one evaluation path: one Gamma_hat expression, and one
+composite Gauss-Legendre rule on graded panels of fixed order, whose
 integrals must agree between orders q and 2q. Every function takes one
 frequency or an array of them; the integrals of an array are evaluated
 together in chunked array passes.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -53,9 +54,8 @@ def drude_lorentz(omega, lam: float):
 
 def _occupancy(omega, kt: float) -> np.ndarray:
     """Bose-Einstein N(w) at w > 0; 0.0 where w/kT overflows, and at kT = 0."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        n = 1.0 / np.expm1(np.asarray(omega, dtype=float) / kt)
-    return np.where(np.isfinite(n), n, 0.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        return 1.0 / np.expm1(np.asarray(omega, dtype=float) / kt)
 
 
 def bose_einstein(omega: float, temperature: float) -> float:
@@ -116,15 +116,17 @@ class BathModel:
 def spectral_function_ule(omega, bath: BathModel):
     """Full-FT bath spectral function Gamma_hat at a frequency or an array.
 
-    J(w)(N(w)+1) for w > 0 and J(-w)N(-w) for w < 0. Both one-sided limits at
-    w = 0 equal kT, and that is returned there (0 at zero temperature).
-    Nonnegative everywhere.
+    J(w)(N(w)+1) for w > 0 and J(-w)N(-w) for w < 0. J is odd, so both are
+    the one expression J(w) / (1 - exp(-w/kT)), evaluated with expm1. Both
+    one-sided limits at w = 0 equal kT, and that is returned there (0 at
+    zero temperature). Nonnegative everywhere; exactly 0.0 where the upward
+    rate underflows, and for w < 0 at zero temperature.
     """
     omega = np.asarray(omega, dtype=float)
-    j = drude_lorentz(np.abs(omega), bath.lam)
-    n = _occupancy(np.abs(omega), bath.thermal_energy)
-    out = np.where(omega > 0, j * (n + 1.0),
-                   np.where(omega < 0, j * n, bath.thermal_energy))
+    kt = bath.thermal_energy
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = drude_lorentz(omega, bath.lam) / -np.expm1(omega / -kt)
+    out = np.where(omega == 0.0, kt, out)
     return out if out.ndim else float(out)
 
 
@@ -141,11 +143,26 @@ def ule_rate(omega, bath: BathModel):
 _BLOCK, _PASS_NODES = 64, 1 << 13
 
 
+@lru_cache
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    x, wt = leggauss(order)
+    x.flags.writeable = wt.flags.writeable = False
+    return x, wt
+
+
 def _gauss_sums(f, lo, hi, owner, count: int, order: int, params) -> np.ndarray:
     """Order-``order`` Gauss-Legendre sums of ``f(w, *params[owner])`` over
     the panels [lo, hi] of each integral 0..count-1, panels grouped by
-    owner; node by node, then panel by panel, in a fixed order."""
-    x, wt = leggauss(order)
+    owner.
+
+    A panel's sum is the reduction of its row of weighted nodes, and an
+    integral's the sum of its panels in order, so every value depends on
+    its own nodes only, never on where its rows sit in a pass. A matrix-
+    vector product with the weights would not keep that: BLAS rounds by
+    the position of a row in its blocks.
+    """
+    x, wt = _gauss_rule(order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     ends = np.cumsum(np.bincount(owner, minlength=count))
     out = np.zeros(count)
@@ -156,12 +173,10 @@ def _gauss_sums(f, lo, hi, owner, count: int, order: int, params) -> np.ndarray:
                                      side="right")), k0 + 1)
         rows = slice(p0, ends[k1 - 1])
         k = owner[rows]
-        vals = wt * f(mid[rows, None] + half[rows, None] * x,
-                      *(p[k, None] for p in params))
-        panel = np.bincount(np.repeat(np.arange(len(k)), order),
-                            weights=vals.ravel(), minlength=len(k))
-        out[k0:k1] = np.bincount(k - k0, weights=half[rows] * panel,
-                                 minlength=k1 - k0)
+        vals = f(mid[rows, None] + half[rows, None] * x,
+                 *(p[k, None] for p in params))
+        panel = half[rows] * (vals * wt).sum(axis=1)
+        out[k0:k1] = np.bincount(k - k0, weights=panel, minlength=k1 - k0)
         k0 = k1
     return out
 
@@ -237,6 +252,8 @@ def xi_integral(omega0, bath: BathModel):
     by symmetric excision of the pole, Gauss-Legendre panels, and the
     closed-form Drude-Lorentz tail past the cutoff, each frequency with its
     own cutoff, edges and window; QuadratureError names an unconverged one.
+    No factor of the tail exceeds the tail itself, so xi is finite for any
+    finite lam.
     """
     omega = np.asarray(omega0, dtype=float)
     if not omega.size:
@@ -269,8 +286,10 @@ def xi_integral(omega0, bath: BathModel):
                    * (_occupancy(pole, kt) + (1.0 - upper)) / (w0 + w0))
         window = -np.copysign(2.0, w0) * delta * dg + 2.0 * delta * regular
         # closed-form Drude-Lorentz tail of the (N+1)/(w0-w) term past the
-        # cutoff; the occupancy tail is exponentially negligible there
-        tail = lam * (lam / w0) * np.log1p(-w0 / cutoff)
+        # cutoff, lam^2/w0 log(1 - w0/cutoff) with lam/cutoff <= 1/50; the
+        # occupancy tail is exponentially negligible there
+        x = w0 / cutoff
+        tail = lam * (lam / cutoff) * (np.log1p(-x) / x)
     out = _integrals(f, lambda k: _xi_edges(bath, pole[k], delta[k], cutoff[k]),
                      (pole - delta, pole + delta), bath,
                      lambda k: f"xi({omega.flat[k]:g})",

@@ -204,6 +204,42 @@ def test_full_ft_array_form_equals_scalar_calls_bitwise():
             assert r == ule_rate(float(w), bath)
 
 
+def gamma_hat_reference(omega: float, bath: BathModel) -> float:
+    """Gamma_hat by its two branches, J (N + 1) above zero and J(|w|) N(|w|)
+    below, in 50-digit arithmetic, rounded once to a float. J and w/kT are
+    the floats the program forms: both branches share them, and exp
+    amplifies a rounding of w/kT by w/kT itself."""
+    kt = bath.thermal_energy
+    if omega == 0.0:
+        return kt
+    j = drude_lorentz(abs(omega), bath.lam)
+    if kt == 0.0:
+        return j if omega > 0 else 0.0
+    with mpmath.workdps(50):
+        n = 1 / mpmath.expm1(mpmath.mpf(abs(omega) / kt))
+        return float(j * (n + 1) if omega > 0 else j * n)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 50.0, 300.0])
+def test_full_ft_one_expression_matches_the_two_branches(temperature):
+    # J(w) / (1 - exp(-w/kT)) on both half-axes, against the branches it
+    # replaces: within 2 ulp, and exactly 0.0 where the branch underflows
+    bath = make_bath(temperature)
+    mags = np.logspace(-8, 1, 91)
+    omegas = np.concatenate([-mags[::-1], [0.0], mags])
+    values = spectral_function_ule(omegas, bath)
+    reference = np.array([gamma_hat_reference(w, bath)
+                          for w in omegas.tolist()])
+    assert np.all(values >= 0.0)
+    underflow = reference == 0.0
+    assert underflow.any()
+    assert np.array_equal(values[underflow], reference[underflow])
+    # nonnegative floats are ordered like their bit patterns, so the
+    # difference of the patterns counts ulps, subnormals included
+    ulps = np.abs(values.view(np.int64) - reference.view(np.int64))
+    assert ulps.max() <= 2, omegas[np.argmax(ulps)]
+
+
 def test_full_ft_continuous_at_zero():
     for temperature in (10.0, 50.0, 300.0):
         bath = make_bath(temperature)
@@ -301,14 +337,21 @@ def test_unresolvable_density_raises_quadrature_error(monkeypatch):
 
 
 def test_non_finite_quadrature_raises_quadrature_error():
-    # at this width the closed-form xi tail overflows to -inf, and so does
-    # the product of spectral functions in the Lamb integrand
+    # at this width the product of spectral functions in the Lamb
+    # integrand overflows to inf
     bath = BathModel(lam=1e200, temperature=300.0)
-    for w in (-0.5, 0.5):
-        with pytest.raises(QuadratureError, match="not finite"):
-            xi_integral(w, bath)
     with pytest.raises(QuadratureError, match="not finite"):
         ule_lamb_coefficient(-0.5, 0.5, bath)
+
+
+@pytest.mark.parametrize("lam", [1e160, 1e200, 1e300])
+def test_xi_stays_finite_at_huge_bath_widths(lam):
+    # lam^2 overflows, but no factor of the closed-form tail exceeds the
+    # tail itself; for lam >> |w0|, kT the integral is -pi lam / 2 up to
+    # the (lam / cutoff)^3 / 3 the finite cutoff truncates
+    bath = BathModel(lam=lam, temperature=300.0)
+    values = xi_integral(np.array([-0.5, 0.0, 0.5]), bath)
+    npt.assert_allclose(values, -0.5 * np.pi * lam, rtol=1e-6)
 
 
 def test_pair_rate_composition():
@@ -415,6 +458,33 @@ def test_ule_lamb_coefficient_converges_on_the_grid(temperature):
         else:
             assert value == pytest.approx(ule_lamb_quadrature(x, y, bath),
                                           rel=1e-9)
+
+
+def test_batched_values_do_not_depend_on_their_place_in_a_pass(monkeypatch):
+    # a panel's sum is a row reduction of its own nodes, so a value is the
+    # same bitwise wherever its rows sit in an array pass; checked on the
+    # spectra grid and on an S_hat batch that spans several passes
+    bath = make_bath(300.0)
+    grid = np.linspace(-1.0, 1.0, 401)
+    xi = xi_integral(grid, bath)
+    assert [xi_integral(w, bath) for w in grid.tolist()] == xi.tolist()
+
+    passes = {}
+    original = rdmprop.bath.spectral_function_ule
+
+    def counted(omega, bath):
+        if np.ndim(omega) == 2:   # two calls per pass, one per factor
+            order = np.shape(omega)[1]
+            passes[order] = passes.get(order, 0) + 0.5
+        return original(omega, bath)
+
+    a, b = (x.ravel() for x in np.meshgrid(LAMB_GRID, LAMB_GRID))
+    monkeypatch.setattr("rdmprop.bath.spectral_function_ule", counted)
+    lamb = ule_lamb_coefficient(a, b, bath)
+    monkeypatch.undo()
+    assert len(passes) == 2 and min(passes.values()) >= 3, passes
+    assert [ule_lamb_coefficient(x, y, bath)
+            for x, y in zip(a.tolist(), b.tolist())] == lamb.tolist()
 
 
 def bohr_frequencies(seed, d):

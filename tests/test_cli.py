@@ -313,24 +313,40 @@ def test_run_with_a_huge_bath_width_exits_zero(tmp_path):
     assert (tmp_path / "two-level.csv").exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["run", "--kind", "rme"],
-    ["run", "--kind", "ume", "--threshold", "0", "--lamb-shift"],
-    ["run", "--kind", "ule", "--lamb-shift"],
-    ["spectra", "--lambda", "1e200", "--temperature", "300"],
-])
-def test_non_finite_quadrature_at_a_huge_bath_width_exits_one(tmp_path,
-                                                              command):
-    # xi and S_hat overflow to -inf at this width; no CSV may carry them
+def _huge_width_command(tmp_path, command):
     if command[0] == "run":
         path = _two_level_file(tmp_path,
                                {"lambda": 1e200, "temperature": 300.0},
                                {"t_end": 100.0, "samples": 5})
         command = [*command, "--scenario", path]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "rdmprop.cli", *command,
          "--output-dir", str(tmp_path)],
         capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--kind", "rme"],
+    ["run", "--kind", "ume", "--threshold", "0", "--lamb-shift"],
+    ["spectra", "--lambda", "1e200", "--temperature", "300"],
+], ids=["rme", "ume-lamb", "spectra"])
+def test_xi_at_a_huge_bath_width_exits_zero(tmp_path, command):
+    # lam^2 overflows at this width, but xi, about -pi lam / 2, does not
+    proc = _huge_width_command(tmp_path, command)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    csvs = list(tmp_path.glob("*.csv"))
+    assert len(csvs) == 1
+    rows = csvs[0].read_text().splitlines()[2:]
+    values = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert values.size and np.isfinite(values).all()
+
+
+def test_non_finite_quadrature_at_a_huge_bath_width_exits_one(tmp_path):
+    # S_hat multiplies two spectral functions of order lam, which overflows
+    # at this width; no CSV may carry it
+    proc = _huge_width_command(tmp_path, ["run", "--kind", "ule",
+                                          "--lamb-shift"])
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines()
