@@ -1,11 +1,14 @@
-"""Matrix exponential and DOP853 integration on numpy alone.
+"""Matrix exponential, Gauss-Kronrod rule and DOP853 integration on numpy
+alone.
 
 ``expm`` is the scaling-and-squaring algorithm of Al-Mohy & Higham, SIAM
 J. Matrix Anal. Appl. 31, 970 (2009), with exact 1-norms of the matrix
-powers. ``dop853`` follows scipy's ``solve_ivp(method="DOP853")``: the same
-tableau, initial step, error norm, step-size control and dense output. It
-forms each stage point as one product ``[1, h A_s] @ [y; k_0 ... k_(s-1)]``
-and counts evaluations per stage, without wrapping ``fun``. That rounds
+powers. ``gauss_kronrod`` is the nested Gauss-Kronrod rule on [-1, 1] by
+Laurie's algorithm, Math. Comp. 66, 1133 (1997). ``dop853`` follows
+scipy's ``solve_ivp(method="DOP853")``: the same tableau, initial step,
+error norm, step-size control and dense output. It forms each stage point
+as one product ``[1, h A_s] @ [y; k_0 ... k_(s-1)]`` and counts
+evaluations per stage, without wrapping ``fun``. That rounds
 differently from scipy's ``y + h (A_s @ k)``, so it returns the same
 ``nfev``, with samples within 1e-12 of ``solve_ivp``'s, unless a last-bit
 difference flips an accept or reject decision.
@@ -15,8 +18,10 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 # Al-Mohy & Higham (2009), Table 3.1 and Section 5: the largest 1-norm for
 # which each Pade degree m is accurate to unit roundoff.
@@ -99,6 +104,60 @@ def expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
+
+
+@lru_cache
+def gauss_kronrod(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nested Gauss-Kronrod rule of 2q + 1 points on [-1, 1], built on
+    first use and shared read-only.
+
+    Returns the nodes, the q nodes of ``leggauss(q)`` (bitwise) followed by
+    the q + 1 Kronrod nodes in ascending order, then the Gauss weights of
+    the first q nodes (``leggauss(q)``'s, bitwise) and the Kronrod weights
+    of all of them. The Kronrod sum is exact for polynomials of degree
+    3q + 1 and the Gauss sum for degree 2q - 1, so their difference
+    estimates the error of the Gauss sum at the cost of q + 1 more nodes.
+
+    Laurie's algorithm completes the Legendre recurrence coefficients
+    beta_k = k^2 / (4k^2 - 1) (beta_0 = 2) to those of the (2q + 1)-point
+    Kronrod-Jacobi matrix, whose eigenvalues are the nodes and the squared
+    first components of whose eigenvectors, times beta_0, the weights
+    (Golub-Welsch). The Legendre weight is even, so every diagonal
+    coefficient is zero and only the betas are completed.
+    """
+    # the algorithm reads the Legendre betas up to k = ceil(3q / 2)
+    beta = np.zeros(2 * q + 1)
+    n = np.arange(1.0, -(-3 * q // 2) + 1)
+    beta[0], beta[1:n.size + 1] = 2.0, n**2 / (4.0 * n**2 - 1.0)
+    # Laurie's mixed moments, kept two rows at a time (s and t)
+    s, t = np.zeros(q // 2 + 2), np.zeros(q // 2 + 2)
+    t[1] = beta[q + 1]
+    for m in range(q - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(beta[k + q + 1] * s[k]
+                             - beta[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:q // 2 + 2] = s[:q // 2 + 1].copy()
+    for m in range(q - 1, 2 * q - 2):
+        k = np.arange(m + 1 - q, (m - 1) // 2 + 1)
+        j = q - 1 - (m - k)
+        s[j + 1] = np.cumsum(beta[m - k] * s[j + 2]
+                             - beta[k + q + 1] * s[j + 1])
+        if m % 2:
+            beta[(m + 1) // 2 + q + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    off = np.sqrt(beta[1:])
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = beta[0] * v[0] ** 2
+    # the Kronrod nodes interleave the Gauss nodes and hold both ends
+    kronrod = x[::2]
+    kronrod, w = 0.5 * (kronrod - kronrod[::-1]), 0.5 * (w + w[::-1])
+    gauss, gauss_weights = leggauss(q)
+    rule = (np.concatenate([gauss, kronrod]), gauss_weights,
+            np.concatenate([w[1::2], w[::2]]))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 # Hairer's DOP853 tableau (dop853.f), each coefficient written as the

@@ -7,10 +7,11 @@ equation), the one-sided spectral function pi Gamma_hat + i xi with its
 Cauchy principal-value integral xi (Redfield and unified equations), and the
 principal-value Lamb-shift coefficient S_hat of the universal Lindblad
 equation. Each has one evaluation path: one Gamma_hat expression, and one
-composite Gauss-Legendre rule on graded panels of fixed order, whose
-integrals must agree between orders q and 2q. Every function takes one
-frequency or an array of them; the integrals of an array are evaluated
-together in chunked array passes.
+composite nested Gauss-Kronrod rule on graded panels of fixed order, whose
+(2q+1)-point Kronrod sum is the value and must agree with the q-point
+Gauss sum on the shared nodes. Every function takes one frequency or an
+array of them; the integrals of an array are evaluated together in
+chunked array passes.
 
 Units: energies in Hartree, temperature in Kelvin, time in atomic units.
 """
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from ._numerics import gauss_kronrod
 
 # CODATA Boltzmann constant in Hartree per Kelvin.
 K_B = 3.166811563e-6
@@ -72,9 +73,9 @@ class BathModel:
     ``lam`` is the Drude-Lorentz width (the conventional symbol lambda is a
     Python keyword). ``pv_cutoff=None`` selects an automatic cutoff of
     100 * max(lam, |w0|, kT) per integral; explicit cutoffs below
-    50 * max(lam, |w0|) are rejected. ``pv_points // 128`` is the Gauss order
-    of every panel in the coarse pass of each principal-value integral; the
-    fine pass doubles it.
+    50 * max(lam, |w0|) are rejected. ``pv_points // 128`` is the order q
+    of the nested rule on every panel of each principal-value integral:
+    the integrand is evaluated once, on q Gauss and q + 1 Kronrod nodes.
     """
 
     lam: float
@@ -143,40 +144,36 @@ def ule_rate(omega, bath: BathModel):
 _BLOCK, _PASS_NODES = 64, 1 << 13
 
 
-@lru_cache
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
-    x, wt = leggauss(order)
-    x.flags.writeable = wt.flags.writeable = False
-    return x, wt
+def _panel_sums(f, lo, hi, owner, count: int, q: int, params) -> np.ndarray:
+    """Gauss order-q and Kronrod (2q+1)-point sums, rows 0 and 1, of
+    ``f(w, *params[owner])`` over the panels [lo, hi] of each integral
+    0..count-1, panels grouped by owner.
 
-
-def _gauss_sums(f, lo, hi, owner, count: int, order: int, params) -> np.ndarray:
-    """Order-``order`` Gauss-Legendre sums of ``f(w, *params[owner])`` over
-    the panels [lo, hi] of each integral 0..count-1, panels grouped by
-    owner.
-
-    A panel's sum is the reduction of its row of weighted nodes, and an
-    integral's the sum of its panels in order, so every value depends on
-    its own nodes only, never on where its rows sit in a pass. A matrix-
-    vector product with the weights would not keep that: BLAS rounds by
-    the position of a row in its blocks.
+    The two rules share the q Gauss nodes, so each panel's integrand is
+    evaluated once, on 2q + 1 nodes. A panel's sum is the reduction of its
+    row of weighted nodes, and an integral's the sum of its panels in
+    order, so every value depends on its own nodes only, never on where
+    its rows sit in a pass. A matrix-vector product with the weights would
+    not keep that: BLAS rounds by the position of a row in its blocks.
     """
-    x, wt = _gauss_rule(order)
+    x, gauss, kronrod = gauss_kronrod(q)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     ends = np.cumsum(np.bincount(owner, minlength=count))
-    out = np.zeros(count)
+    out = np.zeros((2, count))
     k0 = 0
     while k0 < count:
         p0 = ends[k0 - 1] if k0 else 0
-        k1 = max(int(np.searchsorted(ends, p0 + _PASS_NODES // order,
+        k1 = max(int(np.searchsorted(ends, p0 + _PASS_NODES // x.size,
                                      side="right")), k0 + 1)
         rows = slice(p0, ends[k1 - 1])
         k = owner[rows]
         vals = f(mid[rows, None] + half[rows, None] * x,
                  *(p[k, None] for p in params))
-        panel = half[rows] * (vals * wt).sum(axis=1)
-        out[k0:k1] = np.bincount(k - k0, weights=panel, minlength=k1 - k0)
+        k = k - k0
+        for i, panel in enumerate(((vals[:, :q] * gauss).sum(axis=1),
+                                   (vals * kronrod).sum(axis=1))):
+            out[i, k0:k1] = np.bincount(k, weights=half[rows] * panel,
+                                        minlength=k1 - k0)
         k0 = k1
     return out
 
@@ -187,28 +184,30 @@ def _integrals(f, edges, window, bath: BathModel, label, extra, scale,
 
     ``edges(rows)`` returns the sorted, NaN-padded edges of the integrals
     ``rows``, one row each; empty panels and those whose midpoint lies
-    inside (window[0][k], window[1][k]) are dropped. Every panel has Gauss
-    order 2q, checked against order q = pv_points // 128 (16 at the
-    default): a value that is not finite, or a difference beyond 1e-6
-    relative and 1e-14 absolute, raises QuadratureError naming the first
-    failing integral, ``label(k)``.
+    inside (window[0][k], window[1][k]) are dropped. Every panel has a
+    nested rule of order q = pv_points // 128 (16 at the default): the
+    value is its Kronrod (2q+1)-point sum, checked against the Gauss
+    q-point sum on the shared nodes. A value that is not finite, or a
+    difference beyond 1e-6 relative and 1e-14 absolute, raises
+    QuadratureError naming the first failing integral, ``label(k)``.
+    Overflow and invalid values in edges and integrands are not warned
+    about, since they surface as such a non-finite value.
     """
     q = max(bath.pv_points // 128, 1)
     sums = np.zeros((2, len(extra)))
-    for k0 in range(0, len(extra), _BLOCK):
-        rows = slice(k0, k0 + _BLOCK)
-        e = edges(rows)
-        lo, hi = e[:, :-1], e[:, 1:]
-        mid = 0.5 * (lo + hi)
-        keep = (hi > lo) & ~((window[0][rows, None] < mid)
-                             & (mid < window[1][rows, None]))
-        panels = lo[keep], hi[keep], np.nonzero(keep)[0], len(e)
-        for i, order in enumerate((q, 2 * q)):
-            sums[i, rows] = _gauss_sums(f, *panels, order,
+    with np.errstate(all="ignore"):
+        for k0 in range(0, len(extra), _BLOCK):
+            rows = slice(k0, k0 + _BLOCK)
+            e = edges(rows)
+            lo, hi = e[:, :-1], e[:, 1:]
+            mid = 0.5 * (lo + hi)
+            keep = (hi > lo) & ~((window[0][rows, None] < mid)
+                                 & (mid < window[1][rows, None]))
+            sums[:, rows] = _panel_sums(f, lo[keep], hi[keep],
+                                        np.nonzero(keep)[0], len(e), q,
                                         [p[rows] for p in params])
-    coarse, fine = scale * (sums + extra)
-    finite = np.isfinite(coarse) & np.isfinite(fine)
-    with np.errstate(invalid="ignore"):
+        coarse, fine = scale * (sums + extra)
+        finite = np.isfinite(coarse) & np.isfinite(fine)
         diff = np.abs(fine - coarse)
         bad = ~finite | ((diff > 1e-14) & (
             diff > 1e-6 * np.maximum(np.abs(fine), np.abs(coarse))))
@@ -252,8 +251,8 @@ def xi_integral(omega0, bath: BathModel):
     by symmetric excision of the pole, Gauss-Legendre panels, and the
     closed-form Drude-Lorentz tail past the cutoff, each frequency with its
     own cutoff, edges and window; QuadratureError names an unconverged one.
-    No factor of the tail exceeds the tail itself, so xi is finite for any
-    finite lam.
+    No factor of the tail exceeds the tail itself, so xi is finite while
+    lam^2 overflows, up to lam of about 8e305.
     """
     omega = np.asarray(omega0, dtype=float)
     if not omega.size:
@@ -324,7 +323,9 @@ def ule_lamb_coefficient(omega_ml, omega_ln, bath: BathModel):
 
     S_hat(a, b) = -2 pi P int dw w^-1 sqrt(Gamma_hat(w-a) Gamma_hat(w+b)),
     with the w = 0 principal value handled by symmetric excision;
-    QuadratureError names an unconverged pair.
+    QuadratureError names an unconverged pair. The square root is taken of
+    each factor, so S_hat is finite while their product overflows, up to
+    lam of about 8e305.
     """
     a, b = np.broadcast_arrays(np.asarray(omega_ml, dtype=float),
                                np.asarray(omega_ln, dtype=float))
@@ -340,10 +341,10 @@ def ule_lamb_coefficient(omega_ml, omega_ln, bath: BathModel):
     cutoff = bath.cutoff_for(a, b)
 
     def g(w, a, b):
-        # a product that overflows (huge lam) gives an S_hat that is rejected
-        with np.errstate(over="ignore"):
-            return np.sqrt(spectral_function_ule(w - a, bath)
-                           * spectral_function_ule(w + b, bath))
+        # the product commutes, so the mirror pair (-b, -a) evaluates the
+        # same value
+        return (np.sqrt(spectral_function_ule(w - a, bath))
+                * np.sqrt(spectral_function_ule(w + b, bath)))
 
     h = delta / 16.0
     dg = (g(h, a, b) - g(-h, a, b)) / (2.0 * h)

@@ -337,11 +337,23 @@ def test_unresolvable_density_raises_quadrature_error(monkeypatch):
 
 
 def test_non_finite_quadrature_raises_quadrature_error():
-    # at this width the product of spectral functions in the Lamb
-    # integrand overflows to inf
-    bath = BathModel(lam=1e200, temperature=300.0)
+    # at this width the cutoff, 100 lam, and with it S_hat, about
+    # -pi^2 lam, exceed the largest float
+    bath = BathModel(lam=1.7e308, temperature=300.0)
     with pytest.raises(QuadratureError, match="not finite"):
         ule_lamb_coefficient(-0.5, 0.5, bath)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 300.0])
+@pytest.mark.parametrize("lam", [1e160, 1e200, 1e300])
+def test_s_hat_stays_finite_at_huge_bath_widths(lam, temperature):
+    # each spectral function is of order lam and their product overflows,
+    # but not the product of their square roots; for lam >> |a|, |b|, kT
+    # the integrand is J(w) / w on w > 0, which integrates to pi lam / 2
+    bath = BathModel(lam=lam, temperature=temperature)
+    values = ule_lamb_coefficient(np.array([-0.5, 0.0, 0.5]),
+                                  np.array([0.5, 0.0, 0.3]), bath)
+    npt.assert_allclose(values, -np.pi**2 * lam, rtol=1e-6)
 
 
 @pytest.mark.parametrize("lam", [1e160, 1e200, 1e300])
@@ -401,24 +413,26 @@ def test_ule_lamb_coefficient_is_mirror_symmetric_bitwise(temperature):
                 == ule_lamb_coefficient(-b, -a, bath)
 
 
-def test_doubling_pv_points_doubles_the_nodes_of_both_passes(monkeypatch):
-    # every panel has a fixed Gauss order, q = pv_points // 128 coarse and
-    # 2q fine, so the node count follows pv_points; count the integrand's
-    # node arrays (the window term evaluates 1-d arrays)
-    nodes = []
+def test_every_panel_is_one_pass_of_2q_plus_1_nodes(monkeypatch):
+    # every panel has a fixed nested rule, the q = pv_points // 128 Gauss
+    # nodes and q + 1 Kronrod nodes, evaluated in one pass, and the panels
+    # do not depend on pv_points; count the integrand's node arrays (the
+    # window term evaluates 1-d arrays)
+    widths, totals = [], []
 
     def counted(w, lam):
         if np.ndim(w) == 2:
-            nodes.append(np.size(w))
+            widths.append(np.shape(w)[1])
+            totals[-1] += np.size(w)
         return drude_lorentz(w, lam)
 
     monkeypatch.setattr("rdmprop.bath.drude_lorentz", counted)
-    totals = []
     for points in (2048, 4096):
-        nodes.clear()
+        widths.clear()
+        totals.append(0)
         xi_integral(0.5, make_bath(50.0, pv_points=points))
-        totals.append(sum(nodes))
-    assert totals[1] == 2 * totals[0] > 0
+        assert set(widths) == {2 * (points // 128) + 1}
+    assert totals[0] // 33 == totals[1] // 65 > 0
 
 
 LAMB_GRID = [-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9]
@@ -463,7 +477,8 @@ def test_ule_lamb_coefficient_converges_on_the_grid(temperature):
 def test_batched_values_do_not_depend_on_their_place_in_a_pass(monkeypatch):
     # a panel's sum is a row reduction of its own nodes, so a value is the
     # same bitwise wherever its rows sit in an array pass; checked on the
-    # spectra grid and on an S_hat batch that spans several passes
+    # spectra grid and on an S_hat batch that spans several passes of
+    # 2q + 1 = 33 nodes per panel
     bath = make_bath(300.0)
     grid = np.linspace(-1.0, 1.0, 401)
     xi = xi_integral(grid, bath)
@@ -474,15 +489,15 @@ def test_batched_values_do_not_depend_on_their_place_in_a_pass(monkeypatch):
 
     def counted(omega, bath):
         if np.ndim(omega) == 2:   # two calls per pass, one per factor
-            order = np.shape(omega)[1]
-            passes[order] = passes.get(order, 0) + 0.5
+            width = np.shape(omega)[1]
+            passes[width] = passes.get(width, 0) + 0.5
         return original(omega, bath)
 
     a, b = (x.ravel() for x in np.meshgrid(LAMB_GRID, LAMB_GRID))
     monkeypatch.setattr("rdmprop.bath.spectral_function_ule", counted)
     lamb = ule_lamb_coefficient(a, b, bath)
     monkeypatch.undo()
-    assert len(passes) == 2 and min(passes.values()) >= 3, passes
+    assert list(passes) == [33] and passes[33] >= 3, passes
     assert [ule_lamb_coefficient(x, y, bath)
             for x, y in zip(a.tolist(), b.tolist())] == lamb.tolist()
 

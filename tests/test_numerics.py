@@ -1,13 +1,15 @@
-"""The numpy-only matrix exponential and DOP853 port against scipy."""
+"""The numpy-only matrix exponential and DOP853 port against scipy, and
+the nested Gauss-Kronrod rule."""
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import expm as scipy_expm
 
 from rdmprop import _numerics
-from rdmprop._numerics import StiffnessError, dop853, expm
+from rdmprop._numerics import StiffnessError, dop853, expm, gauss_kronrod
 from rdmprop.bath import BathModel
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.core import CouplingOperator, SystemHamiltonian
@@ -72,6 +74,24 @@ def test_expm_of_diagonal_and_zero_matrices():
     assert np.allclose(expm(a), np.diag(np.exp([-3.0, 0.5, 2.0])),
                        rtol=1e-15, atol=0.0)
     assert np.array_equal(expm(np.zeros((4, 4))), np.eye(4))
+
+
+@pytest.mark.parametrize("q", [1, 2, 7, 15, 16, 32])
+def test_gauss_kronrod_extends_leggauss_to_degree_3q_plus_1(q):
+    x, gauss, kronrod = gauss_kronrod(q)
+    nodes, weights = leggauss(q)
+    assert np.array_equal(x[:q], nodes) and np.array_equal(gauss, weights)
+    assert x.shape == kronrod.shape == (2 * q + 1,)
+    # sorted, the q + 1 Kronrod nodes interleave the Gauss nodes
+    order = np.argsort(x)
+    assert np.array_equal(order[1::2], np.arange(q))
+    assert np.all(np.diff(x[order]) > 0) and np.all(kronrod > 0)
+    assert np.array_equal(x[order], -x[order][::-1])
+    assert np.array_equal(kronrod[order], kronrod[order][::-1])
+    assert abs(kronrod.sum() - 2.0) <= 1e-14
+    for k in range(3 * q + 2):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(kronrod * x**k) - exact) <= 1e-14, k
 
 
 def test_tableau_is_scipys():
