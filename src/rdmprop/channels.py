@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# np.unique imports numpy.ma on its first call; load it with the package
-import numpy.ma  # noqa: F401
 
 from .core import CouplingOperator, DimensionError, SystemHamiltonian, max_norm
 
@@ -132,7 +130,9 @@ def cluster(frequencies, threshold: float) -> FrequencyClusters:
         raise ValueError(f"clustering threshold must be nonnegative, "
                          f"got {threshold}")
     freqs = np.sort(np.fromiter(frequencies, dtype=float))
-    if np.unique(freqs).size != freqs.size:
+    # return_index takes numpy's sort path; the bare call's hash path
+    # imports numpy.ma on first use
+    if np.unique(freqs, return_index=True)[0].size != freqs.size:
         raise ValueError("frequencies must be distinct")
     label, centers = _chain(freqs, threshold + _CLUSTER_GAP_EPS)
     return FrequencyClusters(frequencies=tuple(freqs.tolist()), label=label,

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale on the first parse; importing it here
+# keeps that import out of every command's run
+import locale  # noqa: F401
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -200,6 +202,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
+    if args.points < 1:
+        raise ScenarioError(f"--points must be at least 1, got {args.points}")
     if args.scenario or args.benchmark:
         scenario = _resolve_scenario(args)
         bath = scenario.bath
@@ -307,7 +311,10 @@ def _cmd_sweep(args) -> int:
     if workers == 1:
         rows = [_sweep_worker(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # looked up on the module, so that it loads only here (and a test
+        # can stand in for it)
+        executor = sys.modules[__name__].ProcessPoolExecutor
+        with executor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
     rows.sort(key=lambda r: r[0])
 
@@ -317,6 +324,15 @@ def _cmd_sweep(args) -> int:
     path = write_sweep_csv(rows, header, outdir / f"{prefix}.csv")
     print(f"wrote {path} and {len(rows)} trajectory files")
     return 0
+
+
+def __getattr__(name):
+    # only sweep --jobs > 1 starts a pool, and concurrent.futures pulls in
+    # multiprocessing, subprocess, socket and logging: it loads on demand
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -138,7 +138,9 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
             # union positions (w_ij, w_jk) of every chained product a_ij a_jk
             codes = [np.where((p[:, :, None] >= 0) & (p >= 0),
                               p[:, :, None] * n + p, -1) for p in where]
-            unique = np.unique(np.concatenate([c.ravel() for c in codes]))
+            # return_index takes the sort path, which imports no numpy.ma
+            unique = np.unique(np.concatenate([c.ravel() for c in codes]),
+                               return_index=True)[0]
             unique = unique[unique >= 0]
             # S_hat(a, b) equals S_hat(-b, -a) to the last bit, so one
             # integral serves each mirror pair whose negations exist exactly

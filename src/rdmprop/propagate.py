@@ -427,7 +427,10 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
     ``blocking``: the smallest vacancy chi - n_s over samples and
     subspaces (``min_vacancy``) and the number of samples where some
     vacancy is negative, so that its blocking factor clamps at zero
-    (``clamped_samples``).
+    (``clamped_samples``). As the vacancies average over a degenerate
+    subspace, it also records the largest eigenbasis population over
+    samples and levels (``max_population``) and the number of samples
+    where some population exceeds chi + 1e-6 (``overfilled_samples``).
     """
     if schedule is None:
         schedule = Schedule()
@@ -473,11 +476,15 @@ def propagate_state(h: SystemHamiltonian, spec: GeneratorSpec, rho0,
         # vacancies chi - n_s of every sample, as the blocking factors read
         # them; a negative one is clamped to zero in the generator
         average, offset = _vacancy_map(spec)
-        vacancy = ys[:, :h.dim] @ average[1:].T + offset[1:]
+        populations = ys[:, :h.dim]
+        vacancy = populations @ average[1:].T + offset[1:]
         metadata["blocking"] = {
             "min_vacancy": float(vacancy.min()),
             "clamped_samples": int(np.count_nonzero(
                 (vacancy < 0.0).any(axis=1))),
+            "max_population": float(populations.max()),
+            "overfilled_samples": int(np.count_nonzero(
+                (populations > spec.chi + 1e-6).any(axis=1))),
         }
     return Trajectory(times=times, packed=ys, basis=h.eigenvectors,
                       chi=spec.chi, metadata=metadata)

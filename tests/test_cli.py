@@ -554,6 +554,17 @@ def test_spectra_requires_bath_information(capsys):
     assert "--lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_spectra_rejects_fewer_than_one_point(tmp_path, capsys, points):
+    # the option is named, not left to an empty table or numpy's error
+    code = main(["spectra", "--lambda", "0.01", "--temperature", "300",
+                 "--points", points, "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --points must be at least 1, got {points}"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_bench_single_benchmark(tmp_path, capsys):
     code = main(["bench", "three-level", "--me", "ule", "--t-end", "400",
                  "--samples", "5", "--output-dir", str(tmp_path)])

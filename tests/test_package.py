@@ -54,15 +54,22 @@ import rdmprop.cli
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 before = set(sys.modules)
 out = sys.argv[1]
+short = ["--t-end", "2000", "--samples", "20"]
+ladder = ["--benchmark", "three-level", "--kind", "ule"]
 for argv in (
-        ["run", "--benchmark", "three-level", "--kind", "rme"],
-        ["run", "--benchmark", "three-level", "--kind", "ule", "--blocked"],
+        ["run", "--benchmark", "three-level", "--kind", "rme", *short],
+        ["run", *ladder, "--blocked", *short],
         ["run", "--benchmark", "benzene", "--kind", "ume", "--threshold",
-         "0.091", "--blocked"],
+         "0.091", "--blocked", *short],
+        ["run", *ladder, "--lamb-shift", *short],
+        ["run", *ladder, "--copropagate-hole", *short],
+        ["audit", "--benchmark", "three-level", "--kind", "rme"],
         ["spectra", "--lambda", "0.01", "--temperature", "300", "--points",
-         "41"]):
-    if argv[0] == "run":
-        argv += ["--t-end", "2000", "--samples", "20"]
+         "41"],
+        ["bench", "three-level", "--me", "ule", "--t-end", "400",
+         "--samples", "5"],
+        ["sweep", *ladder, "--t-end", "400", "--samples", "5", "--param",
+         "bath.lambda", "--values", "0.005,0.01", "--jobs", "1"]):
     assert rdmprop.cli.main(argv + ["--output-dir", out]) == 0, argv
 print(json.dumps([scipy, sorted(set(sys.modules) - before)]))
 """
@@ -78,11 +85,31 @@ def _fresh_interpreter(script, *args):
 
 def test_runs_import_numpy_alone(tmp_path):
     # a fresh interpreter: importing the command line loads no scipy, and
-    # linear, blocked, ume and spectra runs import nothing more
+    # linear, blocked, ume, Lamb-shift, hole, audit, spectra, bench and
+    # serial sweep runs import nothing more
     done = _fresh_interpreter(RUNS, str(tmp_path))
     scipy, imported = json.loads(done.stdout.splitlines()[-1])
     assert scipy == []
     assert imported == []
+
+
+START_UP = """
+import json, sys
+import numpy
+masked = "numpy.ma" in sys.modules
+import rdmprop.cli
+print(json.dumps([masked, sorted(sys.modules)]))
+"""
+
+
+def test_command_line_starts_without_a_process_pool():
+    # only sweep --jobs > 1 needs concurrent.futures and what it pulls in;
+    # numpy.ma loads only where numpy itself loads it (numpy 1.x)
+    done = _fresh_interpreter(START_UP)
+    masked, loaded = json.loads(done.stdout.splitlines()[-1])
+    unused = ["concurrent.futures", "multiprocessing", "subprocess",
+              "socket"] + ([] if masked else ["numpy.ma"])
+    assert [m for m in unused if m in loaded] == []
 
 
 WITHOUT_SCIPY = """

@@ -378,9 +378,24 @@ def test_blocked_run_records_its_clamps():
     assert abs(blocking["min_vacancy"] - vacancy.min()) <= 1e-15
     clamped = int((vacancy < 0.0).any(axis=1).sum())
     assert blocking["clamped_samples"] == clamped == 26
+    # with no degenerate subspace every vacancy is 1 - n_i, so the largest
+    # population mirrors the smallest vacancy and overfilled samples clamp
+    assert blocking["max_population"] == 1.0 - blocking["min_vacancy"]
+    overfilled = int((traj.populations > 1.0 + 1e-6).any(axis=1).sum())
+    assert blocking["overfilled_samples"] == overfilled <= clamped
     linear = integrate(Scenario.from_dict(dict(RANDOM_D4,
                                                generator={"kind": "rme"})))
     assert "blocking" not in linear.metadata
+
+
+@pytest.mark.parametrize("kind", ["rme", "ume", "ule"])
+def test_blocked_benzene_records_no_overfill(benzene_blocked_trajectories,
+                                             kind):
+    traj = benzene_blocked_trajectories[kind]
+    blocking = traj.metadata["blocking"]
+    assert blocking["max_population"] == traj.populations.max()
+    assert blocking["max_population"] <= traj.chi + 1e-6
+    assert blocking["overfilled_samples"] == 0
 
 
 def _rotated_random_d4(kind, blocked):
