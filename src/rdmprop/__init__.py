@@ -14,9 +14,8 @@ from .channels import ChannelSet, FrequencyClusters, cluster, decompose
 from .core import AuditReport, CouplingOperator, DimensionError, \
     NumericalError, OneRdm, PhysicalityError, SystemHamiltonian, hermitize, \
     spectral_audit
-from .generators import GeneratorSpec, HoleSystem, MEKind, RateTable, \
-    build_generator, build_rate_table, lamb_shift_hamiltonian, \
-    particle_hole_transform
+from .generators import GeneratorSpec, MEKind, build_generator, \
+    lamb_shift_hamiltonian, particle_hole_transform
 from .propagate import Schedule, StiffnessError, Trajectory, default_t_end, \
     integrate, pack_hermitian, propagate_state, unpack_hermitian
 from .representability import ChannelAsymmetry, ConstraintReport, \
@@ -30,12 +29,12 @@ __all__ = [
     "AuditReport", "BathModel", "BENCHMARKS", "ChannelAsymmetry",
     "ChannelSet", "ConstraintReport",
     "CouplingOperator", "DimensionError", "FrequencyClusters",
-    "GeneratorSpec", "HoleSystem", "MEKind",
+    "GeneratorSpec", "MEKind",
     "NumericalError", "OneRdm", "PhysicalityError", "QuadratureError",
-    "RateTable", "Scenario", "ScenarioError", "Schedule",
+    "Scenario", "ScenarioError", "Schedule",
     "StiffnessError", "SystemHamiltonian", "Trajectory", "TrajectoryAudit",
     "audit_trajectory", "bose_einstein", "build_generator",
-    "build_rate_table", "builtin_benzene", "builtin_three_level", "cluster",
+    "builtin_benzene", "builtin_three_level", "cluster",
     "constraint_residual", "copropagate_hole", "decompose", "default_t_end",
     "drude_lorentz",
     "hermitize", "integrate", "lamb_shift_hamiltonian",

@@ -106,10 +106,7 @@ def _resolve_scenario(args) -> Scenario:
     if args.lamb_shift is not None:
         scenario.lamb_shift = args.lamb_shift
     if args.temperature is not None:
-        b = scenario.bath
-        scenario.bath = BathModel(lam=b.lam, temperature=args.temperature,
-                                  pv_cutoff=b.pv_cutoff,
-                                  pv_points=b.pv_points)
+        scenario.bath = replace(scenario.bath, temperature=args.temperature)
     if args.copropagate_hole is not None:
         scenario.copropagate_hole = args.copropagate_hole
     return scenario
@@ -188,11 +185,6 @@ def _cmd_audit(args) -> int:
             print(f"  channel {c.frequency:+.6g}: rate asymmetry "
                   f"{c.rate_asymmetry.real:.6e}, contribution "
                   f"{c.contribution_norm:.6e}")
-    if setup.spec.lamb_shift:
-        lamb = setup.spec.lamb_hamiltonian()
-        defect = float(np.max(np.abs(lamb - lamb.conj().T)))
-        report["lamb_hermiticity_defect"] = defect
-        print(f"Lamb-shift hermiticity defect:  {defect:.3e}")
 
     channels_path = write_channels_csv(setup.spec,
                                        outdir / f"{prefix}.channels.csv")

@@ -26,11 +26,15 @@ annihilates the filled state chi*1 exactly. With every factor 1 it is the
 linear generator. ``propagate.build_packed_generator`` assembles both on
 packed states from the sandwich here; it is the one evaluation of a
 dissipator, which runs integrate and the filled-state audits read.
+
+``GeneratorSpec`` holds one generator whole: its channels, their frequency
+union, the bath rates on the coupling and the flags. ``build_generator``
+builds it, and ``GeneratorSpec.symmetrized`` derives its unital partner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -49,86 +53,28 @@ class MEKind(str, Enum):
     ULE = "ule"
 
 
-@dataclass(eq=False)
-class RateTable:
-    """Bath rates as level-pair arrays, one per coupling operator.
-
-    ``rate`` holds Gamma (rme), 2 pi Gamma_hat at the cluster center (ume)
-    or sqrt(2 pi Gamma_hat) (ule) at the frequency of each pair's channel,
-    0 outside every channel. ``cluster`` holds ume cluster labels (-1
-    outside), which pair the level pairs ume joins. ``lamb`` holds the
-    Lamb coefficients when requested: xi at the cluster center per pair
-    (ume), or S_hat(w_ij, w_jk) per level triple (i, j, k) (ule); rme needs
-    none beyond Gamma.
-    """
-
-    kind: MEKind
-    bath: BathModel
-    rate: tuple[np.ndarray, ...]
-    cluster: tuple[np.ndarray, ...] | None = None
-    lamb: tuple[np.ndarray, ...] | None = None
-
-    def symmetrized(self) -> "RateTable":
-        """Rates averaged with their mirror-frequency partners.
-
-        The mirror of pair (i, j) is (j, i): Gamma_s = (Gamma + Gamma^+) / 2
-        keeps the even decay rate and the odd level shift, which makes the
-        constraint residual vanish identically. ule averages squared
-        amplitudes; ume Lamb coefficients keep their odd part; ule Lamb
-        coefficients only enter the commutator and are copied.
-        """
-        lamb = self.lamb
-        if self.kind is MEKind.RME:
-            rate = tuple(0.5 * (g + g.conj().T) for g in self.rate)
-        elif self.kind is MEKind.UME:
-            rate = tuple(0.5 * (r + r.T) for r in self.rate)
-            if lamb is not None:
-                lamb = tuple(0.5 * (s - s.T) for s in lamb)
-        else:
-            rate = tuple(np.sqrt(0.5 * (j ** 2 + (j ** 2).T))
-                         for j in self.rate)
-        return RateTable(kind=self.kind, bath=self.bath, rate=rate,
-                         cluster=self.cluster, lamb=lamb)
-
-
-def _union_frequencies(channel_sets) -> tuple[float, ...]:
-    return tuple(sorted({w for ch in channel_sets for w in ch.frequencies}))
-
-
-def _union_positions(channel_sets, freqs) -> list[np.ndarray]:
-    """Position in ``freqs`` of the channel of every level pair, -1 outside,
-    per channel set."""
-    return [_scatter(np.searchsorted(freqs, ch.frequencies), ch.channel, -1)
-            for ch in channel_sets]
-
-
 def _scatter(values, index: np.ndarray, fill=0.0) -> np.ndarray:
     """values[index] with ``fill`` wherever index is -1."""
     return np.append(np.asarray(values), fill)[index]
 
 
-def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
-                     clusters: FrequencyClusters | None = None,
-                     lamb_shift: bool = False) -> RateTable:
-    """Evaluate every bath quantity the chosen generator kind needs.
+def build_rate_table(kind: MEKind, freqs: tuple[float, ...], where,
+                     bath: BathModel, threshold: float | None = None,
+                     lamb_shift: bool = False) -> dict:
+    """Evaluate every bath quantity the chosen generator kind needs: the
+    ``rate``, ``cluster``, ``lamb`` and ``clusters`` fields of its spec.
 
-    Gamma_hat is evaluated in one call on the distinct frequencies of the
-    channel sets, and every bath quantity is scattered onto their level
-    pairs through the channel labels. ume reads each frequency's cluster
-    from ``clusters.label``, so the clusters must be built over exactly
-    that union of frequencies. Principal-value integrals run only where
-    used, in one array call per table: in every rme rate, at ume cluster
-    centers for the Lamb shift, and for ule at the frequency pairs
-    (w_ij, w_jk) of chained channel products a_ij a_jk, once per mirror
-    pair (a, b), (-b, -a).
+    Gamma_hat is evaluated in one call on the union ``freqs`` of the
+    channel frequencies, and every bath quantity is scattered onto the
+    level pairs through ``where``, the position in ``freqs`` of the channel
+    of every level pair, per coupling operator. ume clusters ``freqs`` at
+    ``threshold``. Principal-value integrals run only where used, in one
+    array call per table: in every rme rate, at ume cluster centers for the
+    Lamb shift, and for ule at the frequency pairs (w_ij, w_jk) of chained
+    channel products a_ij a_jk, once per mirror pair (a, b), (-b, -a).
     """
-    if isinstance(channel_sets, ChannelSet):
-        channel_sets = (channel_sets,)
-    kind = MEKind(kind)
-    freqs = _union_frequencies(channel_sets)
     n = len(freqs)
-    where = _union_positions(channel_sets, freqs)
-    cluster_of = lamb = None
+    clusters = cluster_of = lamb = None
     if kind is MEKind.RME:
         values = (np.pi * spectral_function_ule(np.array(freqs), bath)
                   + 1j * xi_integral(np.array(freqs), bath))
@@ -157,11 +103,9 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
             lamb = tuple(_scatter(coeff, np.where(
                 c >= 0, np.searchsorted(unique, c), -1)) for c in codes)
     else:
-        if clusters is None:
-            raise ValueError("ume rate table needs frequency clusters")
-        if clusters.frequencies != freqs:
-            raise ValueError("clusters were built over other frequencies "
-                             "than the channels'")
+        if threshold is None:
+            raise ValueError("ume generators need a clustering threshold")
+        clusters = cluster(freqs, threshold)
         label, centers = clusters.label, clusters.centers
         values = (2.0 * np.pi * spectral_function_ule(np.array(centers),
                                                       bath))[label]
@@ -169,8 +113,8 @@ def build_rate_table(kind: MEKind, channel_sets, bath: BathModel,
         if lamb_shift:
             xi = xi_integral(np.array(centers), bath)[label]
             lamb = tuple(_scatter(xi, p) for p in where)
-    return RateTable(kind, bath, tuple(_scatter(values, p) for p in where),
-                     cluster=cluster_of, lamb=lamb)
+    return {"rate": tuple(_scatter(values, p) for p in where),
+            "cluster": cluster_of, "lamb": lamb, "clusters": clusters}
 
 
 @dataclass(eq=False)
@@ -178,36 +122,42 @@ class GeneratorSpec:
     """Everything needed to apply one master-equation generator.
 
     ``channel_sets`` holds one ChannelSet per coupling operator; the
-    dissipator is the sum of the per-operator dissipators.
+    dissipator is the sum of the per-operator dissipators. ``frequencies``
+    is the sorted union of their Bohr frequencies, and ``union_positions``
+    holds the position in it of the channel of every level pair, -1
+    outside, per coupling operator.
+
+    The bath rates are level-pair arrays, one per coupling operator, 0
+    outside every channel. ``rate`` holds Gamma (rme), 2 pi Gamma_hat at
+    the cluster center (ume) or sqrt(2 pi Gamma_hat) (ule) at the frequency
+    of each pair's channel. ume's ``clusters`` group ``frequencies``, and
+    ``cluster`` holds their labels per level pair (-1 outside), which pair
+    the level pairs ume joins. ``lamb`` holds the Lamb coefficients when
+    requested: xi at the cluster center per pair (ume), or
+    S_hat(w_ij, w_jk) per level triple (i, j, k) (ule); rme needs none
+    beyond Gamma. Specs come from ``build_generator`` and ``symmetrized``.
     """
 
     kind: MEKind
     channel_sets: tuple[ChannelSet, ...]
-    rates: RateTable
+    frequencies: tuple[float, ...]
+    union_positions: tuple[np.ndarray, ...]
+    bath: BathModel
+    rate: tuple[np.ndarray, ...]
     chi: float
     pauli_blocked: bool = False
     lamb_shift: bool = False
     clusters: FrequencyClusters | None = None
+    cluster: tuple[np.ndarray, ...] | None = None
+    lamb: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        self.kind = MEKind(self.kind)
-        if isinstance(self.channel_sets, ChannelSet):
-            self.channel_sets = (self.channel_sets,)
-        self.channel_sets = tuple(self.channel_sets)
-        if not self.channel_sets:
-            raise ValueError("at least one channel set is required")
-        dims = {ch.dim for ch in self.channel_sets}
-        if len(dims) != 1:
-            raise DimensionError("channel sets differ in dimension")
         if self.chi <= 0:
             raise ValueError("chi must be positive")
         self.chi = float(self.chi)
-        if self.kind is MEKind.UME and self.clusters is None:
-            raise ValueError("ume generators need frequency clusters")
-        for arr in (*self.rates.rate, *(self.rates.lamb or ())):
+        for arr in (*self.rate, *(self.lamb or ())):
             if not np.all(np.isfinite(arr)):
                 raise NumericalError("rate table contains non-finite entries")
-        self._lamb = None
 
     @property
     def dim(self) -> int:
@@ -223,30 +173,19 @@ class GeneratorSpec:
         return np.repeat(np.arange(len(self.subspaces)),
                          [len(idx) for idx in self.subspaces])
 
-    @cached_property
-    def frequencies(self) -> tuple[float, ...]:
-        """Sorted union of the Bohr frequencies of all coupling operators."""
-        return _union_frequencies(self.channel_sets)
-
     @property
     def couplings(self) -> tuple[np.ndarray, ...]:
         return tuple(ch.coupling for ch in self.channel_sets)
-
-    @cached_property
-    def union_positions(self) -> list[np.ndarray]:
-        """Position in ``frequencies`` of the channel of every level pair,
-        -1 outside, per coupling operator."""
-        return _union_positions(self.channel_sets, self.frequencies)
 
     @cached_property
     def rate_factors(self) -> tuple[tuple[tuple, ...], ...]:
         """Rate factors (U, V) of the dissipator, per coupling operator;
         ume's joins only the pairs of pairs in ``pair_pairs``."""
         if self.kind is MEKind.RME:
-            return tuple(((g, 1.0), (1.0, g)) for g in self.rates.rate)
+            return tuple(((g, 1.0), (1.0, g)) for g in self.rate)
         if self.kind is MEKind.ULE:
-            return tuple(((j, j),) for j in self.rates.rate)
-        return tuple(((rate, 1.0),) for rate in self.rates.rate)
+            return tuple(((j, j),) for j in self.rate)
+        return tuple(((rate, 1.0),) for rate in self.rate)
 
     @cached_property
     def pair_pairs(self) -> tuple:
@@ -254,7 +193,7 @@ class GeneratorSpec:
         label, per coupling operator; None for rme and ule."""
         if self.kind is not MEKind.UME:
             return (None,) * len(self.channel_sets)
-        flat = [label.ravel() for label in self.rates.cluster]
+        flat = [label.ravel() for label in self.cluster]
         return tuple(np.nonzero((f[:, None] == f) & (f >= 0)[:, None])
                      for f in flat)
 
@@ -268,9 +207,14 @@ class GeneratorSpec:
         masks = [blockable] * len(self.channel_sets)
         zero = self.clusters.zero_cluster_index if self.clusters else None
         if zero is not None:
-            masks = [m & (c != zero) for m, c in zip(masks, self.rates.cluster)]
+            masks = [m & (c != zero) for m, c in zip(masks, self.cluster)]
         return (tuple(np.where(m, 0.0, a) for m, a in zip(masks, self.couplings)),
                 tuple(np.where(m, a, 0.0) for m, a in zip(masks, self.couplings)))
+
+    @cached_property
+    def lamb_hamiltonian(self) -> np.ndarray:
+        """The Hermitian level shift, ``lamb_shift_hamiltonian(self)``."""
+        return lamb_shift_hamiltonian(self)
 
     def decay_rate_arrays(self) -> tuple[np.ndarray, ...]:
         """sum_(U, V) U o conj(V), the coefficient of A rho A^+ for a level
@@ -288,30 +232,39 @@ class GeneratorSpec:
         return tuple(out)
 
     def symmetrized(self) -> "GeneratorSpec":
-        """Same channels and flags, mirror-symmetrized rate table."""
-        return GeneratorSpec(
-            kind=self.kind, channel_sets=self.channel_sets,
-            rates=self.rates.symmetrized(), chi=self.chi,
-            pauli_blocked=self.pauli_blocked, lamb_shift=self.lamb_shift,
-            clusters=self.clusters)
+        """Same channels and flags, rates averaged with their
+        mirror-frequency partners.
 
-    def lamb_hamiltonian(self) -> np.ndarray:
-        if self._lamb is None:
-            self._lamb = lamb_shift_hamiltonian(self)
-        return self._lamb
+        The mirror of pair (i, j) is (j, i): Gamma_s = (Gamma + Gamma^+) / 2
+        keeps the even decay rate and the odd level shift, which makes the
+        constraint residual vanish identically. ule averages squared
+        amplitudes; ume Lamb coefficients keep their odd part; ule Lamb
+        coefficients only enter the commutator and are copied.
+        """
+        lamb = self.lamb
+        if self.kind is MEKind.RME:
+            rate = tuple(0.5 * (g + g.conj().T) for g in self.rate)
+        elif self.kind is MEKind.UME:
+            rate = tuple(0.5 * (r + r.T) for r in self.rate)
+            if lamb is not None:
+                lamb = tuple(0.5 * (s - s.T) for s in lamb)
+        else:
+            rate = tuple(np.sqrt(0.5 * (j ** 2 + (j ** 2).T))
+                         for j in self.rate)
+        return replace(self, rate=rate, lamb=lamb)
 
 
 def build_generator(h: SystemHamiltonian, coupling, bath: BathModel,
                     kind: MEKind | str, chi: float,
                     clustering_threshold: float | None = None,
                     pauli_blocked: bool = False,
-                    lamb_shift: bool = False,
-                    drop_tol: float = 1e-12) -> GeneratorSpec:
+                    lamb_shift: bool = False) -> GeneratorSpec:
     """Decompose, cluster, and rate-evaluate in one call.
 
     ``coupling`` may be a single CouplingOperator or a sequence; each
     operator becomes an independent noise source with its own channel set.
-    Clustering and the rate table run over the union of all frequencies.
+    The union of all their frequencies is formed once, here, and
+    clustering and the rate table run over it.
     """
     if isinstance(coupling, CouplingOperator):
         ops = [coupling]
@@ -324,37 +277,28 @@ def build_generator(h: SystemHamiltonian, coupling, bath: BathModel,
             raise DimensionError("coupling operators differ in dimension")
 
     kind = MEKind(kind)
-    channel_sets = tuple(decompose(h, op, drop_tol=drop_tol) for op in ops)
-    clusters = None
-    if kind is MEKind.UME:
-        if clustering_threshold is None:
-            raise ValueError("ume generators need a clustering threshold")
-        clusters = cluster(_union_frequencies(channel_sets),
-                           clustering_threshold)
-    rates = build_rate_table(kind, channel_sets, bath, clusters, lamb_shift)
-    return GeneratorSpec(kind=kind, channel_sets=channel_sets, rates=rates,
+    channel_sets = tuple(decompose(h, op) for op in ops)
+    freqs = tuple(sorted({w for ch in channel_sets for w in ch.frequencies}))
+    where = tuple(_scatter(np.searchsorted(freqs, ch.frequencies), ch.channel,
+                           -1) for ch in channel_sets)
+    table = build_rate_table(kind, freqs, where, bath, clustering_threshold,
+                             lamb_shift)
+    return GeneratorSpec(kind=kind, channel_sets=channel_sets,
+                         frequencies=freqs, union_positions=where, bath=bath,
                          chi=chi, pauli_blocked=pauli_blocked,
-                         lamb_shift=lamb_shift, clusters=clusters)
+                         lamb_shift=lamb_shift, **table)
 
 
-@dataclass(frozen=True, eq=False)
-class HoleSystem:
-    """Hole-picture Hamiltonian and generator, in particle-eigenbasis coordinates."""
-
-    hamiltonian: SystemHamiltonian
-    spec: GeneratorSpec
-
-
-def particle_hole_transform(h: SystemHamiltonian,
-                            spec: GeneratorSpec) -> HoleSystem:
+def particle_hole_transform(h: SystemHamiltonian, spec: GeneratorSpec
+                            ) -> tuple[SystemHamiltonian, GeneratorSpec]:
     """Build the generator the same construction assigns to the hole picture.
 
     Working in the particle eigenbasis, the hole Hamiltonian is -diag(E)
     (levels reordered ascending by an exact permutation) and each hole
     coupling operator is the transpose of the matching eigenbasis coupling.
     Bath, kind, chi, clustering threshold, blocking, and Lamb flag carry
-    over unchanged. The returned system treats the particle eigenbasis as
-    its own original basis.
+    over unchanged. Returns the hole Hamiltonian and its spec, which treat
+    the particle eigenbasis as their own original basis.
     """
     energies = h.energies
     order = np.argsort(-energies, kind="stable")
@@ -365,11 +309,10 @@ def particle_hole_transform(h: SystemHamiltonian,
     a_hole = [CouplingOperator(f"hole:{ch.label}", ch.coupling.T.copy())
               for ch in spec.channel_sets]
     threshold = spec.clusters.threshold if spec.clusters is not None else None
-    spec_hole = build_generator(
-        h_hole, a_hole, spec.rates.bath, spec.kind, spec.chi,
+    return h_hole, build_generator(
+        h_hole, a_hole, spec.bath, spec.kind, spec.chi,
         clustering_threshold=threshold, pauli_blocked=spec.pauli_blocked,
         lamb_shift=spec.lamb_shift)
-    return HoleSystem(hamiltonian=h_hole, spec=spec_hole)
 
 
 def _sandwich(spec: GeneratorSpec, x, y, rho=None, factors=None):
@@ -412,19 +355,19 @@ def lamb_shift_hamiltonian(spec: GeneratorSpec) -> np.ndarray:
     cluster c: the anticommutator matrix with xi in place of the rate. ule:
     H_ik = sum_j S_hat(w_ij, w_jk) a_ij a_jk.
     """
-    if spec.kind is not MEKind.RME and spec.rates.lamb is None:
+    if spec.kind is not MEKind.RME and spec.lamb is None:
         raise ValueError("rate table was built without Lamb coefficients")
     a = spec.couplings
     if spec.kind is MEKind.UME:
-        xi = tuple(((s, 1.0),) for s in spec.rates.lamb)
+        xi = tuple(((s, 1.0),) for s in spec.lamb)
         out = _sandwich(spec, a, a, factors=xi)[1]
     elif spec.kind is MEKind.RME:
-        lam = [g * ak for g, ak in zip(spec.rates.rate, a)]
+        lam = [g * ak for g, ak in zip(spec.rate, a)]
         out = sum((ak.conj().T @ lk - lk.conj().T @ ak) / 2j
                   for ak, lk in zip(a, lam))
     else:
         out = sum(np.einsum("ij,ijk,jk->ik", ak, s, ak)
-                  for ak, s in zip(a, spec.rates.lamb))
+                  for ak, s in zip(a, spec.lamb))
     if max_norm(out - out.conj().T) > 1e-10:
         raise RuntimeError("Lamb-shift construction lost Hermiticity")
     return hermitize(out)
@@ -434,5 +377,5 @@ def effective_hamiltonian(h: SystemHamiltonian,
                           spec: GeneratorSpec) -> np.ndarray:
     """diag(E), plus the Lamb shift when the spec asks for it."""
     heff = np.diag(h.energies).astype(complex)
-    return heff + spec.lamb_hamiltonian() if spec.lamb_shift else heff
+    return heff + spec.lamb_hamiltonian if spec.lamb_shift else heff
 

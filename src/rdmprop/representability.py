@@ -138,14 +138,14 @@ def copropagate_hole(q0, h: SystemHamiltonian, spec: GeneratorSpec,
                          "eigenbasis of the Hamiltonian")
     times = particle.times
 
-    hole = particle_hole_transform(h, spec)
+    h_hole, spec_hole = particle_hole_transform(h, spec)
     hole_traj = _prop.propagate_state(
-        hole.hamiltonian, hole.spec, h.to_eigenbasis(q0).T.copy(),
+        h_hole, spec_hole, h.to_eigenbasis(q0).T.copy(),
         replace(schedule, t_end=float(times[-1])))
     if not np.array_equal(hole_traj.times, times):
         raise ValueError("particle trajectory is not sampled on the "
                          "schedule's grid")
-    _prop.transpose_permuted(hole_traj.packed, hole.hamiltonian.eigenvectors)
+    _prop.transpose_permuted(hole_traj.packed, h_hole.eigenvectors)
     metadata = dict(hole_traj.metadata)
     metadata.update({"picture": "hole", "kind": spec.kind.value,
                      "pauli_blocked": spec.pauli_blocked})

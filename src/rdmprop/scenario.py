@@ -119,7 +119,6 @@ class RunSetup:
     """Built objects ready for propagation."""
 
     hamiltonian: SystemHamiltonian
-    coupling_operators: tuple[CouplingOperator, ...]
     spec: GeneratorSpec
     rho0: OneRdm
     schedule: Schedule
@@ -151,9 +150,8 @@ class Scenario:
             self.hamiltonian, self.coupling_operators, self.bath, self.kind,
             self.chi, clustering_threshold=self.clustering_threshold,
             pauli_blocked=self.pauli_blocked, lamb_shift=self.lamb_shift)
-        return RunSetup(hamiltonian=self.hamiltonian,
-                        coupling_operators=self.coupling_operators,
-                        spec=spec, rho0=rho0, schedule=self.schedule)
+        return RunSetup(hamiltonian=self.hamiltonian, spec=spec, rho0=rho0,
+                        schedule=self.schedule)
 
     def to_dict(self) -> dict:
         h = {"energies": [float(e) for e in self.hamiltonian.energies]}

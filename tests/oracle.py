@@ -48,7 +48,7 @@ def ule_jump_operators(spec):
     coupling."""
     if spec.kind is not MEKind.ULE:
         raise ValueError("generator kind is not ule")
-    return tuple(j * a for j, a in zip(spec.rates.rate, spec.couplings))
+    return tuple(j * a for j, a in zip(spec.rate, spec.couplings))
 
 
 def dissipator_ule(rho, spec):
@@ -291,7 +291,7 @@ class Oracle:
 
     def __init__(self, h, spec):
         self.h, self.spec = h, spec
-        self.bath = spec.rates.bath
+        self.bath = spec.bath
         self._gamma, self._amp, self._cluster, self._xi = {}, {}, {}, {}
         zero = spec.clusters.zero_cluster_index if spec.clusters else None
         self.channels, self.blocks = [], []

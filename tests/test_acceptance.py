@@ -280,8 +280,8 @@ def test_criterion_8_structural_identities_on_random_systems():
         # threshold zero must reduce the clustered generator to the
         # secular one, frequency by frequency
         secular = np.zeros_like(rho)
-        rates = union_values(ume, ume.rates.rate)
-        labels = union_values(ume, ume.rates.cluster)
+        rates = union_values(ume, ume.rate)
+        labels = union_values(ume, ume.cluster)
         for freq in ume.frequencies:
             rate = 2.0 * np.pi * spectral_function_ule(freq, bath)
             assert abs(rates[freq] - rate) < 1e-12

@@ -234,6 +234,7 @@ def test_run_with_non_finite_rates_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("option, value, field", [
     ("--temperature", "nan", "temperature"),
     ("--temperature", "inf", "temperature"),
+    ("--temperature", "-1", "temperature"),
     ("--t-end", "inf", "t_end"),
     ("--t-end", "nan", "t_end"),
 ])
@@ -466,6 +467,33 @@ def test_audit_writes_channels_and_report(tmp_path, capsys):
     assert len(report["constraint"]["per_channel"]) == 1
     assert report["constraint"]["per_channel"][0]["frequency"] == 0.5
     assert "filled-state residual" in capsys.readouterr().out
+
+
+def test_temperature_override_keeps_the_quadrature_settings(tmp_path):
+    path = _two_level_file(tmp_path, {"lambda": 0.01, "temperature": 50.0,
+                                      "pv_cutoff": 5.0, "pv_points": 4096},
+                           {"t_end": 10.0, "samples": 3})
+    code = main(["audit", "--scenario", str(path), "--temperature", "300",
+                 "--output-dir", str(tmp_path), "--prefix", "warm"])
+    assert code == 0
+    report = json.loads((tmp_path / "warm.audit.json").read_text())
+    assert report["scenario"]["bath"] == {"lambda": 0.01, "temperature": 300.0,
+                                          "pv_cutoff": 5.0, "pv_points": 4096}
+
+
+@pytest.mark.parametrize("kind", ["rme", "ume", "ule"])
+def test_lamb_shift_audit_reports_no_hermiticity_defect(tmp_path, capsys,
+                                                        kind):
+    # the Lamb shift is Hermitian by construction: lamb_shift_hamiltonian
+    # raises above 1e-10 and hermitizes, so a defect field would read 0.0
+    code = main(["audit", "--benchmark", "benzene", "--kind", kind,
+                 "--lamb-shift", "--output-dir", str(tmp_path),
+                 "--prefix", "lamb"])
+    assert code == 0
+    report = json.loads((tmp_path / "lamb.audit.json").read_text())
+    assert report["scenario"]["generator"]["lamb_shift"] is True
+    assert "lamb_hermiticity_defect" not in report
+    assert "hermiticity" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("builtin,kind,extra", [

@@ -10,7 +10,6 @@ import rdmprop.generators
 from rdmprop.bath import BathModel, spectral_function_ule, \
     ule_lamb_coefficient, ule_rate
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
-from rdmprop.channels import cluster
 from rdmprop.core import (
     CouplingOperator,
     DimensionError,
@@ -22,7 +21,6 @@ from rdmprop.generators import (
     MEKind,
     _sandwich,
     build_generator,
-    build_rate_table,
     lamb_shift_hamiltonian,
     particle_hole_transform,
 )
@@ -120,15 +118,15 @@ def test_single_operator_and_tuple_build_identically(three_ule):
 def ume_pair_rate(spec):
     """(w, w') -> coefficient of A_w rho A_w'^+: the rate of w, where w and
     w' share a cluster label, else 0."""
-    rate = union_values(spec, spec.rates.rate)
-    label = union_values(spec, spec.rates.cluster)
+    rate = union_values(spec, spec.rate)
+    label = union_values(spec, spec.cluster)
     return lambda w, wp: rate[w] * (label[w] == label[wp])
 
 
 def test_ule_pair_rates_factorize(three_ule):
     spec = three_ule.spec
     # the pair rate of channels w, w' is J(w) J(w')
-    amp = union_values(spec, spec.rates.rate)
+    amp = union_values(spec, spec.rate)
     for w in spec.frequencies:
         for wp in spec.frequencies:
             expected = ule_rate(w, BATH_50K) * ule_rate(wp, BATH_50K)
@@ -139,7 +137,7 @@ def test_ule_pair_rates_factorize(three_ule):
 def test_rme_pair_rates_compose_one_sided_functions(three_rme):
     spec = three_rme.spec
     # the pair rate of channels w, w' is Gamma(w) + Gamma(w')^*
-    gamma = union_values(spec, spec.rates.rate)
+    gamma = union_values(spec, spec.rate)
     for w in spec.frequencies:
         for wp in spec.frequencies:
             expected = rme_rates(w, wp, BATH_50K)
@@ -162,20 +160,6 @@ def test_ume_rates_share_cluster_centers(benzene_ume):
     # across clusters and across the sign axis the rate vanishes exactly
     assert pair_rate(w_low, freqs[5]) == 0.0
     assert pair_rate(w_low, -w_low) == 0.0
-
-
-def test_ume_rate_table_refuses_clusters_of_other_frequencies(benzene_ume):
-    spec = benzene_ume.spec
-    freqs = spec.frequencies
-    build_rate_table("ume", spec.channel_sets, BATH_50K,
-                     cluster(freqs, 0.091))
-    # a frequency missing, one too many, or one moved by a rounding step:
-    # the cluster labels would no longer line up with the channels
-    for other in (freqs[1:], (*freqs, 0.7),
-                  (*freqs[:-1], np.nextafter(freqs[-1], 1.0))):
-        with pytest.raises(ValueError, match="other frequencies"):
-            build_rate_table("ume", spec.channel_sets, BATH_50K,
-                             cluster(other, 0.091))
 
 
 def test_secular_limit_is_diagonal_in_frequency():
@@ -406,7 +390,7 @@ def test_lamb_hamiltonians_are_hermitian():
                             lamb_shift=True),
             builtin_benzene(kind="ule", lamb_shift=True)):
         setup = scenario.build()
-        lamb = setup.spec.lamb_hamiltonian()
+        lamb = setup.spec.lamb_hamiltonian
         assert hermiticity_defect(lamb) < 1e-12
         assert max_norm(lamb) > 0.0
 
@@ -437,7 +421,7 @@ def test_ule_lamb_table_equals_direct_calls_bitwise(monkeypatch):
         if pos[i, j] >= 0 and pos[j, k] >= 0:
             w1, w2 = freqs[pos[i, j]], freqs[pos[j, k]]
             used.add((w1, w2))
-            assert spec.rates.lamb[0][i, j, k] \
+            assert spec.lamb[0][i, j, k] \
                 == ule_lamb_coefficient(w1, w2, BATH_50K)
     classes = {frozenset({(w1, w2), (-w2, -w1)})
                if -w1 in present and -w2 in present else (w1, w2)
@@ -450,7 +434,7 @@ def test_benzene_one_sided_lamb_is_diagonal():
     # every coupled pair bridges exactly one gap, so A^+A products are
     # population operators and the level shift commutes with H
     setup = builtin_benzene(kind="rme", lamb_shift=True).build()
-    lamb = setup.spec.lamb_hamiltonian()
+    lamb = setup.spec.lamb_hamiltonian
     off = lamb - np.diag(np.diag(lamb))
     assert max_norm(off) < 1e-15
 
@@ -482,7 +466,7 @@ def test_symmetrized_tables_are_mirror_even(three_rme, benzene_ume,
         sym = setup.spec.symmetrized()
         assert sym.kind is setup.spec.kind
         # the mirror of level pair (i, j) is (j, i)
-        for rate in sym.rates.rate:
+        for rate in sym.rate:
             mirror = rate.conj().T if sym.kind is MEKind.RME else rate.T
             npt.assert_array_equal(rate, mirror)
         diagonal = union_values(sym, sym.decay_rate_arrays())
@@ -494,25 +478,43 @@ def test_symmetrized_tables_are_mirror_even(three_rme, benzene_ume,
             assert down == up
 
 
-def test_symmetrized_spec_keeps_channels(three_ule):
-    sym = three_ule.spec.symmetrized()
-    npt.assert_allclose(sum(sym.couplings), sum(three_ule.spec.couplings),
-                        atol=0.0)
-    assert sym.frequencies == three_ule.spec.frequencies
+@pytest.mark.parametrize("kind", ["rme", "ume", "ule"])
+def test_symmetrized_spec_keeps_everything_but_the_rates(kind):
+    spec = builtin_benzene(kind=kind, clustering_threshold=0.091,
+                           lamb_shift=True, pauli_blocked=True).build().spec
+    sym = spec.symmetrized()
+    for name in ("kind", "chi", "bath", "pauli_blocked", "lamb_shift",
+                 "clusters", "cluster", "channel_sets", "frequencies",
+                 "union_positions"):
+        assert getattr(sym, name) is getattr(spec, name), name
+    assert sym.pauli_blocked and sym.lamb_shift
+    # the per-kind rule, bit for bit
+    if kind == "rme":
+        rate = [0.5 * (g + g.conj().T) for g in spec.rate]
+        assert spec.lamb is None and sym.lamb is None
+    elif kind == "ume":
+        rate = [0.5 * (r + r.T) for r in spec.rate]
+        for s, s_sym in zip(spec.lamb, sym.lamb, strict=True):
+            npt.assert_array_equal(s_sym, 0.5 * (s - s.T))
+    else:
+        rate = [np.sqrt(0.5 * (j ** 2 + (j ** 2).T)) for j in spec.rate]
+        assert sym.lamb is spec.lamb
+    for r, r_sym in zip(rate, sym.rate, strict=True):
+        npt.assert_array_equal(r_sym, r)
 
 
 def test_particle_hole_transform_structure(three_ule):
-    hole = particle_hole_transform(three_ule.hamiltonian, three_ule.spec)
-    npt.assert_allclose(hole.hamiltonian.energies, [-0.5, 0.0, 0.5],
-                        atol=1e-15)
-    assert hole.spec.kind is MEKind.ULE
-    assert hole.spec.chi == three_ule.spec.chi
-    assert sorted(hole.spec.frequencies) == sorted(
+    h_hole, spec_hole = particle_hole_transform(three_ule.hamiltonian,
+                                                three_ule.spec)
+    npt.assert_allclose(h_hole.energies, [-0.5, 0.0, 0.5], atol=1e-15)
+    assert spec_hole.kind is MEKind.ULE
+    assert spec_hole.chi == three_ule.spec.chi
+    assert sorted(spec_hole.frequencies) == sorted(
         three_ule.spec.frequencies)
     # the hole coupling is the transposed eigenbasis coupling
     npt.assert_allclose(
-        hole.spec.channel_sets[0].coupling,
-        hole.hamiltonian.to_eigenbasis(
+        spec_hole.channel_sets[0].coupling,
+        h_hole.to_eigenbasis(
             sum(three_ule.spec.couplings).T), atol=1e-12)
 
 

@@ -113,7 +113,7 @@ def test_linear_generator_matches_oracle(kind, seed, d, split, lamb,
     assert_trace_and_hermiticity(drho)
     assert max_norm(drho - oracle.liouvillian(rho)) < TOL
     if lamb:
-        assert max_norm(spec.lamb_hamiltonian() - oracle.lamb) < TOL
+        assert max_norm(spec.lamb_hamiltonian - oracle.lamb) < TOL
     assert max_norm(gmat - oracle.packed_generator()) < TOL
 
 

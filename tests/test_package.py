@@ -38,6 +38,19 @@ def test_second_generator_route_is_gone():
     assert not hasattr(rdmprop.propagate, "build_blocked_rhs")
 
 
+def test_generator_spec_holds_its_rates():
+    # the rates, clusters and frequency union are fields of GeneratorSpec,
+    # and particle_hole_transform returns a (hamiltonian, spec) pair
+    for name in ("RateTable", "HoleSystem", "build_rate_table"):
+        assert not hasattr(rdmprop, name)
+    for name in ("RateTable", "HoleSystem"):
+        assert not hasattr(rdmprop.generators, name)
+    # the names perfbench's tracer binds in rdmprop.generators
+    for name in ("build_rate_table", "decompose", "build_generator",
+                 "xi_integral", "ule_lamb_coefficient"):
+        assert callable(getattr(rdmprop.generators, name)), name
+
+
 def test_kronecker_route_is_gone():
     # the superoperator and its propagation live in tests/oracle.py
     for module, name in ((rdmprop.generators, "superoperator_matrix"),

@@ -103,7 +103,7 @@ def test_schedule_rejects_rtol_below_the_solver_floor():
 
 def test_default_t_end_is_twenty_slowest_lifetimes():
     setup = builtin_three_level(kind="ule", temperature=50.0).build()
-    rate = 2.0 * np.pi * spectral_function_ule(0.5, setup.spec.rates.bath)
+    rate = 2.0 * np.pi * spectral_function_ule(0.5, setup.spec.bath)
     assert default_t_end(setup.spec) == pytest.approx(20.0 / rate, rel=1e-15)
 
 
@@ -389,10 +389,10 @@ def test_hole_copropagation_takes_the_exact_route():
     h, spec = setup.hamiltonian, setup.spec
     schedule = Schedule(t_end=16000.0, samples=9, rtol=1e-11, atol=1e-13)
     particle = dop853_trajectory(h, spec, setup.rho0, schedule)
-    hole = particle_hole_transform(h, spec)
+    h_hole, spec_hole = particle_hole_transform(h, spec)
     q0 = h.to_eigenbasis(setup.rho0.complement().data).T
-    adaptive = dop853_trajectory(hole.hamiltonian, hole.spec, q0, schedule)
-    transpose_permuted(adaptive.packed, hole.hamiltonian.eigenvectors)
+    adaptive = dop853_trajectory(h_hole, spec_hole, q0, schedule)
+    transpose_permuted(adaptive.packed, h_hole.eigenvectors)
     adaptive.basis = h.eigenvectors
     defect = np.abs(adaptive.states - (spec.chi * np.eye(6)
                                        - particle.states)).max(axis=(1, 2))

@@ -433,11 +433,11 @@ def test_packed_trajectory_matches_eager_stacks(tmp_path, kind, blocked):
 
     # the parent's eager route: every stack formed in full
     states = h.from_eigenbasis(unpack_hermitian(traj.packed, 4))
-    pictured = particle_hole_transform(h, setup.spec)
-    raw = propagate_state(pictured.hamiltonian, pictured.spec,
+    h_hole, spec_hole = particle_hole_transform(h, setup.spec)
+    raw = propagate_state(h_hole, spec_hole,
                           h.to_eigenbasis(setup.rho0.complement().data).T,
                           replace(setup.schedule, t_end=traj.times[-1]))
-    q_eig = np.transpose(pictured.hamiltonian.from_eigenbasis(
+    q_eig = np.transpose(h_hole.from_eigenbasis(
         unpack_hermitian(raw.packed, 4)), (0, 2, 1))
     q_states = h.from_eigenbasis(q_eig)
     defect = np.abs(q_states - (setup.spec.chi * np.eye(4) - states)).max(
