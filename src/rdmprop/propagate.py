@@ -187,7 +187,10 @@ def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     m + 1 population averages of ``_vacancy_map``, then the rows of those
     maps merged by (unordered factor pair, output entry), all-zero rows
     dropped. A call is w = W @ y, u = sqrt(max(offset + w[:m+1], 0)) and
-    one weighted bincount of u_p u_q w over the output entries.
+    one weighted bincount of u_p u_q w over the output entries. The
+    product is ``ndarray.dot``, bitwise ``np.dot`` without its Python
+    dispatcher, so a call enters numpy's Python code only through
+    bincount's.
     """
     d, n, m = h.dim, h.dim * h.dim, len(spec.subspaces)
     free, blk = spec.blocking_split
@@ -225,11 +228,14 @@ def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     w_map = np.concatenate([averages, merged])
     pair, out = np.divmod(keys, n)
     first, second = np.divmod(pair, m + 1)
+    # bound once, not looked up or converted on every call
+    zero, head, tail = np.zeros(m + 1), slice(m + 1), slice(m + 1, None)
+    sqrt, maximum, bincount = np.sqrt, np.maximum, np.bincount
 
     def rhs(t, y):
-        w = np.dot(w_map, y)
-        u = np.sqrt(np.maximum(offset + w[:m + 1], 0.0))
-        return np.bincount(out, u[first] * u[second] * w[m + 1:], n)
+        w = w_map.dot(y)
+        u = sqrt(maximum(offset + w[head], zero))
+        return bincount(out, u[first] * u[second] * w[tail], n)
 
     return rhs
 

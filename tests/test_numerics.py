@@ -1,6 +1,8 @@
 """The numpy-only matrix exponential and DOP853 port against scipy, and
 the nested Gauss-Kronrod rule."""
 
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -149,6 +151,29 @@ def test_dop853_matches_solve_ivp(case):
     assert ours.shape == (t_eval.size, y0.size)
     assert np.max(np.abs(ours - sol.y.T)) <= 1e-12
     assert nfev == sol.nfev
+
+
+def test_blocked_run_enters_numpy_python_code_only_in_bincount():
+    # stage points, error norms and the compact map call ndarray.dot, which
+    # skips np.dot's Python dispatcher; bincount's is the one left per call
+    h, spec, rho0 = blocked_builtin("three-level", "rme")
+    fun = build_packed_generator(h, spec)
+    y0 = pack_hermitian(h.to_eigenbasis(rho0))
+    t_eval = np.linspace(0.0, 50.0, 11)
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call" and "numpy" in frame.f_code.co_filename:
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        _, nfev = dop853(fun, y0, t_eval, 1e-9, 1e-11)
+    finally:
+        sys.setprofile(None)
+    assert nfev > 900
+    assert "dot" not in frames
+    assert len(frames) <= nfev
 
 
 def forced_relaxation(t, y):

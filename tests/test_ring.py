@@ -1,11 +1,13 @@
 """Generators of the n-site ring (``ring.py``), a degenerate family.
 
-At n = 6 and 10, every kind, blocked and unblocked, with and without the
-Lamb shift: the generator a run integrates keeps the trace and
-Hermiticity, the blocked one annihilates the filled state exactly, and
-the decay rates obey detailed balance. The blocking record reports the
-overfill of one orbital of a half-empty shell, which the shell-averaged
-vacancy does not see.
+At n = 6, 10, 18 and 30, every kind, blocked and unblocked, with and
+without the Lamb shift: the generator a run integrates keeps the trace
+and Hermiticity, the blocked one annihilates the filled state exactly,
+and the decay rates obey detailed balance. Past n = 10 a blocked
+generator runs the O(K d^3) kernel, not the compact map, so both
+evaluations are held to the same invariants. The blocking record reports
+the overfill of one orbital of a half-empty shell, which the
+shell-averaged vacancy does not see.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from rdmprop.representability import audit_trajectory, unitality_residual
 from ring import CHI, ring_momenta, ring_scenario, ring_system
 
 KINDS = ["rme", "ume", "ule"]
-SIZES = [6, 10]
+SIZES = [6, 10, 18, 30]
 # the asymmetric start: k = 0 and k = 1 full, their partners -1 and 2
 # half full, so shell +-1 holds 3 electrons and shell +-2 one
 OVERFILL_START = [2.0, 2.0, 1.0, 1.0, 0.0, 0.0]
