@@ -7,10 +7,11 @@ equation), the one-sided spectral function pi Gamma_hat + i xi with its
 Cauchy principal-value integral xi (Redfield and unified equations), and the
 principal-value Lamb-shift coefficient S_hat of the universal Lindblad
 equation. Each has one evaluation path: one Gamma_hat expression, and one
-composite nested Gauss-Kronrod rule on graded panels of fixed order, whose
-(2q+1)-point Kronrod sum is the value and must agree with the q-point
-Gauss sum on the shared nodes. Every function takes one frequency or an
-array of them; the integrals of an array are evaluated together in
+composite nested Gauss-Kronrod rule on graded panels, whose Kronrod sum is
+the value and must agree with the Gauss sum on the shared nodes. Every
+integral is evaluated at half the full order first, and again at the full
+order only where that check fails. Every function takes one frequency or
+an array of them; the integrals of an array are evaluated together in
 chunked array passes.
 
 Units: energies in Hartree, temperature in Kelvin, time in atomic units.
@@ -73,9 +74,12 @@ class BathModel:
     ``lam`` is the Drude-Lorentz width (the conventional symbol lambda is a
     Python keyword). ``pv_cutoff=None`` selects an automatic cutoff of
     100 * max(lam, |w0|, kT) per integral; explicit cutoffs below
-    50 * max(lam, |w0|) are rejected. ``pv_points // 128`` is the order q
-    of the nested rule on every panel of each principal-value integral:
-    the integrand is evaluated once, on q Gauss and q + 1 Kronrod nodes.
+    50 * max(lam, |w0|) are rejected. ``pv_points // 128`` is the full
+    order q of the nested rule on the panels of each principal-value
+    integral. The first pass runs at order q // 2, whose integrand is
+    evaluated once per panel, on q // 2 Gauss and q // 2 + 1 Kronrod
+    nodes; only an integral that fails its check there is evaluated again
+    at order q, on 2q + 1 more nodes per panel.
     """
 
     lam: float
@@ -150,14 +154,16 @@ def _panel_sums(f, lo, hi, owner, count: int, q: int, params) -> np.ndarray:
     0..count-1, panels grouped by owner.
 
     The two rules share the q Gauss nodes, so each panel's integrand is
-    evaluated once, on 2q + 1 nodes. A panel's sum is the reduction of its
-    row of weighted nodes, and an integral's the sum of its panels in
-    order, so every value depends on its own nodes only, never on where
-    its rows sit in a pass. A matrix-vector product with the weights would
-    not keep that: BLAS rounds by the position of a row in its blocks.
+    evaluated once, on 2q + 1 nodes. Midpoints and half-widths are formed
+    from halves, since lo + hi overflows near the largest float. A panel's
+    sum is the reduction of its row of weighted nodes, and an integral's
+    the sum of its panels in order, so every value depends on its own
+    nodes only, never on where its rows sit in a pass. A matrix-vector
+    product with the weights would not keep that: BLAS rounds by the
+    position of a row in its blocks.
     """
     x, gauss, kronrod = gauss_kronrod(q)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
     ends = np.cumsum(np.bincount(owner, minlength=count))
     out = np.zeros((2, count))
     k0 = 0
@@ -184,39 +190,48 @@ def _integrals(f, edges, window, bath: BathModel, label, extra, scale,
 
     ``edges(rows)`` returns the sorted, NaN-padded edges of the integrals
     ``rows``, one row each; empty panels and those whose midpoint lies
-    inside (window[0][k], window[1][k]) are dropped. Every panel has a
-    nested rule of order q = pv_points // 128 (16 at the default): the
-    value is its Kronrod (2q+1)-point sum, checked against the Gauss
-    q-point sum on the shared nodes. A value that is not finite, or a
-    difference beyond 1e-6 relative and 1e-14 absolute, raises
-    QuadratureError naming the first failing integral, ``label(k)``.
+    inside (window[0][k], window[1][k]) are dropped. The full order of
+    the nested rule on every panel is q = pv_points // 128 (16 at the
+    default). Every integral is first evaluated at order q // 2: the value
+    is its Kronrod sum, checked against the Gauss sum on the shared nodes.
+    An integral whose value is not finite, or whose sums differ by more
+    than 1e-6 relative and 1e-14 absolute, is evaluated again on the same
+    panels at order q, so its panels cost 3q + 2 nodes each at even q; a
+    failure there raises QuadratureError naming the first failing
+    integral, ``label(k)``. At q = 1 there is the one pass at order q.
     Overflow and invalid values in edges and integrands are not warned
     about, since they surface as such a non-finite value.
     """
     q = max(bath.pv_points // 128, 1)
-    sums = np.zeros((2, len(extra)))
+    out = np.empty(len(extra))
+    todo = np.arange(len(extra))
     with np.errstate(all="ignore"):
-        for k0 in range(0, len(extra), _BLOCK):
-            rows = slice(k0, k0 + _BLOCK)
-            e = edges(rows)
-            lo, hi = e[:, :-1], e[:, 1:]
-            mid = 0.5 * (lo + hi)
-            keep = (hi > lo) & ~((window[0][rows, None] < mid)
-                                 & (mid < window[1][rows, None]))
-            sums[:, rows] = _panel_sums(f, lo[keep], hi[keep],
-                                        np.nonzero(keep)[0], len(e), q,
-                                        [p[rows] for p in params])
-        coarse, fine = scale * (sums + extra)
-        finite = np.isfinite(coarse) & np.isfinite(fine)
-        diff = np.abs(fine - coarse)
-        bad = ~finite | ((diff > 1e-14) & (
-            diff > 1e-6 * np.maximum(np.abs(fine), np.abs(coarse))))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise QuadratureError(
-            f"{label(k)} {'did not converge' if finite[k] else 'is not finite'}"
-            f": {coarse[k]:.3e} vs {fine[k]:.3e}")
-    return fine
+        for order in ((q // 2, q) if q > 1 else (q,)):
+            sums = np.zeros((2, todo.size))
+            for k0 in range(0, todo.size, _BLOCK):
+                rows = todo[k0:k0 + _BLOCK]
+                e = edges(rows)
+                lo, hi = e[:, :-1], e[:, 1:]
+                mid = 0.5 * lo + 0.5 * hi
+                keep = (hi > lo) & ~((window[0][rows, None] < mid)
+                                     & (mid < window[1][rows, None]))
+                sums[:, k0:k0 + _BLOCK] = _panel_sums(
+                    f, lo[keep], hi[keep], np.nonzero(keep)[0], len(e), order,
+                    [p[rows] for p in params])
+            coarse, fine = scale * (sums + extra[todo])
+            finite = np.isfinite(coarse) & np.isfinite(fine)
+            diff = np.abs(fine - coarse)
+            bad = ~finite | ((diff > 1e-14) & (
+                diff > 1e-6 * np.maximum(np.abs(fine), np.abs(coarse))))
+            out[todo] = fine
+            if not bad.any():
+                return out
+            k = int(np.argmax(bad))
+            first, todo = todo[k], todo[bad]
+    raise QuadratureError(
+        f"{label(first)} "
+        f"{'did not converge' if finite[k] else 'is not finite'}"
+        f": {coarse[k]:.3e} vs {fine[k]:.3e}")
 
 
 def _doublings(start, stop) -> np.ndarray:
@@ -248,11 +263,12 @@ def xi_integral(omega0, bath: BathModel):
 
     Evaluates the principal-value integral
     P int_0^cutoff dw J(w) [N(w)/(w0+w) + (N(w)+1)/(w0-w)]
-    by symmetric excision of the pole, Gauss-Legendre panels, and the
+    by symmetric excision of the pole, nested Gauss-Kronrod panels, and the
     closed-form Drude-Lorentz tail past the cutoff, each frequency with its
     own cutoff, edges and window; QuadratureError names an unconverged one.
     No factor of the tail exceeds the tail itself, so xi is finite while
-    lam^2 overflows, up to lam of about 8e305.
+    lam^2 overflows, up to lam of about 1.79e306, past which the cutoff
+    100 lam is infinite.
     """
     omega = np.asarray(omega0, dtype=float)
     if not omega.size:
@@ -325,7 +341,7 @@ def ule_lamb_coefficient(omega_ml, omega_ln, bath: BathModel):
     with the w = 0 principal value handled by symmetric excision;
     QuadratureError names an unconverged pair. The square root is taken of
     each factor, so S_hat is finite while their product overflows, up to
-    lam of about 8e305.
+    lam of about 1.79e306, past which the cutoff 100 lam is infinite.
     """
     a, b = np.broadcast_arrays(np.asarray(omega_ml, dtype=float),
                                np.asarray(omega_ln, dtype=float))

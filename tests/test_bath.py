@@ -366,6 +366,21 @@ def test_xi_stays_finite_at_huge_bath_widths(lam):
     npt.assert_allclose(values, -0.5 * np.pi * lam, rtol=1e-6)
 
 
+@pytest.mark.parametrize("temperature", [0.0, 50.0, 300.0])
+@pytest.mark.parametrize("lam", [1e306, 1.5e306, 1.7e306])
+def test_quadratures_converge_with_a_cutoff_near_the_largest_float(
+        lam, temperature):
+    # the cutoff 100 lam is within a factor of two of the largest float,
+    # where lo + hi of the outer panels overflows but lo / 2 + hi / 2 does
+    # not; the values are those of lam >> |w0|, kT as above
+    bath = BathModel(lam=lam, temperature=temperature)
+    npt.assert_allclose(xi_integral(np.linspace(-0.9, 0.9, 37), bath),
+                        -0.5 * np.pi * lam, rtol=1e-6)
+    a, b = (x.ravel() for x in np.meshgrid(*2 * [np.linspace(-0.9, 0.9, 7)]))
+    npt.assert_allclose(ule_lamb_coefficient(a, b, bath), -np.pi**2 * lam,
+                        rtol=1e-6)
+
+
 def test_pair_rate_composition():
     bath = make_bath(50.0)
     g1 = spectral_function_redfield(0.5, bath)
@@ -414,10 +429,12 @@ def test_ule_lamb_coefficient_is_mirror_symmetric_bitwise(temperature):
 
 
 def test_every_panel_is_one_pass_of_2q_plus_1_nodes(monkeypatch):
-    # every panel has a fixed nested rule, the q = pv_points // 128 Gauss
-    # nodes and q + 1 Kronrod nodes, evaluated in one pass, and the panels
-    # do not depend on pv_points; count the integrand's node arrays (the
-    # window term evaluates 1-d arrays)
+    # every panel is evaluated in one pass of the nested rule of order
+    # q // 2 (q = pv_points // 128): its q // 2 Gauss and q // 2 + 1
+    # Kronrod nodes; this integral passes its check there, so no panel is
+    # evaluated at order q, and the panels do not depend on pv_points;
+    # count the integrand's node arrays (the window term evaluates 1-d
+    # arrays)
     widths, totals = [], []
 
     def counted(w, lam):
@@ -431,8 +448,35 @@ def test_every_panel_is_one_pass_of_2q_plus_1_nodes(monkeypatch):
         widths.clear()
         totals.append(0)
         xi_integral(0.5, make_bath(50.0, pv_points=points))
-        assert set(widths) == {2 * (points // 128) + 1}
-    assert totals[0] // 33 == totals[1] // 65 > 0
+        assert set(widths) == {2 * (points // 128 // 2) + 1}
+    assert totals[0] // 17 == totals[1] // 33 > 0
+
+
+def test_an_integral_that_fails_at_order_q_half_is_evaluated_at_order_q(
+        monkeypatch):
+    # at pv_points = 1024 (q = 8) xi(0) at 300 K fails its check at order
+    # 4 and is evaluated again at order 8 on the same panels; +-0.5 pass at
+    # order 4. The value is the order-8 value of pv_points = 2048, whose
+    # first pass is at order 8, alone and in a batch
+    bath = make_bath(300.0, pv_points=1024)
+    widths = []
+
+    def counted(w, lam):
+        if np.ndim(w) == 2:
+            widths.append(np.shape(w)[1])
+        return drude_lorentz(w, lam)
+
+    monkeypatch.setattr("rdmprop.bath.drude_lorentz", counted)
+    alone = xi_integral(0.0, bath)
+    assert set(widths) == {9, 17}
+    widths.clear()
+    passing = xi_integral(np.array([-0.5, 0.5]), bath)
+    assert set(widths) == {9}
+    batch = xi_integral(np.array([-0.5, 0.0, 0.5]), bath)
+    monkeypatch.undo()
+    assert batch.tolist() == [passing[0], alone, passing[1]]
+    assert alone == xi_integral(0.0, make_bath(300.0, pv_points=2048))
+    assert alone == pytest.approx(xi_quadrature(0.0, bath), rel=1e-12)
 
 
 LAMB_GRID = [-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9]
@@ -478,7 +522,8 @@ def test_batched_values_do_not_depend_on_their_place_in_a_pass(monkeypatch):
     # a panel's sum is a row reduction of its own nodes, so a value is the
     # same bitwise wherever its rows sit in an array pass; checked on the
     # spectra grid and on an S_hat batch that spans several passes of
-    # 2q + 1 = 33 nodes per panel
+    # 2 (q // 2) + 1 = 17 nodes per panel, none of which falls back to
+    # order q (2q + 1 = 33 nodes)
     bath = make_bath(300.0)
     grid = np.linspace(-1.0, 1.0, 401)
     xi = xi_integral(grid, bath)
@@ -497,7 +542,7 @@ def test_batched_values_do_not_depend_on_their_place_in_a_pass(monkeypatch):
     monkeypatch.setattr("rdmprop.bath.spectral_function_ule", counted)
     lamb = ule_lamb_coefficient(a, b, bath)
     monkeypatch.undo()
-    assert list(passes) == [33] and passes[33] >= 3, passes
+    assert list(passes) == [17] and passes[17] >= 3, passes
     assert [ule_lamb_coefficient(x, y, bath)
             for x, y in zip(a.tolist(), b.tolist())] == lamb.tolist()
 
