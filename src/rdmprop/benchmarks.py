@@ -1,7 +1,8 @@
 """Built-in benchmark scenarios.
 
 Both systems use a Drude-Lorentz bath with reorganization scale 0.01 au.
-Energies and times are in atomic units; temperatures in kelvin.
+Energies and times are in atomic units; temperatures in kelvin. Each
+factory takes ``kind``, ``temperature`` and the keywords of ``_builtin``.
 """
 
 from __future__ import annotations
@@ -29,12 +30,29 @@ def _bond_coupling(label: str, dim: int, pairs) -> CouplingOperator:
     return CouplingOperator(label, a)
 
 
-def builtin_three_level(kind="ule", pauli_blocked: bool = False,
-                        lamb_shift: bool = False,
-                        clustering_threshold: float = 0.0,
-                        temperature: float = 300.0,
-                        t_end: float | None = None, samples: int = 400,
-                        copropagate_hole: bool = False) -> Scenario:
+def _builtin(name: str, chi: float, energies, couplings, occupations,
+             kind, temperature: float, clustering_threshold: float = 0.0,
+             t_end: float | None = None, samples: int = 400,
+             **flags) -> Scenario:
+    """A builtin system under a Drude-Lorentz bath of scale 0.01 au; the
+    threshold applies to ume only, ``flags`` are Scenario's booleans."""
+    return Scenario(
+        name=name,
+        chi=chi,
+        hamiltonian=SystemHamiltonian.from_energies(energies),
+        coupling_operators=couplings,
+        initial_state=np.diag(occupations).astype(complex),
+        bath=BathModel(lam=0.01, temperature=temperature),
+        kind=kind,
+        clustering_threshold=(clustering_threshold
+                              if MEKind(kind) is MEKind.UME else None),
+        schedule=Schedule(t_end=t_end, samples=samples),
+        **flags,
+    )
+
+
+def builtin_three_level(kind="ule", temperature: float = 300.0,
+                        **options) -> Scenario:
     """Equally spaced three-level ladder, one electron starting at the top.
 
     Spin-orbital filling (chi = 1). The nearest-neighbor ladder coupling
@@ -42,30 +60,13 @@ def builtin_three_level(kind="ule", pauli_blocked: bool = False,
     generator kind reduces to the same secular structure and the system
     relaxes straight down the ladder.
     """
-    kind = MEKind(kind)
-    return Scenario(
-        name="three-level-ladder",
-        chi=1.0,
-        hamiltonian=SystemHamiltonian.from_energies(THREE_LEVEL_ENERGIES),
-        coupling_operators=(_bond_coupling("ladder", 3, ((0, 1), (1, 2))),),
-        initial_state=np.diag([0.0, 0.0, 1.0]).astype(complex),
-        bath=BathModel(lam=0.01, temperature=temperature),
-        kind=kind,
-        clustering_threshold=(clustering_threshold
-                              if kind is MEKind.UME else None),
-        pauli_blocked=pauli_blocked,
-        lamb_shift=lamb_shift,
-        schedule=Schedule(t_end=t_end, samples=samples),
-        copropagate_hole=copropagate_hole,
-    )
+    return _builtin("three-level-ladder", 1.0, THREE_LEVEL_ENERGIES,
+                    (_bond_coupling("ladder", 3, ((0, 1), (1, 2))),),
+                    [0.0, 0.0, 1.0], kind, temperature, **options)
 
 
-def builtin_benzene(kind="rme", pauli_blocked: bool = False,
-                    lamb_shift: bool = False,
-                    clustering_threshold: float = 0.0,
-                    temperature: float = 50.0,
-                    t_end: float | None = None, samples: int = 400,
-                    copropagate_hole: bool = False) -> Scenario:
+def builtin_benzene(kind="rme", temperature: float = 50.0,
+                    **options) -> Scenario:
     """Six pi orbitals of benzene with a photoexcited electron-hole pair.
 
     Spatial-orbital filling (chi = 2). The two doubly degenerate shells
@@ -75,24 +76,11 @@ def builtin_benzene(kind="rme", pauli_blocked: bool = False,
     them into one operator would leave the antisymmetric combinations of
     the degenerate shells dark and freeze part of the initial population.
     """
-    kind = MEKind(kind)
     bonds = tuple(_bond_coupling(f"pair-{i}-{j}", 6, ((i, j),))
                   for i, j in BENZENE_BONDS)
-    return Scenario(
-        name="benzene-pi",
-        chi=2.0,
-        hamiltonian=SystemHamiltonian.from_energies(BENZENE_ENERGIES),
-        coupling_operators=bonds,
-        initial_state=np.diag([2.0, 1.0, 1.0, 1.0, 1.0, 0.0]).astype(complex),
-        bath=BathModel(lam=0.01, temperature=temperature),
-        kind=kind,
-        clustering_threshold=(clustering_threshold
-                              if kind is MEKind.UME else None),
-        pauli_blocked=pauli_blocked,
-        lamb_shift=lamb_shift,
-        schedule=Schedule(t_end=t_end, samples=samples),
-        copropagate_hole=copropagate_hole,
-    )
+    return _builtin("benzene-pi", 2.0, BENZENE_ENERGIES, bonds,
+                    [2.0, 1.0, 1.0, 1.0, 1.0, 0.0], kind, temperature,
+                    **options)
 
 
 BENCHMARKS = {

@@ -7,6 +7,11 @@ Subcommands:
   bench    time the built-in benchmark scenarios
   sweep    rerun a scenario over a grid of one parameter, in parallel
 
+Every option that changes the scenario sets one dotted key of its JSON
+form, as OVERRIDES lists; a --benchmark source is its builtin's to_dict(),
+and `sweep --param` sets its key the same way per grid point, so the one
+parser, Scenario.from_dict, checks every value.
+
 Exit codes: 0 on success (including runs whose audits flag violations),
 2 for configuration and parsing problems, 1 for runtime failures, numerical
 ones (NumericalError) included.
@@ -21,7 +26,7 @@ import json
 import locale  # noqa: F401
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -35,20 +40,30 @@ from .output import resolve_output_dir, write_channels_csv, \
 from .propagate import StiffnessError, integrate
 from .representability import audit_trajectory, constraint_residual, \
     unitality_residual
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, read_scenario, set_keys
+
+# each option that changes the scenario, by argparse dest, and the key it sets
+OVERRIDES = {
+    "kind": "generator.kind",
+    "blocked": "generator.pauli_blocked",
+    "lamb_shift": "generator.lamb_shift",
+    "threshold": "generator.clustering_threshold",
+    "temperature": "bath.temperature",
+    "t_end": "schedule.t_end",
+    "samples": "schedule.samples",
+    "copropagate_hole": "copropagate_hole",
+}
 
 
 def _add_source_options(p: argparse.ArgumentParser, generator=True,
                         propagation=True):
-    """Declare the source, the overrides a command reads (the others read
-    None) and the output location; return the group of sources."""
+    """Declare the source, the overrides a command reads and the output
+    location; return the group of sources."""
     src = p.add_mutually_exclusive_group()
     src.add_argument("--scenario", metavar="PATH",
                      help="scenario JSON file")
     src.add_argument("--benchmark", choices=sorted(BENCHMARKS),
                      help="built-in scenario")
-    p.set_defaults(kind=None, blocked=None, lamb_shift=None, threshold=None,
-                   t_end=None, samples=None, copropagate_hole=None)
     if generator:
         p.add_argument("--kind", choices=[m.value for m in MEKind],
                        help="override the generator kind")
@@ -76,40 +91,22 @@ def _add_source_options(p: argparse.ArgumentParser, generator=True,
     return src
 
 
-def _override_generator(scenario: Scenario, args) -> None:
-    """Apply the overrides every command shares: kind, blocking, clustering
-    threshold (ume without one takes 0, the secular limit), t_end and
-    samples."""
-    if args.kind is not None:
-        scenario.kind = MEKind(args.kind)
-    if args.blocked is not None:
-        scenario.pauli_blocked = args.blocked
-    if args.threshold is not None:
-        scenario.clustering_threshold = args.threshold
-    if scenario.kind is MEKind.UME and scenario.clustering_threshold is None:
-        scenario.clustering_threshold = 0.0
-    if args.t_end is not None:
-        scenario.schedule = replace(scenario.schedule, t_end=args.t_end)
-    if args.samples is not None:
-        scenario.schedule = replace(scenario.schedule, samples=args.samples)
-
-
-def _resolve_scenario(args) -> Scenario:
-    if args.scenario:
-        scenario = load_scenario(args.scenario)
+def _resolve_scenario(args, benchmark=None) -> Scenario:
+    """The source's scenario with each option given set at its key; ume
+    from --kind without a threshold takes 0, the secular limit."""
+    if vars(args).get("scenario"):
+        d = read_scenario(args.scenario)
+    elif benchmark or args.benchmark:
+        d = BENCHMARKS[benchmark or args.benchmark]().to_dict()
     else:
-        name = args.benchmark
-        if name is None:
-            raise ScenarioError("give either --scenario or --benchmark")
-        scenario = BENCHMARKS[name]()
-    _override_generator(scenario, args)
-    if args.lamb_shift is not None:
-        scenario.lamb_shift = args.lamb_shift
-    if args.temperature is not None:
-        scenario.bath = replace(scenario.bath, temperature=args.temperature)
-    if args.copropagate_hole is not None:
-        scenario.copropagate_hole = args.copropagate_hole
-    return scenario
+        raise ScenarioError("give either --scenario or --benchmark")
+    keys = {key: value for dest, key in OVERRIDES.items()
+            if (value := vars(args).get(dest)) is not None}
+    set_keys(d, keys)
+    if keys.get("generator.kind") == "ume" \
+            and d["generator"].get("clustering_threshold") is None:
+        d["generator"]["clustering_threshold"] = 0.0
+    return Scenario.from_dict(d)
 
 
 def _cmd_run(args) -> int:
@@ -122,8 +119,7 @@ def _cmd_run(args) -> int:
     csv_path = write_trajectory_csv(traj, outdir / f"{prefix}.csv", hole_path)
     audit = audit_trajectory(traj)
     meta = dict(traj.metadata)
-    meta["audit"] = {key: value for key, value in asdict(audit).items()
-                     if key not in ("chi", "tol")}
+    meta["audit"] = _report(audit, "chi", "tol")
     if traj.defect is not None:
         meta["max_hole_defect"] = float(np.max(traj.defect))
     meta_path = write_metadata_json(meta, outdir / f"{prefix}.json")
@@ -159,26 +155,13 @@ def _cmd_audit(args) -> int:
     report = {
         "scenario": scenario.to_dict(),
         "unitality_residual": unit,
-        "initial_state": {
-            "min_eigenvalue": initial.min_eigenvalue,
-            "max_eigenvalue": initial.max_eigenvalue,
-            "trace": initial.trace,
-            "violation": initial.violation,
-        },
+        "initial_state": {**_report(initial, "hermiticity_defect", "chi",
+                                    "tol"), "violation": initial.violation},
     }
     print(f"unitality residual ||L(chi*1)||: {unit:.6e}")
     if con is not None:
-        report["constraint"] = {
-            "residual_norm": con.residual_norm,
-            "pair_sum_norm": con.pair_sum_norm,
-            "satisfied": con.satisfied,
-            "per_channel": [
-                {"frequency": c.frequency,
-                 "rate_asymmetry": [c.rate_asymmetry.real,
-                                    c.rate_asymmetry.imag],
-                 "contribution_norm": c.contribution_norm}
-                for c in con.per_channel],
-        }
+        report["constraint"] = _report(con, "residual_matrix",
+                                       "unitality_residual", "tol")
         print(f"filled-state residual norm:     {con.residual_norm:.6e} "
               f"({'satisfied' if con.satisfied else 'violated'})")
         for c in con.per_channel:
@@ -191,6 +174,12 @@ def _cmd_audit(args) -> int:
     report_path = write_metadata_json(report, outdir / f"{prefix}.audit.json")
     print(f"wrote {channels_path} and {report_path}")
     return 0
+
+
+def _report(report, *drop) -> dict:
+    """A report dataclass as a JSON block, without the fields ``drop``."""
+    return {key: value for key, value in asdict(report).items()
+            if key not in drop}
 
 
 def _cmd_spectra(args) -> int:
@@ -222,8 +211,7 @@ def _cmd_bench(args) -> int:
     names = [args.benchmark] if args.benchmark else sorted(BENCHMARKS)
     rows = []
     for name in names:
-        scenario = BENCHMARKS[name]()
-        _override_generator(scenario, args)
+        scenario = _resolve_scenario(args, name)
         traj = integrate(scenario)
         wall = traj.metadata["wall_time_s"]
         nfev = traj.metadata["rhs_evaluations"]
@@ -241,21 +229,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _set_nested(d: dict, dotted: str, value):
-    keys = dotted.split(".")
-    cur = d
-    for k in keys[:-1]:
-        if k not in cur or not isinstance(cur[k], dict):
-            cur[k] = {}
-        cur = cur[k]
-    cur[keys[-1]] = value
-
-
 def _sweep_worker(payload):
     idx, base, param, value, outdir, prefix = payload
-    d = json.loads(base)
-    _set_nested(d, param, value)
-    scenario = Scenario.from_dict(d)
+    scenario = Scenario.from_dict(set_keys(json.loads(base),
+                                           {param: value}))
     traj = integrate(scenario)
     tag = f"{prefix}.{idx:04d}"
     write_trajectory_csv(traj, f"{outdir}/{tag}.csv")

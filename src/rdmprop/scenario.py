@@ -9,6 +9,7 @@ numbers when real or as two-element [re, im] arrays.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -24,21 +25,27 @@ class ScenarioError(ValueError):
     """A scenario file or dictionary is malformed."""
 
 
-def _parse_number(obj, path: str) -> complex:
+def _parse_number(obj, path: str, finite: bool = True) -> complex:
+    """A number or an [re, im] pair; NaN and infinities are rejected
+    unless ``finite`` is False."""
     if isinstance(obj, bool):
         raise ScenarioError(f"{path}: expected a number, got a boolean")
     if isinstance(obj, (int, float)):
-        return complex(obj)
-    if (isinstance(obj, list) and len(obj) == 2
+        z = complex(obj)
+    elif (isinstance(obj, list) and len(obj) == 2
             and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                     for x in obj)):
-        return complex(obj[0], obj[1])
-    raise ScenarioError(f"{path}: expected a number or an [re, im] pair, "
-                        f"got {obj!r}")
+        z = complex(obj[0], obj[1])
+    else:
+        raise ScenarioError(f"{path}: expected a number or an [re, im] "
+                            f"pair, got {obj!r}")
+    if finite and not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ScenarioError(f"{path}: expected a finite number, got {obj!r}")
+    return z
 
 
-def _parse_real(obj, path: str) -> float:
-    z = _parse_number(obj, path)
+def _parse_real(obj, path: str, finite: bool = True) -> float:
+    z = _parse_number(obj, path, finite)
     if z.imag != 0.0:
         raise ScenarioError(f"{path}: expected a real number")
     return float(z.real)
@@ -59,7 +66,8 @@ def _parse_bool(obj, path: str) -> bool:
     return obj
 
 
-def _parse_matrix(obj, path: str) -> np.ndarray:
+def _parse_matrix(obj, path: str, dim: int | None = None) -> np.ndarray:
+    """A rectangular matrix; a dim x dim one when ``dim`` is given."""
     if not isinstance(obj, list) or not obj:
         raise ScenarioError(f"{path}: expected a non-empty list of rows")
     rows = []
@@ -74,6 +82,9 @@ def _parse_matrix(obj, path: str) -> np.ndarray:
                                 f"from {width}")
         rows.append([_parse_number(x, f"{path}[{r}][{c}]")
                      for c, x in enumerate(row)])
+    if dim is not None and (len(rows), width) != (dim, dim):
+        raise ScenarioError(f"{path}: expected a {dim}x{dim} matrix, got "
+                            f"{len(rows)}x{width}")
     return np.array(rows, dtype=complex)
 
 
@@ -156,7 +167,7 @@ class Scenario:
     def to_dict(self) -> dict:
         h = {"energies": [float(e) for e in self.hamiltonian.energies]}
         vecs = self.hamiltonian.eigenvectors
-        if not np.allclose(vecs, np.eye(self.hamiltonian.dim), atol=1e-15):
+        if not np.array_equal(vecs, np.eye(self.hamiltonian.dim)):
             h["eigenvectors"] = _format_matrix(vecs)
         h.update(_non_default(self.hamiltonian, ("degeneracy_tol",)))
         bath = {"lambda": self.bath.lam, "temperature": self.bath.temperature}
@@ -195,7 +206,7 @@ class Scenario:
             raise ScenarioError("scenario.name: expected a string")
         chi = _require(d, "chi", "scenario")
         if not isinstance(chi, (int, float)) or isinstance(chi, bool) \
-                or chi <= 0:
+                or not 0 < chi < math.inf:
             raise ScenarioError("scenario.chi: expected a positive number")
 
         hd = _require(d, "hamiltonian", "scenario")
@@ -205,6 +216,9 @@ class Scenario:
                          "degeneracy_tol"}, "scenario.hamiltonian")
         tol = _parse_present(hd, {"degeneracy_tol": _parse_real},
                              "scenario.hamiltonian")
+        if tol.get("degeneracy_tol", 0.0) < 0.0:
+            raise ScenarioError("scenario.hamiltonian.degeneracy_tol: "
+                                "expected a nonnegative number")
         try:
             if "matrix" in hd:
                 if "energies" in hd or "eigenvectors" in hd:
@@ -245,7 +259,7 @@ class Scenario:
             _check_keys(entry, {"label", "matrix"}, path)
             label = entry.get("label", f"A{k}")
             mat = _parse_matrix(_require(entry, "matrix", path),
-                                f"{path}.matrix")
+                                f"{path}.matrix", h.dim)
             try:
                 ops.append(CouplingOperator(str(label), mat))
             except ValueError as err:
@@ -259,12 +273,17 @@ class Scenario:
             raise ScenarioError("scenario.initial_state: give exactly one of "
                                 "matrix or occupations")
         if "matrix" in sd:
-            rho0 = _parse_matrix(sd["matrix"], "scenario.initial_state.matrix")
+            rho0 = _parse_matrix(sd["matrix"], "scenario.initial_state.matrix",
+                                 h.dim)
         else:
             occ = sd["occupations"]
             if not isinstance(occ, list):
                 raise ScenarioError("scenario.initial_state.occupations: "
                                     "expected a list")
+            if len(occ) != h.dim:
+                raise ScenarioError(f"scenario.initial_state.occupations: "
+                                    f"expected {h.dim} entries, got "
+                                    f"{len(occ)}")
             occ = [_parse_real(x, f"scenario.initial_state.occupations[{k}]")
                    for k, x in enumerate(occ)]
             # occupations fill eigenbasis levels, lowest energy first
@@ -301,8 +320,12 @@ class Scenario:
                 f"expected one of {[m.value for m in MEKind]}") from None
         threshold = gd.get("clustering_threshold")
         if threshold is not None:
-            threshold = _parse_real(threshold,
-                                    "scenario.generator.clustering_threshold")
+            path = "scenario.generator.clustering_threshold"
+            # an infinite threshold joins every frequency into one cluster
+            threshold = _parse_real(threshold, path, finite=False)
+            if not threshold >= 0.0:
+                raise ScenarioError(f"{path}: expected a nonnegative "
+                                    f"clustering threshold, got {threshold}")
         flags = _parse_present(gd, {"pauli_blocked": _parse_bool,
                                     "lamb_shift": _parse_bool},
                                "scenario.generator")
@@ -316,9 +339,9 @@ class Scenario:
         parsers = {"t_end": _parse_real, "samples": _parse_int,
                    "rtol": _parse_real, "atol": _parse_real}
         _check_keys(sched_d, set(parsers), "scenario.schedule")
+        values = _parse_present(sched_d, parsers, "scenario.schedule")
         try:
-            schedule = Schedule(**_parse_present(sched_d, parsers,
-                                                 "scenario.schedule"))
+            schedule = Schedule(**values)
         except ValueError as err:
             raise ScenarioError(f"scenario.schedule: {err}") from err
 
@@ -330,7 +353,23 @@ class Scenario:
                    schedule=schedule, **flags)
 
 
-def load_scenario(path) -> Scenario:
+def set_keys(d, values: dict):
+    """Set each dotted key of ``values`` (``bath.temperature``) in the
+    scenario dict ``d`` and return it; a non-object section raises."""
+    for dotted, value in values.items():
+        *sections, key = dotted.split(".")
+        cur, path = d, "scenario"
+        for section in sections:
+            if isinstance(cur, dict):
+                cur, path = cur.setdefault(section, {}), f"{path}.{section}"
+        if not isinstance(cur, dict):
+            raise ScenarioError(f"{path}: expected an object")
+        cur[key] = value
+    return d
+
+
+def read_scenario(path) -> dict:
+    """The JSON content of a scenario file, not yet parsed."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -341,7 +380,11 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{path}: invalid JSON at line {err.lineno} "
                             f"column {err.colno}: {err.msg}") from err
-    return Scenario.from_dict(data)
+    return data
+
+
+def load_scenario(path) -> Scenario:
+    return Scenario.from_dict(read_scenario(path))
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -66,6 +66,14 @@ def test_criterion_2_blocked_hole_defect_stays_small():
     assert np.max(traj.defect) < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["rme", "ume", "ule"])
+def test_criterion_2_blocked_benzene_hole_defect_at_the_defaults(kind):
+    traj = integrate(builtin_benzene(kind=kind, pauli_blocked=True,
+                                     copropagate_hole=True))
+    assert traj.defect is not None
+    assert np.max(traj.defect) <= 1e-12
+
+
 def test_criterion_3_three_level_residual_structure():
     setup = builtin_three_level(kind="ule", temperature=50.0).build()
     bath = BathModel(lam=0.01, temperature=50.0)

@@ -152,6 +152,48 @@ def test_run_rme_kind_override(tmp_path):
     assert meta["kind"] == "rme"
 
 
+# an example for each option of the override table: its arguments and the
+# value the scenario echo then holds at the option's key
+OVERRIDE_EXAMPLES = {
+    "kind": (["--kind", "rme"], "rme"),
+    "blocked": (["--blocked"], True),
+    "lamb_shift": (["--lamb-shift"], True),
+    "threshold": (["--threshold", "0.25"], 0.25),
+    "temperature": (["--temperature", "120"], 120.0),
+    "t_end": (["--t-end", "300"], 300.0),
+    "samples": (["--samples", "7"], 7),
+    "copropagate_hole": (["--copropagate-hole"], True),
+}
+
+
+@pytest.mark.parametrize("dest, key", rdmprop.cli.OVERRIDES.items(),
+                         ids=list(rdmprop.cli.OVERRIDES))
+def test_each_override_sets_its_scenario_key(tmp_path, dest, key):
+    argv, value = OVERRIDE_EXAMPLES[dest]
+    code = main(["run", "--benchmark", "three-level", "--t-end", "400",
+                 "--samples", "5", *argv, "--output-dir", str(tmp_path),
+                 "--prefix", "override"])
+    assert code == 0
+    echo = json.loads((tmp_path / "override.json").read_text())["scenario"]
+    *sections, last = key.split(".")
+    for section in sections:
+        echo = echo[section]
+    assert echo[last] == value
+
+
+def test_an_override_into_a_non_object_section_exits_two(tmp_path, capsys):
+    d = builtin_three_level().to_dict()
+    d["schedule"] = 5
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(d))
+    code = main(["run", "--scenario", str(path), "--t-end", "400",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scenario.schedule: expected an object"]
+    assert [p.name for p in tmp_path.iterdir()] == ["flat.json"]
+
+
 def test_run_requires_a_source(tmp_path, capsys):
     code = main(["run", "--output-dir", str(tmp_path)])
     assert code == 2

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
 from rdmprop.scenario import (
@@ -133,12 +135,148 @@ def test_explicit_eigenvectors_roundtrip():
         matrix=[[0.0, 0.0], [0.0, 0.0, 1.0]]), "row length"),
     (lambda d: d["coupling_operators"][0].update(matrix=[["x"]]),
      "expected a number"),
+    (lambda d: d.update(chi=float("nan")),
+     "scenario.chi: expected a positive"),
+    (lambda d: d.update(chi=float("inf")),
+     "scenario.chi: expected a positive"),
+    (lambda d: d["coupling_operators"][0]["matrix"][0].__setitem__(
+        1, float("nan")),
+     r"scenario\.coupling_operators\[0\]\.matrix\[0\]\[1\]: expected a "
+     r"finite number"),
+    (lambda d: d["initial_state"]["matrix"][2].__setitem__(
+        2, [1.0, float("inf")]),
+     r"scenario\.initial_state\.matrix\[2\]\[2\]: expected a finite"),
+    (lambda d: d.update(initial_state={"occupations": [0.0, float("nan"),
+                                                       1.0]}),
+     r"scenario\.initial_state\.occupations\[1\]: expected a finite"),
+    (lambda d: d["hamiltonian"]["energies"].__setitem__(0, float("nan")),
+     r"scenario\.hamiltonian\.energies\[0\]: expected a finite"),
+    (lambda d: d["hamiltonian"].update(degeneracy_tol=float("nan")),
+     "scenario.hamiltonian.degeneracy_tol: expected a finite"),
+    (lambda d: d["hamiltonian"].update(degeneracy_tol=-1e-9),
+     "scenario.hamiltonian.degeneracy_tol: expected a nonnegative"),
+    (lambda d: d["generator"].update(kind="ume",
+                                     clustering_threshold=float("nan")),
+     "scenario.generator.clustering_threshold: expected a nonnegative"),
+    (lambda d: d.update(schedule={"t_end": float("inf")}),
+     r"^scenario\.schedule\.t_end: expected a finite number"),
+    (lambda d: d.update(initial_state={"occupations": [0.0, 1.0]}),
+     "scenario.initial_state.occupations: expected 3 entries, got 2"),
+    (lambda d: d.update(initial_state={"matrix": [[1.0, 0.0], [0.0, 0.0]]}),
+     "scenario.initial_state.matrix: expected a 3x3 matrix, got 2x2"),
+    (lambda d: d["coupling_operators"][0].update(
+        matrix=[[0.0, 1.0], [1.0, 0.0]]),
+     r"scenario\.coupling_operators\[0\]\.matrix: expected a 3x3 matrix, "
+     r"got 2x2"),
 ])
 def test_malformed_scenarios_report_dotted_paths(mutate, message):
     d = minimal_dict()
     mutate(d)
     with pytest.raises(ScenarioError, match=message):
         Scenario.from_dict(d)
+
+
+def test_an_infinite_clustering_threshold_is_legal():
+    # it joins every frequency into one cluster
+    d = minimal_dict()
+    d["generator"].update(kind="ume", clustering_threshold=float("inf"))
+    scenario = Scenario.from_dict(d)
+    assert scenario.clustering_threshold == float("inf")
+    assert scenario.to_dict()["generator"]["clustering_threshold"] \
+        == float("inf")
+
+
+reals = st.floats(-1.0, 1.0)
+
+
+def _hermitian(draw, d):
+    """A Hermitian d x d matrix in scenario form, complex off the
+    diagonal."""
+    m = [[0.0] * d for _ in range(d)]
+    for i in range(d):
+        m[i][i] = draw(reals)
+        for j in range(i + 1, d):
+            re, im = draw(reals), draw(reals)
+            m[i][j], m[j][i] = [re, im], [re, -im]
+    return m
+
+
+def _maybe(draw, section, key, strategy):
+    if draw(st.booleans()):
+        section[key] = draw(strategy)
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Scenario dicts on 1 to 4 levels: energies alone, energies with
+    near-identity eigenvectors (diagonal phases up to 1e-5) or a Hermitian
+    matrix, and each optional field present or absent."""
+    d = draw(st.integers(1, 4))
+    chi = draw(st.sampled_from([1.0, 2.0]))
+    form = draw(st.sampled_from(["energies", "eigenvectors", "matrix"]))
+    if form == "matrix":
+        hamiltonian = {"matrix": _hermitian(draw, d)}
+    else:
+        hamiltonian = {"energies": sorted(draw(st.lists(
+            reals, min_size=d, max_size=d)))}
+    if form == "eigenvectors":
+        phases = draw(st.lists(st.floats(-1e-5, 1e-5), min_size=d,
+                               max_size=d))
+        hamiltonian["eigenvectors"] = [
+            [[np.cos(p), np.sin(p)] if i == j else 0.0 for j in range(d)]
+            for i, p in enumerate(phases)]
+    _maybe(draw, hamiltonian, "degeneracy_tol", st.floats(0.0, 1e-3))
+    couplings = []
+    for _ in range(draw(st.integers(1, 2))):
+        couplings.append({"matrix": _hermitian(draw, d)})
+        _maybe(draw, couplings[-1], "label", st.sampled_from(["a", "b"]))
+    if draw(st.booleans()):
+        initial = {"occupations": draw(st.lists(
+            st.floats(0.0, chi), min_size=d, max_size=d))}
+    else:
+        initial = {"matrix": _hermitian(draw, d)}
+    bath = {"lambda": draw(st.floats(1e-4, 1.0)),
+            "temperature": draw(st.floats(0.0, 1e3))}
+    _maybe(draw, bath, "pv_cutoff", st.floats(1.0, 1e3))
+    _maybe(draw, bath, "pv_points", st.integers(64, 8192))
+    generator = {"kind": draw(st.sampled_from(["rme", "ume", "ule"]))}
+    thresholds = st.one_of(st.floats(0.0, 1.0), st.just(float("inf")))
+    if generator["kind"] == "ume":
+        generator["clustering_threshold"] = draw(thresholds)
+    else:
+        _maybe(draw, generator, "clustering_threshold", thresholds)
+    _maybe(draw, generator, "pauli_blocked", st.booleans())
+    _maybe(draw, generator, "lamb_shift", st.booleans())
+    schedule = {}
+    _maybe(draw, schedule, "t_end", st.floats(1.0, 1e4))
+    _maybe(draw, schedule, "samples", st.integers(2, 1000))
+    _maybe(draw, schedule, "rtol", st.floats(1e-13, 1e-3))
+    _maybe(draw, schedule, "atol", st.floats(1e-15, 1e-6))
+    out = {"name": "drawn", "chi": chi, "hamiltonian": hamiltonian,
+           "coupling_operators": couplings, "initial_state": initial,
+           "bath": bath, "generator": generator, "schedule": schedule}
+    _maybe(draw, out, "copropagate_hole", st.booleans())
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_dicts())
+@example({**minimal_dict(), "hamiltonian": {
+    "energies": [-0.5, 0.0, 0.5],
+    "eigenvectors": [[[np.cos(1e-6), np.sin(1e-6)], 0.0, 0.0],
+                     [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    "initial_state": {"occupations": [0.0, 0.5, 1.0]}})
+def test_to_dict_is_a_fixed_point_of_the_round_trip(d):
+    # a diagonal phase of 1e-6 in the eigenvectors survives the round trip,
+    # and with it the eigenbasis the initial state is built in
+    first = Scenario.from_dict(d)
+    out = first.to_dict()
+    again = Scenario.from_dict(copy.deepcopy(out))
+    assert again.to_dict() == out
+    for built in (lambda s: s.hamiltonian.energies,
+                  lambda s: s.hamiltonian.eigenvectors,
+                  lambda s: s.initial_state):
+        npt.assert_array_equal(built(again), built(first))
 
 
 def test_from_dict_rejects_non_objects():
