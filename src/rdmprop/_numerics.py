@@ -14,7 +14,11 @@ differently from scipy's ``y + h (A_s @ k)``, so it returns the same
 difference flips an accept or reject decision. Stage points, error
 estimates and norms call ``ndarray.dot``: the C product of ``np.dot``,
 bitwise, without its Python dispatcher (about 0.25 us a call), so the
-step loop itself enters no numpy Python code.
+step loop itself enters no numpy Python code. Nor does an attempted step
+allocate: each stage point is formed in one reused buffer,
+``fun(t, y, out)`` writes stage s straight into its row of the stage
+array, and the error norm's scale and estimates are kept in buffers,
+computed in scipy's order.
 """
 
 from __future__ import annotations
@@ -255,39 +259,59 @@ def dop853(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
     """Integrate y' = fun(t, y) from y(0) = y0 to t_eval[-1] > 0 and sample
     the dense output at the sorted times ``t_eval`` >= 0.
 
-    ``fun`` returns a float array shaped like y. Returns the samples,
-    shaped (len(t_eval), len(y0)), and the number of evaluations of
-    ``fun``: 2 for the initial step, 12 per attempted step and 3 per step
-    with dense output. Raises StiffnessError when the step size falls below
-    ten units in the last place of t.
+    ``fun(t, y, out)`` returns f(t, y), a float array shaped like y: either
+    ``out`` itself, written in place, or a fresh array, which is copied
+    into ``out``. ``y`` is a buffer of the solver's, valid for that call
+    only, and ``out`` never overlaps it. Returns the samples, shaped
+    (len(t_eval), len(y0)), and the number of evaluations of ``fun``: 2
+    for the initial step, 12 per attempted step and 3 per step with dense
+    output. Raises StiffnessError when the step size falls below ten
+    units in the last place of t.
     """
     t, t_bound = 0.0, float(t_eval[-1])
     if not t_bound > t:
         raise ValueError("t_eval must end after t = 0")
-    y = np.asarray(y0, dtype=float)
-    out = np.empty((len(t_eval), y.size))
+    y0 = np.asarray(y0, dtype=float)
+    size = y0.size
+    out = np.empty((len(t_eval), size))
     # the step's start point, then the 16 stage derivatives; stage s is
     # evaluated at weights[s, :s + 1] @ points[:s + 1], weights = [1, h A]
-    points = np.empty((17, y.size))
-    k = points[1:]
+    points = np.empty((17, size))
+    y, k = points[0], points[1:]
+    y[:] = y0
     k13 = k[:13]
     weights = np.empty((16, 17))
     weights[:, 0] = 1.0
     scaled = weights[:, 1:]
-    stages = [(s, c, weights[s, :s + 1], points[:s + 1])
+    stages = [(c, weights[s, :s + 1], points[:s + 1], k[s])
               for s, c in enumerate(_C.tolist())]
     inner, dense = stages[1:12], stages[13:]
-    end_row, end_head = stages[12][2:]
+    end_row, end_head = stages[12][1:3]
+    # the stage point, the end point and the error norm's terms, reused by
+    # every step
+    point, y_new, abs_new = np.empty(size), np.empty(size), np.empty(size)
+    err5, err3 = np.empty(size), np.empty(size)
+    rtols, atols = np.full(size, rtol), np.full(size, atol)
+    fy, f_new = k[0], k[12]
     grid = np.asarray(t_eval, dtype=float).tolist()
-    fy = fun(t, y)
 
-    # initial step: Hairer, Norsett & Wanner, Sec. II.4
+    def evaluate(at, state, into):
+        f = fun(at, state, into)
+        if f is not into:
+            into[:] = f
+
+    evaluate(t, y, fy)
+
+    # initial step: Hairer, Norsett & Wanner, Sec. II.4; its scale array
+    # is the buffer every step's scale is written into
     abs_y = np.abs(y)
     scale = atol + abs_y * rtol
     d0, d1 = _rms(y / scale), _rms(fy / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound - t)
-    d2 = _rms((fun(t + h0, y + h0 * fy) - fy) / scale) / h0
+    np.add(y, h0 * fy, point)
+    evaluate(t + h0, point, k[1])
+    d2 = _rms((k[1] - fy) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -300,8 +324,6 @@ def dop853(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
-        points[0] = y
-        k[0] = fy
         while True:
             if h_abs < min_step:
                 raise StiffnessError(
@@ -310,17 +332,25 @@ def dop853(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            np.multiply(_A, h, out=scaled)
-            for s, c, row, head in inner:
-                k[s] = fun(t + c * h, row.dot(head))
-            y_new = end_row.dot(end_head)
-            k[12] = f_new = fun(t + h, y_new)
+            np.multiply(_A, h, scaled)
+            # evaluate(), inlined on the hot path
+            for c, row, head, stage in inner:
+                row.dot(head, point)
+                f = fun(t + c * h, point, stage)
+                if f is not stage:
+                    stage[:] = f
+            end_row.dot(end_head, y_new)
+            evaluate(t + h, y_new, f_new)
             nfev += 12
-            abs_new = np.abs(y_new)
-            scale = atol + np.maximum(abs_y, abs_new) * rtol
-            err5 = _E5.dot(k13)
+            # scipy's scale, atol + max(|y|, |y_new|) * rtol, and its two
+            # error estimates, without temporaries
+            np.abs(y_new, abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            np.multiply(scale, rtols, scale)
+            np.add(scale, atols, scale)
+            _E5.dot(k13, err5)
             err5 /= scale
-            err3 = _E3.dot(k13)
+            _E3.dot(k13, err3)
             err3 /= scale
             err5_2 = float(err5.dot(err5))
             err3_2 = float(err3.dot(err3))
@@ -328,7 +358,7 @@ def dop853(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
                 error = 0.0
             else:
                 error = h_abs * err5_2 / math.sqrt(
-                    (err5_2 + 0.01 * err3_2) * y.size)
+                    (err5_2 + 0.01 * err3_2) * size)
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else \
                     min(_MAX_FACTOR, _SAFETY * error ** (-1 / 8))
@@ -340,22 +370,26 @@ def dop853(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
         stop = bisect.bisect_right(grid, t_new, done)
         if stop > done:
             # dense output over the step just taken
-            for s, c, row, head in dense:
-                k[s] = fun(t + c * h, row.dot(head))
+            for c, row, head, stage in dense:
+                row.dot(head, point)
+                evaluate(t + c * h, point, stage)
             nfev += 3
             delta = y_new - y
-            coeffs = np.empty((7, y.size))
+            coeffs = np.empty((7, size))
             coeffs[0] = delta
-            coeffs[1] = h * k[0] - delta
-            coeffs[2] = 2 * delta - h * (f_new + k[0])
+            coeffs[1] = h * fy - delta
+            coeffs[2] = 2 * delta - h * (f_new + fy)
             coeffs[3:] = h * (_D @ k)
             x = ((t_eval[done:stop] - t) / h)[:, None]
-            sample = np.zeros((len(x), y.size))
+            sample = np.zeros((len(x), size))
             for i, coeff in enumerate(coeffs[::-1]):
                 sample += coeff
                 sample *= x if i % 2 == 0 else 1 - x
             sample += y
             out[done:stop] = sample
             done = stop
-        t, y, fy, abs_y = t_new, y_new, f_new, abs_new
+        t = t_new
+        y[:] = y_new
+        fy[:] = f_new
+        abs_y, abs_new = abs_new, abs_y
     return out, nfev

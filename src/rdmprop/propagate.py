@@ -14,9 +14,10 @@ two state-dependent blocking factors. Up to a fixed size in bytes,
 pair and output entry; above it, an O(K d^3) kernel applies the sandwich
 of the blocked couplings to the unpacked state. Either is integrated
 adaptively by the numpy port of DOP853 in ``_numerics``, which follows
-scipy's ``solve_ivp``; the exponential is that module's too, so runs need
-numpy alone. The schedule decides the grid: ``samples`` points from 0
-to ``t_end``.
+scipy's ``solve_ivp`` and has every right-hand side write each stage into
+the solver's own array (``f(t, y, out)``); the exponential is that
+module's too, so runs need numpy alone. The schedule decides the grid:
+``samples`` points from 0 to ``t_end``.
 
 A ``Trajectory`` keeps the packed eigenbasis samples and the eigenvectors.
 Everything a run reads from it (populations, natural occupations, traces,
@@ -57,19 +58,20 @@ def _upper(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return row, col
 
 
-def pack_hermitian(m: np.ndarray) -> np.ndarray:
+def pack_hermitian(m: np.ndarray, out: np.ndarray | None = None
+                   ) -> np.ndarray:
     """Map a Hermitian matrix to a real vector isometrically.
 
     Layout: d diagonal entries, then sqrt(2) * real upper triangle, then
     sqrt(2) * imaginary upper triangle (row-major order of the triangle).
     The scaling makes the map preserve the Frobenius inner product. Leading
-    batch axes are kept.
+    batch axes are kept. The result is written into ``out`` when given.
     """
     m = np.asarray(m)
     upper = m[(...,) + _upper(m.shape[-1])]
     return np.concatenate([np.real(np.diagonal(m, axis1=-2, axis2=-1)),
                            _SQRT2 * np.real(upper),
-                           _SQRT2 * np.imag(upper)], axis=-1)
+                           _SQRT2 * np.imag(upper)], axis=-1, out=out)
 
 
 def unpack_hermitian(y: np.ndarray, dim: int) -> np.ndarray:
@@ -107,8 +109,12 @@ def transpose_permuted(packed: np.ndarray, perm: np.ndarray) -> None:
 
 
 def build_packed_generator(h: SystemHamiltonian, spec: GeneratorSpec):
-    """Right-hand side f(t, y) of the master equation on packed eigenbasis
-    states, linear or Pauli-blocked.
+    """Right-hand side f(t, y, out=None) of the master equation on packed
+    eigenbasis states, linear or Pauli-blocked.
+
+    f writes its image into ``out`` and returns it, or returns a fresh
+    array when ``out`` is None; ``out`` must not overlap y. The arrays it
+    returns are never its own buffers, so a later call leaves them alone.
 
     Blocking makes the coupling M o a = a_free + R a_blk with
     R = diag(r_sub(i)), r_s = sqrt(chi - n_s); a linear spec has no
@@ -132,8 +138,8 @@ def build_packed_generator(h: SystemHamiltonian, spec: GeneratorSpec):
     if not any(b.any() for b in spec.blocking_split[1]):
         matrix = pack_hermitian(_free_images(h, spec)).T
 
-        def rhs(t, y):
-            return matrix @ y
+        def rhs(t, y, out=None):
+            return matrix.dot(y, out)
 
         rhs.matrix = matrix
         return rhs
@@ -185,57 +191,78 @@ def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     u_sub(i), u_sub(k) and both; per subspace s, the anticommutators of
     the free-blk and blk-blk terms through s by u_s and u_s^2. W holds the
     m + 1 population averages of ``_vacancy_map``, then the rows of those
-    maps merged by (unordered factor pair, output entry), all-zero rows
-    dropped. A call is w = W @ y, u = sqrt(max(offset + w[:m+1], 0)) and
-    one weighted bincount of u_p u_q w over the output entries. The
-    product is ``ndarray.dot``, bitwise ``np.dot`` without its Python
-    dispatcher, so a call enters numpy's Python code only through
-    bincount's.
+    maps merged by (output entry, unordered factor pair), all-zero rows
+    dropped but where an entry would have none, and sorted so that each
+    output entry is one run of rows. A
+    call is w = W @ y, u = sqrt(max(offset + w[:m+1], 0)), the products
+    u_p u_q w of the rows and one ``np.add.reduceat`` of them over the
+    runs, O(R) for R rows. Every step writes into a buffer bound at build
+    time, the last into ``out``, and calls a C function of numpy's, so a
+    call allocates nothing when given ``out`` and enters no numpy Python
+    code. The buffers make a call not reentrant: one call at a time.
     """
     d, n, m = h.dim, h.dim * h.dim, len(spec.subspaces)
+    pairs = (m + 1) ** 2
     free, blk = spec.blocking_split
     basis = unpack_hermitian(np.eye(n), d)
     sub = spec.level_subspace
     # 1 + subspace of the row and of the column of every packed entry
     iu = _upper(d)
     row, col = sub[np.concatenate([[range(d)] * 2, iu, iu], axis=1)] + 1
-    maps, keys = [], []
+    # every output entry has a row of the free pair, zero if it had none,
+    # so that no run of rows is empty
+    maps, keys = [np.zeros((n, n))], [np.arange(n) * pairs]
 
-    def add(image, first, second):
+    def collect(image, first, second):
         first, second = np.broadcast_arrays(first, second, row)[:2]
         pair = np.minimum(first, second) * (m + 1) + np.maximum(first, second)
         packed = pack_hermitian(image).T
         kept = packed.any(axis=1)
         maps.append(packed[kept])
-        keys.append((pair * n + np.arange(n))[kept])
+        keys.append((np.arange(n) * pairs + pair)[kept])
 
-    add(_free_images(h, spec), 0, 0)
-    add(_sandwich(spec, blk, free, basis)[0], row, 0)
-    add(_sandwich(spec, free, blk, basis)[0], 0, col)
-    add(_sandwich(spec, blk, blk, basis)[0], row, col)
+    collect(_free_images(h, spec), 0, 0)
+    collect(_sandwich(spec, blk, free, basis)[0], row, 0)
+    collect(_sandwich(spec, free, blk, basis)[0], 0, col)
+    collect(_sandwich(spec, blk, blk, basis)[0], row, col)
     for s in range(m):
         part = tuple(np.where((sub == s)[:, None], b, 0.0) for b in blk)
-        add(_anti(basis, _sandwich(spec, free, part)[1],
-                  _sandwich(spec, part, free)[1]), s + 1, 0)
-        add(_anti(basis, _sandwich(spec, part, part)[1]), s + 1, s + 1)
+        collect(_anti(basis, _sandwich(spec, free, part)[1],
+                      _sandwich(spec, part, free)[1]), s + 1, 0)
+        collect(_anti(basis, _sandwich(spec, part, part)[1]), s + 1, s + 1)
 
     keys, index = np.unique(np.concatenate(keys), return_inverse=True)
     merged = np.zeros((keys.size, n))
     np.add.at(merged, index, np.concatenate(maps))
+    entry, pair = np.divmod(keys, pairs)
+    starts = np.searchsorted(entry, np.arange(n))
     average, offset = _vacancy_map(spec)
     averages = np.zeros((m + 1, n))
     averages[:, :d] = average
     w_map = np.concatenate([averages, merged])
-    pair, out = np.divmod(keys, n)
-    first, second = np.divmod(pair, m + 1)
-    # bound once, not looked up or converted on every call
-    zero, head, tail = np.zeros(m + 1), slice(m + 1), slice(m + 1, None)
-    sqrt, maximum, bincount = np.sqrt, np.maximum, np.bincount
+    # buffers, views and functions bound once, not made or looked up per
+    # call; u is computed in place over the averages' part of w
+    w = np.empty(w_map.shape[0])
+    u, w_rows = w[:m + 1], w[m + 1:]
+    u_col, u_row = u[:, None], u[None, :]
+    products = np.empty((m + 1, m + 1))
+    weights, coef = products.reshape(-1), np.empty(keys.size)
+    zero = np.zeros(m + 1)
+    add, maximum, sqrt, multiply = np.add, np.maximum, np.sqrt, np.multiply
+    reduceat = np.add.reduceat
 
-    def rhs(t, y):
-        w = w_map.dot(y)
-        u = sqrt(maximum(offset + w[head], zero))
-        return bincount(out, u[first] * u[second] * w[tail], n)
+    def rhs(t, y, out=None):
+        if out is None:
+            out = np.empty(n)
+        w_map.dot(y, w)
+        add(offset, u, u)
+        maximum(u, zero, out=u)
+        sqrt(u, u)
+        # u_p u_q for every pair as one outer product, gathered per row
+        u_col.dot(u_row, products)
+        weights.take(pair, None, coef, "clip")
+        multiply(coef, w_rows, coef)
+        return reduceat(coef, starts, 0, None, out)
 
     return rhs
 
@@ -250,14 +277,14 @@ def _kernel_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     average, offset = _vacancy_map(spec)
     sub = spec.level_subspace[:, None] + 1
 
-    def rhs(t, y):
+    def rhs(t, y, out=None):
         rho = unpack_hermitian(y, d)
         u = np.sqrt(np.maximum(offset + average @ y[:d], 0.0))[sub]
         x = tuple(f + u * b for f, b in zip(free, blk))
-        out, anti = _sandwich(spec, x, x, rho)
-        out -= 1j * (heff @ rho - rho @ heff)
-        out -= 0.5 * (anti @ rho + rho @ anti)
-        return pack_hermitian(out)
+        image, anti = _sandwich(spec, x, x, rho)
+        image -= 1j * (heff @ rho - rho @ heff)
+        image -= 0.5 * (anti @ rho + rho @ anti)
+        return pack_hermitian(image, out)
 
     return rhs
 

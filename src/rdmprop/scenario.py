@@ -31,14 +31,20 @@ def _parse_number(obj, path: str, finite: bool = True) -> complex:
     if isinstance(obj, bool):
         raise ScenarioError(f"{path}: expected a number, got a boolean")
     if isinstance(obj, (int, float)):
-        z = complex(obj)
+        parts = (obj, 0.0)
     elif (isinstance(obj, list) and len(obj) == 2
             and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                     for x in obj)):
-        z = complex(obj[0], obj[1])
+        parts = obj
     else:
         raise ScenarioError(f"{path}: expected a number or an [re, im] "
                             f"pair, got {obj!r}")
+    try:
+        z = complex(*parts)
+    except OverflowError:
+        # a JSON integer past the largest float
+        raise ScenarioError(f"{path}: expected a finite number, got an "
+                            f"integer beyond the float range") from None
     if finite and not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ScenarioError(f"{path}: expected a finite number, got {obj!r}")
     return z
@@ -208,6 +214,7 @@ class Scenario:
         if not isinstance(chi, (int, float)) or isinstance(chi, bool) \
                 or not 0 < chi < math.inf:
             raise ScenarioError("scenario.chi: expected a positive number")
+        chi = _parse_real(chi, "scenario.chi")
 
         hd = _require(d, "hamiltonian", "scenario")
         if not isinstance(hd, dict):
@@ -347,7 +354,7 @@ class Scenario:
 
         flags.update(_parse_present(d, {"copropagate_hole": _parse_bool},
                                     "scenario"))
-        return cls(name=name, chi=float(chi), hamiltonian=h,
+        return cls(name=name, chi=chi, hamiltonian=h,
                    coupling_operators=tuple(ops), initial_state=rho0,
                    bath=bath, kind=kind, clustering_threshold=threshold,
                    schedule=schedule, **flags)

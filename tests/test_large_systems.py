@@ -30,13 +30,14 @@ from hypothesis import strategies as st
 import rdmprop.bath
 import rdmprop.generators
 from rdmprop.bath import BathModel
+from rdmprop._numerics import dop853
 from rdmprop.core import CouplingOperator, SystemHamiltonian, max_norm
 from rdmprop.generators import build_generator
 from rdmprop.propagate import Schedule, _compact_rhs, _kernel_rhs, \
     build_packed_generator, pack_hermitian, propagate_state, \
     unpack_hermitian
 from rdmprop.representability import constraint_residual, \
-    unitality_residual
+    copropagate_hole, unitality_residual
 
 from oracle import Oracle
 
@@ -223,6 +224,50 @@ def test_compact_map_and_kernel_agree(kind, d):
     assert max_norm(kernel(0.0, filled)) < TOL
 
 
+def stage_functions(d):
+    """The linear right-hand side of a random d-level system and the
+    compact map and kernel of its blocked spec, with a random state
+    generator."""
+    h, a, rng = random_system(30 + d, d, None)
+    linear, blocked = (build_generator(h, a, BATH, "rme", chi=1.0,
+                                       pauli_blocked=b) for b in (False, True))
+    return {"linear": build_packed_generator(h, linear),
+            "compact": _compact_rhs(h, blocked),
+            "kernel": _kernel_rhs(h, blocked)}, rng
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+def test_right_hand_sides_write_into_out_what_they_return(d):
+    funs, rng = stage_functions(d)
+    y, z = (pack_hermitian(random_state(rng, d, 1.0)) for _ in range(2))
+    for route, fun in funs.items():
+        fresh = fun(0.0, y)
+        kept = fresh.copy()
+        out = np.full(d * d, np.nan)
+        assert fun(0.0, y, out) is out, route
+        assert np.array_equal(out, fresh), route
+        # no buffer of the function escapes: later calls, fresh or into
+        # ``out``, leave an array it returned unchanged
+        other = fun(0.0, z)
+        fun(0.0, z, out)
+        assert np.array_equal(fresh, kept), route
+        assert np.array_equal(other, out), route
+        assert not np.array_equal(other, fresh), route
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+def test_dop853_integrates_fresh_and_written_results_alike(d):
+    funs, rng = stage_functions(d)
+    y0 = pack_hermitian(random_state(rng, d, 1.0))
+    t_eval = np.linspace(0.0, 5.0, 7)
+    for route, fun in funs.items():
+        written, nfev = dop853(fun, y0, t_eval, 1e-9, 1e-11)
+        fresh, fresh_nfev = dop853(lambda t, y, out: fun(t, y), y0, t_eval,
+                                   1e-9, 1e-11)
+        assert nfev == fresh_nfev, route
+        assert np.array_equal(written, fresh), route
+
+
 @pytest.mark.parametrize("kind", ["rme", "ule"])
 def test_blocked_kernel_at_d32(kind):
     h, a = baseline_system(32)
@@ -268,6 +313,20 @@ def baseline_system(d, seed=0):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (SystemHamiltonian.from_energies(energies),
             CouplingOperator("x", 0.15 * (g + g.conj().T)))
+
+
+@pytest.mark.parametrize("kind", ["ume", "ule"])
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_blocked_hole_copropagation_keeps_the_complement(kind, d):
+    # criterion 2 beyond the builtins, at the default tolerances
+    h, a = baseline_system(d)
+    spec = build_generator(h, a, BATH, kind, chi=1.0,
+                           clustering_threshold=0.0, pauli_blocked=True)
+    rho0 = np.diag(np.repeat([1.0, 0.0], d // 2)).astype(complex)
+    schedule = Schedule(t_end=200.0, samples=50)
+    particle = propagate_state(h, spec, rho0, schedule)
+    hole = copropagate_hole(np.eye(d) - rho0, h, spec, schedule, particle)
+    assert float(np.max(hole.defect)) <= 1e-6
 
 
 @pytest.mark.parametrize("kind", ["ule", "ume"])

@@ -153,9 +153,10 @@ def test_dop853_matches_solve_ivp(case):
     assert nfev == sol.nfev
 
 
-def test_blocked_run_enters_numpy_python_code_only_in_bincount():
-    # stage points, error norms and the compact map call ndarray.dot, which
-    # skips np.dot's Python dispatcher; bincount's is the one left per call
+def test_blocked_run_enters_numpy_python_code_only_in_set_up():
+    # stage points, error norms and the compact map call ndarray methods
+    # and ufuncs, which skip numpy's Python dispatchers: the few numpy
+    # Python frames of a run are its set-up's, none per evaluation
     h, spec, rho0 = blocked_builtin("three-level", "rme")
     fun = build_packed_generator(h, spec)
     y0 = pack_hermitian(h.to_eigenbasis(rho0))
@@ -173,10 +174,10 @@ def test_blocked_run_enters_numpy_python_code_only_in_bincount():
         sys.setprofile(None)
     assert nfev > 900
     assert "dot" not in frames
-    assert len(frames) <= nfev
+    assert len(frames) <= 10
 
 
-def forced_relaxation(t, y):
+def forced_relaxation(t, y, out=None):
     return -50.0 * (y - np.cos(t))
 
 
@@ -199,7 +200,7 @@ def test_dop853_counts_every_evaluation(samples):
                                  1e-11)) > 12
     calls = 0
 
-    def counted(t, y):
+    def counted(t, y, out=None):
         nonlocal calls
         calls += 1
         return forced_relaxation(t, y)
@@ -213,7 +214,7 @@ def test_dop853_counts_every_evaluation(samples):
 
 
 def test_dop853_raises_when_the_step_underflows():
-    def blow_up(t, y):
+    def blow_up(t, y, out=None):
         return y * y
 
     with pytest.raises(StiffnessError, match="stopped early"):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmprop.benchmarks import builtin_benzene, builtin_three_level
+from rdmprop.cli import main
 from rdmprop.scenario import (
     Scenario,
     ScenarioError,
@@ -168,12 +169,36 @@ def test_explicit_eigenvectors_roundtrip():
         matrix=[[0.0, 1.0], [1.0, 0.0]]),
      r"scenario\.coupling_operators\[0\]\.matrix: expected a 3x3 matrix, "
      r"got 2x2"),
+    # JSON integers past the largest float
+    (lambda d: d.update(chi=10**400),
+     "scenario.chi: expected a finite number, got an integer beyond the "
+     "float range"),
+    (lambda d: d["bath"].update(temperature=10**400),
+     "scenario.bath.temperature: expected a finite number, got an integer "
+     "beyond"),
+    (lambda d: d["coupling_operators"][0]["matrix"][1].__setitem__(
+        2, [1, -10**400]),
+     r"scenario\.coupling_operators\[0\]\.matrix\[1\]\[2\]: expected a "
+     r"finite number, got an integer beyond"),
 ])
 def test_malformed_scenarios_report_dotted_paths(mutate, message):
     d = minimal_dict()
     mutate(d)
     with pytest.raises(ScenarioError, match=message):
         Scenario.from_dict(d)
+
+
+def test_an_integer_beyond_the_float_range_exits_two(tmp_path, capsys):
+    d = minimal_dict()
+    d["bath"]["temperature"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(d))
+    code = main(["run", "--scenario", str(path), "--output-dir",
+                 str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario.bath.temperature: ")
+    assert "Traceback" not in err
 
 
 def test_an_infinite_clustering_threshold_is_legal():
