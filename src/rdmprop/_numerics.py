@@ -282,7 +282,9 @@ def dop853(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
     k13 = k[:13]
     weights = np.empty((16, 17))
     weights[:, 0] = 1.0
-    scaled = weights[:, 1:]
+    # h A is formed in a contiguous block, then copied into weights[:, 1:]:
+    # the same products, faster than a multiply into the strided view
+    scaled, tableau = np.empty((16, 16)), weights[:, 1:]
     stages = [(c, weights[s, :s + 1], points[:s + 1], k[s])
               for s, c in enumerate(_C.tolist())]
     inner, dense = stages[1:12], stages[13:]
@@ -333,6 +335,7 @@ def dop853(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
             h = t_new - t
             h_abs = abs(h)
             np.multiply(_A, h, scaled)
+            tableau[:] = scaled
             # evaluate(), inlined on the hot path
             for c, row, head, stage in inner:
                 row.dot(head, point)

@@ -11,12 +11,14 @@ sqrt(N) samples, each one product with a power of exp(G dt). A blocked
 spec weights the images of the free and blockable parts by products of
 two state-dependent blocking factors. Up to a fixed size in bytes,
 ``COMPACT_BYTES``, it is one compact map whose rows are merged by factor
-pair and output entry; above it, an O(K d^3) kernel applies the sandwich
-of the blocked couplings to the unpacked state. Either is integrated
-adaptively by the numpy port of DOP853 in ``_numerics``, which follows
-scipy's ``solve_ivp`` and has every right-hand side write each stage into
-the solver's own array (``f(t, y, out)``); the exponential is that
-module's too, so runs need numpy alone. The schedule decides the grid:
+pair and output entry, one run of equal length per output entry, summed
+by one product with a vector of ones; above it, an O(K d^3) kernel
+applies the sandwich of the blocked couplings to the unpacked state.
+Either is integrated adaptively by the numpy port of DOP853 in
+``_numerics``, which follows scipy's ``solve_ivp`` and has every
+right-hand side write each stage into the solver's own array
+(``f(t, y, out)``); the exponential is that module's too, so runs need
+numpy alone. The schedule decides the grid:
 ``samples`` points from 0 to ``t_end``.
 
 A ``Trajectory`` keeps the packed eigenbasis samples and the eigenvectors.
@@ -192,14 +194,17 @@ def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     the free-blk and blk-blk terms through s by u_s and u_s^2. W holds the
     m + 1 population averages of ``_vacancy_map``, then the rows of those
     maps merged by (output entry, unordered factor pair), all-zero rows
-    dropped but where an entry would have none, and sorted so that each
-    output entry is one run of rows. A
-    call is w = W @ y, u = sqrt(max(offset + w[:m+1], 0)), the products
-    u_p u_q w of the rows and one ``np.add.reduceat`` of them over the
-    runs, O(R) for R rows. Every step writes into a buffer bound at build
-    time, the last into ``out``, and calls a C function of numpy's, so a
-    call allocates nothing when given ``out`` and enters no numpy Python
-    code. The buffers make a call not reentrant: one call at a time.
+    dropped. Every output entry has one run of r rows, r the largest
+    number of factor pairs an entry has, at most 2m + 2: (0, 0), (0, s)
+    and (s, s) per subspace and one (sub(i), sub(k)). Shorter runs are
+    padded with zero rows of the free pair (the ELL layout of Bell &
+    Garland, SC'09). A call is w = W @ y, u = sqrt(max(offset + w[:m+1],
+    0)), the products u_p u_q w of the rows and one product of their n x r
+    array with a vector of ones, O(n r). Every step writes into a buffer
+    bound at build time, the last into ``out``, and calls a C function of
+    numpy's, so a call allocates nothing when given ``out`` and enters no
+    numpy Python code. The buffers make a call not reentrant: one call at
+    a time.
     """
     d, n, m = h.dim, h.dim * h.dim, len(spec.subspaces)
     pairs = (m + 1) ** 2
@@ -209,9 +214,7 @@ def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     # 1 + subspace of the row and of the column of every packed entry
     iu = _upper(d)
     row, col = sub[np.concatenate([[range(d)] * 2, iu, iu], axis=1)] + 1
-    # every output entry has a row of the free pair, zero if it had none,
-    # so that no run of rows is empty
-    maps, keys = [np.zeros((n, n))], [np.arange(n) * pairs]
+    maps, keys = [], []
 
     def collect(image, first, second):
         first, second = np.broadcast_arrays(first, second, row)[:2]
@@ -231,25 +234,35 @@ def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
                       _sandwich(spec, part, free)[1]), s + 1, 0)
         collect(_anti(basis, _sandwich(spec, part, part)[1]), s + 1, s + 1)
 
-    keys, index = np.unique(np.concatenate(keys), return_inverse=True)
-    merged = np.zeros((keys.size, n))
-    np.add.at(merged, index, np.concatenate(maps))
-    entry, pair = np.divmod(keys, pairs)
-    starts = np.searchsorted(entry, np.arange(n))
+    # rows of one key summed in the order they were collected, then placed
+    # at their slot in their entry's run of ``width`` rows
+    keys = np.concatenate(keys)
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    entry, pair = np.divmod(keys[first], pairs)
+    counts = np.bincount(entry, minlength=n)
+    width = int(counts.max())
+    place = entry * width + np.arange(entry.size) \
+        - np.repeat(counts.cumsum() - counts, counts)
+    table = np.zeros((n * width, n))
+    table[place] = np.add.reduceat(np.concatenate(maps)[order], first)
+    run_pair = np.zeros(n * width, dtype=np.intp)
+    run_pair[place] = pair
     average, offset = _vacancy_map(spec)
     averages = np.zeros((m + 1, n))
     averages[:, :d] = average
-    w_map = np.concatenate([averages, merged])
+    w_map = np.concatenate([averages, table])
     # buffers, views and functions bound once, not made or looked up per
     # call; u is computed in place over the averages' part of w
     w = np.empty(w_map.shape[0])
     u, w_rows = w[:m + 1], w[m + 1:]
     u_col, u_row = u[:, None], u[None, :]
     products = np.empty((m + 1, m + 1))
-    weights, coef = products.reshape(-1), np.empty(keys.size)
+    weights, coef = products.reshape(-1), np.empty(n * width)
+    runs, ones = coef.reshape(n, width), np.ones(width)
     zero = np.zeros(m + 1)
     add, maximum, sqrt, multiply = np.add, np.maximum, np.sqrt, np.multiply
-    reduceat = np.add.reduceat
 
     def rhs(t, y, out=None):
         if out is None:
@@ -260,9 +273,10 @@ def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
         sqrt(u, u)
         # u_p u_q for every pair as one outer product, gathered per row
         u_col.dot(u_row, products)
-        weights.take(pair, None, coef, "clip")
+        weights.take(run_pair, None, coef, "clip")
         multiply(coef, w_rows, coef)
-        return reduceat(coef, starts, 0, None, out)
+        # each entry's run of coefficients summed by one product
+        return runs.dot(ones, out)
 
     return rhs
 

@@ -351,6 +351,12 @@ class Scenario:
             schedule = Schedule(**values)
         except ValueError as err:
             raise ScenarioError(f"scenario.schedule: {err}") from err
+        # a run stores (samples, d^2) floats; numpy refuses larger arrays
+        largest = np.iinfo(np.intp).max // (8 * h.dim**2)
+        if schedule.samples > largest:
+            raise ScenarioError(
+                f"scenario.schedule.samples: at most {largest} samples fit "
+                f"in one array of {h.dim}x{h.dim} states")
 
         flags.update(_parse_present(d, {"copropagate_hole": _parse_bool},
                                     "scenario"))

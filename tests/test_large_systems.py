@@ -1,17 +1,18 @@
 """Invariants and oracle agreement of every generator well beyond d = 6.
 
 Random systems have d in {8, 10, 12, 16} levels (one blocked example has
-20).
+20; the compact map is also checked at 3, 4 and 6).
 Their spectra are generic, or built from pairs of levels split by 1e-10 or
 by 1e-8, on either side of the degeneracy tolerance 1e-9: the first pairs
 merge into two-level subspaces, the second stay apart and give Bohr
 frequencies of +-1e-8. Every kind is checked blocked and unblocked, with
 and without the Lamb shift, against the channel-pair oracle in
 ``oracle.py``. The two evaluations of a blocked generator, the compact
-map and the kernel, are compared at d in {8, 10, 12, 16}, and the kernel
+map and the kernel, are compared with each other and with the oracle at
+d in {3, 4, 6, 8, 10, 12, 16} and on both builtins, and the kernel
 against the oracle at d = 32. The filled-state constraint, detailed
-balance and the blocked d = 32 runs use the baseline family of sorted
-uniform spectra with one random coupling.
+balance, hole co-propagation and the blocked d = 32 runs use the baseline
+family of sorted uniform spectra with one random coupling.
 
 The principal-value quadratures are replaced by closed forms in this module.
 The identities hold for any real coefficients, and the oracle reads the same
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 import rdmprop.bath
 import rdmprop.generators
 from rdmprop.bath import BathModel
+from rdmprop.benchmarks import BENCHMARKS
 from rdmprop._numerics import dop853
 from rdmprop.core import CouplingOperator, SystemHamiltonian, max_norm
 from rdmprop.generators import build_generator
@@ -207,18 +209,30 @@ def clamped_states(spec, rho):
 
 
 @pytest.mark.parametrize("kind", ["rme", "ume", "ule"])
-@pytest.mark.parametrize("d", [8, 10, 12, 16])
-def test_compact_map_and_kernel_agree(kind, d):
-    h, a, rng = random_system(20 + d, d, None)
-    chi = 2.0
-    spec = build_generator(h, a, BATH, kind, chi=chi, lamb_shift=True,
-                           clustering_threshold=0.02, pauli_blocked=True)
+@pytest.mark.parametrize("system", [3, 4, 6, 8, 10, 12, 16, "three-level",
+                                    "benzene"])
+def test_compact_map_and_kernel_agree(kind, system):
+    # random systems have one subspace per level; benzene's degenerate
+    # shells give m = 4 subspaces for d = 6
+    if system in BENCHMARKS:
+        setup = BENCHMARKS[system](kind=kind, pauli_blocked=True,
+                                   lamb_shift=True,
+                                   clustering_threshold=0.02).build()
+        h, spec = setup.hamiltonian, setup.spec
+        rng = np.random.default_rng(0)
+    else:
+        h, a, rng = random_system(20 + system, system, None)
+        spec = build_generator(h, a, BATH, kind, chi=2.0, lamb_shift=True,
+                               clustering_threshold=0.02, pauli_blocked=True)
+    d, chi = h.dim, spec.chi
     compact, kernel = _compact_rhs(h, spec), _kernel_rhs(h, spec)
     route = build_packed_generator(h, spec)
     assert route.__code__ is (compact if d <= 10 else kernel).__code__
+    oracle = Oracle(h, spec)
     for rho in clamped_states(spec, random_state(rng, d, chi)):
         y = pack_hermitian(rho)
         assert max_norm(compact(0.0, y) - kernel(0.0, y)) < TOL
+        assert max_norm(compact(0.0, y) - oracle.blocked_rhs(y)) < TOL
     filled = pack_hermitian(chi * np.eye(d))
     assert max_norm(compact(0.0, filled)) < TOL
     assert max_norm(kernel(0.0, filled)) < TOL
@@ -326,6 +340,24 @@ def test_blocked_hole_copropagation_keeps_the_complement(kind, d):
     schedule = Schedule(t_end=200.0, samples=50)
     particle = propagate_state(h, spec, rho0, schedule)
     hole = copropagate_hole(np.eye(d) - rho0, h, spec, schedule, particle)
+    assert float(np.max(hole.defect)) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="blocked rme breaks the complement "
+                   "at every tolerance; whether through the paper's "
+                   "positivity issues or a fault of the blocked rme "
+                   "generator is open (ROADMAP items 11 and 6)")
+def test_blocked_rme_hole_copropagation_keeps_the_complement_at_d8():
+    # the defect reads 5.5e-3 with this module's closed-form quadratures,
+    # natural occupations in [-9.2e-4, 1.00054]; ROADMAP records 1.2e-2
+    # with the real ones. ume and ule keep it below 1e-6 on the same system
+    h, a = baseline_system(8)
+    spec = build_generator(h, a, BATH, "rme", chi=1.0,
+                           clustering_threshold=0.0, pauli_blocked=True)
+    rho0 = np.diag(np.repeat([1.0, 0.0], 4)).astype(complex)
+    schedule = Schedule(t_end=200.0, samples=50)
+    particle = propagate_state(h, spec, rho0, schedule)
+    hole = copropagate_hole(np.eye(8) - rho0, h, spec, schedule, particle)
     assert float(np.max(hole.defect)) <= 1e-6
 
 

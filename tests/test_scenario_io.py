@@ -201,6 +201,36 @@ def test_an_integer_beyond_the_float_range_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_samples_past_the_largest_array_are_refused_at_the_boundary():
+    # a run stores (samples, d^2) float64 samples; from_dict allocates
+    # none of them, so the largest legal count itself can be parsed
+    largest = np.iinfo(np.intp).max // (8 * 3**2)
+    d = minimal_dict()
+    d["schedule"] = {"samples": largest}
+    assert Scenario.from_dict(d).schedule.samples == largest
+    d["schedule"] = {"samples": largest + 1}
+    with pytest.raises(ScenarioError, match=r"^scenario\.schedule\.samples: "
+                       f"at most {largest} samples fit"):
+        Scenario.from_dict(d)
+
+
+@pytest.mark.parametrize("source", ["file", "option"])
+def test_a_huge_sample_count_exits_two(tmp_path, capsys, source):
+    d = minimal_dict()
+    if source == "file":
+        d["schedule"] = {"samples": 10**400}
+    path = tmp_path / "huge-samples.json"
+    path.write_text(json.dumps(d))
+    extra = ["--samples", str(10**400)] if source == "option" else []
+    code = main(["run", "--scenario", str(path), "--output-dir",
+                 str(tmp_path), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario.schedule.samples: at most ")
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_an_infinite_clustering_threshold_is_legal():
     # it joins every frequency into one cluster
     d = minimal_dict()
