@@ -376,6 +376,9 @@ def main(argv=None) -> int:
             NumericalError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return 1
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

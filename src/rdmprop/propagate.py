@@ -9,16 +9,19 @@ coupling, every linear spec among them, is one real matrix G on packed
 vectors, stepped exactly on the uniform sample grid in blocks of about
 sqrt(N) samples, each one product with a power of exp(G dt). A blocked
 spec weights the images of the free and blockable parts by products of
-two state-dependent blocking factors. Up to a fixed size in bytes,
-``COMPACT_BYTES``, it is one compact map whose rows are merged by factor
-pair and output entry, one run of equal length per output entry, summed
-by one product with a vector of ones; above it, an O(K d^3) kernel
-applies the sandwich of the blocked couplings to the unpacked state.
-Either is integrated adaptively by the numpy port of DOP853 in
-``_numerics``, which follows scipy's ``solve_ivp`` and has every
-right-hand side write each stage into the solver's own array
-(``f(t, y, out)``); the exponential is that module's too, so runs need
-numpy alone. The schedule decides the grid:
+two state-dependent blocking factors, by one of three routes that byte
+sizes pick at build time. Up to ``COMPACT_BYTES`` it is one compact map
+whose rows are merged by factor pair and output entry. While that map
+stored pair-major, one row per output entry and ordered factor pair,
+fits in ``PAIR_BYTES``, a call weights the rows by the outer product of
+the factors in one product; otherwise every output entry has one run of
+equal length (ELL), summed by one product with a vector of ones. Above
+``COMPACT_BYTES``, an O(K d^3) kernel applies the sandwich of the blocked
+couplings to the unpacked state. Each is integrated adaptively by the
+numpy port of DOP853 in ``_numerics``, which follows scipy's
+``solve_ivp`` and has every right-hand side write each stage into the
+solver's own array (``f(t, y, out)``); the exponential is that module's
+too, so runs need numpy alone. The schedule decides the grid:
 ``samples`` points from 0 to ``t_end``.
 
 A ``Trajectory`` keeps the packed eigenbasis samples and the eigenvectors.
@@ -50,6 +53,11 @@ BLOCK_SAMPLES = 1024
 # compact map; larger generators run the O(K d^3) kernel (crossover near
 # d = 10)
 COMPACT_BYTES = 2**21
+# largest pair-major compact map, (m + 1 + (m + 1)^2 d^2) d^2 floats, in
+# bytes; larger maps take the ELL layout. Per call (2-vCPU host, BLAS at
+# one thread) pair-major takes 0.8x the ELL time at 10.7 kB (d = 3), par
+# at 51.8 kB (d = 4) and 81 kB (d = 5, m = 3), and 1.3x at 181 kB (d = 5)
+PAIR_BYTES = 2**15
 
 
 @lru_cache
@@ -123,11 +131,13 @@ def build_packed_generator(h: SystemHamiltonian, spec: GeneratorSpec):
     blockable part (``GeneratorSpec.blocking_split``). A spec without
     blockable coupling, every linear spec among them, is one real matrix G:
     f(t, y) = G @ y, and ``f.matrix`` is G, for exact stepping. Otherwise
-    ``f.matrix`` is None and f is one of two evaluations of the same
-    generator, both built on ``generators._sandwich``: the compact map of
+    ``f.matrix`` is None and f is one of three evaluations of the same
+    generator, all built on ``generators._sandwich``: the compact map of
     ``_compact_rhs`` while its bound of (4 + 2m) d^4 floats (m subspaces)
-    fits in ``COMPACT_BYTES``, else the O(K d^3) kernel of ``_kernel_rhs``
-    (K coupling and rate-factor pairs), which keeps no d^2 x d^2 map. Runs
+    fits in ``COMPACT_BYTES``, stored pair-major while that table of
+    (m + 1 + (m + 1)^2 d^2) d^2 floats fits in ``PAIR_BYTES`` and in the
+    ELL layout above it; else the O(K d^3) kernel of ``_kernel_rhs`` (K
+    coupling and rate-factor pairs), which keeps no d^2 x d^2 map. Runs
     integrate f, and the unitality and constraint audits evaluate it at
     chi*1 (``filled_image``). Factors clamp at zero and nothing raises:
     populations pass chi by rounding, and for rme also for real; ule can
@@ -145,8 +155,12 @@ def build_packed_generator(h: SystemHamiltonian, spec: GeneratorSpec):
 
         rhs.matrix = matrix
         return rhs
-    compact = 8 * (4 + 2 * m) * d**4 <= COMPACT_BYTES
-    rhs = (_compact_rhs if compact else _kernel_rhs)(h, spec)
+    if 8 * (4 + 2 * m) * d**4 > COMPACT_BYTES:
+        rhs = _kernel_rhs(h, spec)
+    else:
+        n = d * d
+        rhs = _compact_rhs(h, spec, 8 * (m + 1 + n * (m + 1)**2) * n
+                           <= PAIR_BYTES)
     rhs.matrix = None
     return rhs
 
@@ -184,7 +198,8 @@ def _vacancy_map(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
     return average, offset
 
 
-def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
+def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec,
+                 pair_major: bool):
     """Blocked right-hand side as one compact map W.
 
     The generator is a sum of linear maps weighted on every packed output
@@ -193,18 +208,29 @@ def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     u_sub(i), u_sub(k) and both; per subspace s, the anticommutators of
     the free-blk and blk-blk terms through s by u_s and u_s^2. W holds the
     m + 1 population averages of ``_vacancy_map``, then the rows of those
-    maps merged by (output entry, unordered factor pair), all-zero rows
-    dropped. Every output entry has one run of r rows, r the largest
-    number of factor pairs an entry has, at most 2m + 2: (0, 0), (0, s)
-    and (s, s) per subspace and one (sub(i), sub(k)). Shorter runs are
-    padded with zero rows of the free pair (the ELL layout of Bell &
-    Garland, SC'09). A call is w = W @ y, u = sqrt(max(offset + w[:m+1],
-    0)), the products u_p u_q w of the rows and one product of their n x r
-    array with a vector of ones, O(n r). Every step writes into a buffer
-    bound at build time, the last into ``out``, and calls a C function of
-    numpy's, so a call allocates nothing when given ``out`` and enters no
-    numpy Python code. The buffers make a call not reentrant: one call at
-    a time.
+    maps merged by (output entry, unordered factor pair p <= q), all-zero
+    rows dropped, in one of two layouts. A call starts with w = W @ y and
+    u = sqrt(max(offset + w[:m+1], 0)), and forms the products u_p u_q as
+    one outer product.
+
+    ``pair_major``: one row per output entry and ordered pair, (m + 1)^2
+    per entry, holding the merged row of that pair or zero; the pairs
+    p > q are all zero. The image is then one product of the n x (m + 1)^2
+    array of w with the products u u^T, which are symmetric, so a call is
+    six numpy calls whatever the entry's pairs. Otherwise every output
+    entry has one run of r rows, r the largest number of factor pairs an
+    entry has, at most 2m + 2: (0, 0), (0, s) and (s, s) per subspace and
+    one (sub(i), sub(k)). Shorter runs are padded with zero rows of the
+    free pair (the ELL layout of Bell & Garland, SC'09); the products are
+    gathered per row, multiplied into w and each run summed by one
+    product with a vector of ones, O(n r). The first layout holds
+    (m + 1)^2 / r times as many rows and wins while its table is small
+    (``build_packed_generator``).
+
+    Every step writes into a buffer bound at build time, the last into
+    ``out``, and calls a C function of numpy's, so a call allocates
+    nothing when given ``out`` and enters no numpy Python code. The
+    buffers make a call not reentrant: one call at a time.
     """
     d, n, m = h.dim, h.dim * h.dim, len(spec.subspaces)
     pairs = (m + 1) ** 2
@@ -235,20 +261,22 @@ def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
         collect(_anti(basis, _sandwich(spec, part, part)[1]), s + 1, s + 1)
 
     # rows of one key summed in the order they were collected, then placed
-    # at their slot in their entry's run of ``width`` rows
+    # at their key's row, or at their slot in their entry's run of
+    # ``width`` rows
     keys = np.concatenate(keys)
     order = keys.argsort(kind="stable")
     keys = keys[order]
     first = np.flatnonzero(np.diff(keys, prepend=-1))
-    entry, pair = np.divmod(keys[first], pairs)
-    counts = np.bincount(entry, minlength=n)
-    width = int(counts.max())
-    place = entry * width + np.arange(entry.size) \
-        - np.repeat(counts.cumsum() - counts, counts)
+    if pair_major:
+        width, place = pairs, keys[first]
+    else:
+        entry, pair = np.divmod(keys[first], pairs)
+        counts = np.bincount(entry, minlength=n)
+        width = int(counts.max())
+        place = entry * width + np.arange(entry.size) \
+            - np.repeat(counts.cumsum() - counts, counts)
     table = np.zeros((n * width, n))
     table[place] = np.add.reduceat(np.concatenate(maps)[order], first)
-    run_pair = np.zeros(n * width, dtype=np.intp)
-    run_pair[place] = pair
     average, offset = _vacancy_map(spec)
     averages = np.zeros((m + 1, n))
     averages[:, :d] = average
@@ -259,10 +287,31 @@ def _compact_rhs(h: SystemHamiltonian, spec: GeneratorSpec):
     u, w_rows = w[:m + 1], w[m + 1:]
     u_col, u_row = u[:, None], u[None, :]
     products = np.empty((m + 1, m + 1))
-    weights, coef = products.reshape(-1), np.empty(n * width)
-    runs, ones = coef.reshape(n, width), np.ones(width)
+    weights = products.reshape(-1)
     zero = np.zeros(m + 1)
-    add, maximum, sqrt, multiply = np.add, np.maximum, np.sqrt, np.multiply
+    add, maximum, sqrt = np.add, np.maximum, np.sqrt
+
+    if pair_major:
+        rows = w_rows.reshape(n, pairs)
+
+        def rhs(t, y, out=None):
+            if out is None:
+                out = np.empty(n)
+            w_map.dot(y, w)
+            add(offset, u, u)
+            maximum(u, zero, out=u)
+            sqrt(u, u)
+            u_col.dot(u_row, products)
+            # every entry's rows weighted by their pair's product and summed
+            return rows.dot(weights, out)
+
+        return rhs
+
+    run_pair = np.zeros(n * width, dtype=np.intp)
+    run_pair[place] = pair
+    coef = np.empty(n * width)
+    runs, ones = coef.reshape(n, width), np.ones(width)
+    multiply = np.multiply
 
     def rhs(t, y, out=None):
         if out is None:

@@ -413,6 +413,24 @@ def test_spectra_at_the_largest_bath_widths_exits_one(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_run_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    # a sample count numpy accepts but memory cannot hold fails where the
+    # run allocates its sample grid; the stand-in raises and allocates
+    # nothing
+    def propagate_state(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(rdmprop.propagate, "propagate_state",
+                        propagate_state)
+    code = main(["run", "--benchmark", "three-level", "--samples",
+                 "1000000000000", "--output-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 7.28 TiB for " \
+        "an array\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_with_an_unknown_schedule_method_exits_two(tmp_path, capsys):
     # the generator picks the route, so a scenario names no method
     for method in ("DOP853", "RK45"):

@@ -1,18 +1,20 @@
 """Invariants and oracle agreement of every generator well beyond d = 6.
 
 Random systems have d in {8, 10, 12, 16} levels (one blocked example has
-20; the compact map is also checked at 3, 4 and 6).
+20; the compact map is also checked at 2 to 6).
 Their spectra are generic, or built from pairs of levels split by 1e-10 or
 by 1e-8, on either side of the degeneracy tolerance 1e-9: the first pairs
 merge into two-level subspaces, the second stay apart and give Bohr
 frequencies of +-1e-8. Every kind is checked blocked and unblocked, with
 and without the Lamb shift, against the channel-pair oracle in
-``oracle.py``. The two evaluations of a blocked generator, the compact
-map and the kernel, are compared with each other and with the oracle at
-d in {3, 4, 6, 8, 10, 12, 16} and on both builtins, and the kernel
-against the oracle at d = 32. The filled-state constraint, detailed
-balance, hole co-propagation and the blocked d = 32 runs use the baseline
-family of sorted uniform spectra with one random coupling.
+``oracle.py``. The evaluations of a blocked generator, the compact map
+in its ELL layout and the kernel, are compared with each other and with
+the oracle at d in {2, 3, 4, 5, 6, 8, 10, 12, 16}, on both builtins and
+on the 6-ring with its degenerate shells, and so is the pair-major
+layout of the compact map up to d = 6; the kernel is also compared with
+the oracle at d = 32. The filled-state constraint, detailed balance,
+hole co-propagation and the blocked d = 32 runs use the baseline family
+of sorted uniform spectra with one random coupling.
 
 The principal-value quadratures are replaced by closed forms in this module.
 The identities hold for any real coefficients, and the oracle reads the same
@@ -42,6 +44,7 @@ from rdmprop.representability import constraint_residual, \
     copropagate_hole, unitality_residual
 
 from oracle import Oracle
+from ring import CHI, ring_scenario
 
 BATH = BathModel(lam=0.01, temperature=300.0)
 TOL = 1e-12
@@ -197,24 +200,32 @@ def test_blocked_build_memory_at_d16():
 
 def clamped_states(spec, rho):
     """``rho``, then rho with one subspace at chi + 0.025, as blocked rme
-    reaches, then also one far past chi and one below zero occupancy."""
+    reaches, then also one far past chi and one below zero occupancy (as
+    far as there are subspaces)."""
     yield rho
     chi = spec.chi
     for shifts in ({0: chi + 0.025}, {0: chi + 0.025, 1: 1.5 * chi, 2: -0.1}):
         over = rho.copy()
-        for s, target in shifts.items():
+        for s, target in list(shifts.items())[:len(spec.subspaces)]:
             idx = list(spec.subspaces[s])
             over[idx, idx] += target - np.mean(np.real(rho[idx, idx]))
         yield over
 
 
 @pytest.mark.parametrize("kind", ["rme", "ume", "ule"])
-@pytest.mark.parametrize("system", [3, 4, 6, 8, 10, 12, 16, "three-level",
-                                    "benzene"])
+@pytest.mark.parametrize("system", [2, 3, 4, 5, 6, 8, 10, 12, 16,
+                                    "three-level", "benzene", "ring-6"])
 def test_compact_map_and_kernel_agree(kind, system):
     # random systems have one subspace per level; benzene's degenerate
-    # shells give m = 4 subspaces for d = 6
-    if system in BENCHMARKS:
+    # shells give m = 4 subspaces for d = 6, and so do the 6-ring's
+    if system == "ring-6":
+        scenario = ring_scenario(6, np.full(6, CHI / 2), kind,
+                                 pauli_blocked=True, temperature=300.0)
+        scenario.lamb_shift = True
+        setup = scenario.build()
+        h, spec = setup.hamiltonian, setup.spec
+        rng = np.random.default_rng(6)
+    elif system in BENCHMARKS:
         setup = BENCHMARKS[system](kind=kind, pauli_blocked=True,
                                    lamb_shift=True,
                                    clustering_threshold=0.02).build()
@@ -225,29 +236,46 @@ def test_compact_map_and_kernel_agree(kind, system):
         spec = build_generator(h, a, BATH, kind, chi=2.0, lamb_shift=True,
                                clustering_threshold=0.02, pauli_blocked=True)
     d, chi = h.dim, spec.chi
-    compact, kernel = _compact_rhs(h, spec), _kernel_rhs(h, spec)
-    route = build_packed_generator(h, spec)
-    assert route.__code__ is (compact if d <= 10 else kernel).__code__
+    routes = {"ell": _compact_rhs(h, spec, False),
+              "kernel": _kernel_rhs(h, spec)}
+    if d <= 6:
+        routes["pair-major"] = _compact_rhs(h, spec, True)
+    # pair-major while its table fits in PAIR_BYTES (10.7 kB at d = 3,
+    # 51.8 kB at d = 4 with m = 4), ELL up to d = 10, then the kernel
+    chosen = "pair-major" if d <= 3 else "ell" if d <= 10 else "kernel"
+    assert build_packed_generator(h, spec).__code__ is \
+        routes[chosen].__code__
     oracle = Oracle(h, spec)
     for rho in clamped_states(spec, random_state(rng, d, chi)):
         y = pack_hermitian(rho)
-        assert max_norm(compact(0.0, y) - kernel(0.0, y)) < TOL
-        assert max_norm(compact(0.0, y) - oracle.blocked_rhs(y)) < TOL
+        expected, kernel = oracle.blocked_rhs(y), routes["kernel"](0.0, y)
+        for route, rhs in routes.items():
+            assert max_norm(rhs(0.0, y) - expected) < TOL, route
+            assert max_norm(rhs(0.0, y) - kernel) < TOL, route
     filled = pack_hermitian(chi * np.eye(d))
-    assert max_norm(compact(0.0, filled)) < TOL
-    assert max_norm(kernel(0.0, filled)) < TOL
+    for route, rhs in routes.items():
+        image = max_norm(rhs(0.0, filled))
+        # the terms cancel exactly on the ring's real 0/1 couplings, and
+        # to rounding on random ones (up to 1.5e-17 for ume)
+        if system == "ring-6":
+            assert image == 0.0, route
+        else:
+            assert image < TOL, route
 
 
 def stage_functions(d):
     """The linear right-hand side of a random d-level system and the
-    compact map and kernel of its blocked spec, with a random state
-    generator."""
+    compact map in both layouts (pair-major up to d = 8) and the kernel
+    of its blocked spec, with a random state generator."""
     h, a, rng = random_system(30 + d, d, None)
     linear, blocked = (build_generator(h, a, BATH, "rme", chi=1.0,
                                        pauli_blocked=b) for b in (False, True))
-    return {"linear": build_packed_generator(h, linear),
-            "compact": _compact_rhs(h, blocked),
-            "kernel": _kernel_rhs(h, blocked)}, rng
+    funs = {"linear": build_packed_generator(h, linear),
+            "ell": _compact_rhs(h, blocked, False),
+            "kernel": _kernel_rhs(h, blocked)}
+    if d <= 8:
+        funs["pair-major"] = _compact_rhs(h, blocked, True)
+    return funs, rng
 
 
 @pytest.mark.parametrize("d", [3, 8, 16])
